@@ -48,7 +48,7 @@ fn bench_kernels(c: &mut Criterion) {
     let mut rt = DpuRuntime::open(Zcu102Board::new(0));
     let batch = ds.images(8);
     group.bench_function("dpu_run_batch_8", |b| {
-        b.iter(|| rt.run_batch(&mut task, black_box(&batch), 1).unwrap())
+        b.iter(|| rt.run_batch(&mut task, black_box(&batch), 1, 0).unwrap())
     });
 
     // Board physics: power evaluation and thermal fixed point.

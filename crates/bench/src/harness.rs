@@ -525,8 +525,8 @@ pub fn power_breakdown(s: &Settings) -> Table {
 }
 
 /// Regions for one (benchmark, board), derived from the shared downward
-/// sweep (same criterion as `find_regions`, which remains the standalone
-/// search API used by the `guardband_scan` example and tests).
+/// sweep by [`VoltageRegions::from_sweep`]'s rule: no observed fault and
+/// accuracy within 1 % of the nominal point.
 fn regions_for(s: &Settings, kind: BenchmarkId, board: u32) -> VoltageRegions {
     VoltageRegions::from_sweep(&sweep_for(s, kind, board), 0.01).expect("non-empty sweep")
 }

@@ -11,6 +11,9 @@
 //! the logic rail's 570 mV Vmin.
 
 use crate::experiment::{Accelerator, MeasureError, Measurement};
+use crate::sweep::{descend, SweepConfig};
+use redvolt_fpga::rails::RailId;
+use std::ops::ControlFlow;
 
 /// One point of the BRAM-rail sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,28 +74,19 @@ pub fn bram_rail_study(
     images: usize,
 ) -> Result<BramStudy, MeasureError> {
     acc.power_cycle();
-    let mut points = Vec::new();
-    let mut crashed_at_mv = None;
-    let mut mv = start_mv;
-    while mv >= stop_mv - 1e-9 {
-        let result = acc.set_vccbram_mv(mv).and_then(|()| acc.measure(images));
-        match result {
-            Ok(measurement) => points.push(BramPoint {
-                vccbram_mv: mv,
-                measurement,
-            }),
-            Err(MeasureError::Crashed { .. }) => {
-                crashed_at_mv = Some(mv);
-                break;
-            }
-            Err(e) => {
-                acc.power_cycle();
-                return Err(e);
-            }
-        }
-        mv -= step_mv;
-    }
-    acc.power_cycle();
+    let cfg = SweepConfig {
+        start_mv,
+        stop_mv,
+        step_mv,
+        images,
+    };
+    let (points, crashed_at_mv) = descend(acc, &cfg, RailId::Vccbram, |acc, vccbram_mv| {
+        let measurement = acc.measure(images)?;
+        Ok(ControlFlow::Continue(BramPoint {
+            vccbram_mv,
+            measurement,
+        }))
+    })?;
     Ok(BramStudy {
         points,
         crashed_at_mv,

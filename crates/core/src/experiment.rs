@@ -306,33 +306,26 @@ impl Accelerator {
     /// Propagates PMBus rejections (out-of-window voltages) and reports a
     /// hang as [`MeasureError::Crashed`].
     pub fn set_vccint_mv(&mut self, mv: f64) -> Result<(), MeasureError> {
-        let result = self.set_vccint_mv_inner(mv);
+        let result = self.set_vout_mv(VCCINT_ADDR, mv).and_then(|()| {
+            self.vccint_mv = mv;
+            if self.config.track_bram_rail {
+                self.set_vout_mv(VCCBRAM_ADDR, mv)
+            } else {
+                Ok(())
+            }
+        });
         self.record_bus_span("vccint", mv, result.is_ok());
         result
     }
 
-    fn set_vccint_mv_inner(&mut self, mv: f64) -> Result<(), MeasureError> {
-        let volts = mv / 1000.0;
-        let track = self.config.track_bram_rail;
+    /// Commands one regulator output over PMBus, reporting a hang as
+    /// [`MeasureError::Crashed`] at `mv`.
+    fn set_vout_mv(&mut self, address: u8, mv: f64) -> Result<(), MeasureError> {
         let board = self.runtime.board_mut();
-        match self.host.set_vout(board, VCCINT_ADDR, volts) {
-            Ok(()) => {}
-            Err(PmbusError::DeviceHung { .. }) => {
-                return Err(MeasureError::Crashed { vccint_mv: mv })
-            }
-            Err(e) => return Err(e.into()),
+        match self.host.set_vout(board, address, mv / 1000.0) {
+            Err(PmbusError::DeviceHung { .. }) => Err(MeasureError::Crashed { vccint_mv: mv }),
+            result => Ok(result?),
         }
-        self.vccint_mv = mv;
-        if track {
-            match self.host.set_vout(board, VCCBRAM_ADDR, volts) {
-                Ok(()) => {}
-                Err(PmbusError::DeviceHung { .. }) => {
-                    return Err(MeasureError::Crashed { vccint_mv: mv })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
     }
 
     /// Records a zero-duration `bus_set_vout` span at the current
@@ -354,12 +347,7 @@ impl Accelerator {
     ///
     /// See [`Accelerator::set_vccint_mv`].
     pub fn set_vccbram_mv(&mut self, mv: f64) -> Result<(), MeasureError> {
-        let board = self.runtime.board_mut();
-        let result = match self.host.set_vout(board, VCCBRAM_ADDR, mv / 1000.0) {
-            Ok(()) => Ok(()),
-            Err(PmbusError::DeviceHung { .. }) => Err(MeasureError::Crashed { vccint_mv: mv }),
-            Err(e) => Err(e.into()),
-        };
+        let result = self.set_vout_mv(VCCBRAM_ADDR, mv);
         self.record_bus_span("vccbram", mv, result.is_ok());
         result
     }
@@ -417,7 +405,7 @@ impl Accelerator {
             let run_start = self.runtime.cycles_run();
             let batch =
                 self.runtime
-                    .run_batch(&mut self.workload.task, eval_images, self.seed_counter);
+                    .run_batch(&mut self.workload.task, eval_images, self.seed_counter, 0);
             let run_id = self.spans.begin("dpu_run", None, run_start);
             self.spans
                 .attr(run_id, "ok", if batch.is_ok() { "1" } else { "0" });
@@ -533,6 +521,21 @@ impl Accelerator {
         let ecc = self.runtime.ecc_stats();
         let abft = self.runtime.defense_stats();
         ecc.corrected_words + ecc.uncorrectable_words + abft.mismatches
+    }
+
+    /// [`Accelerator::measure`] plus the SDC/ECC events it produced:
+    /// faults delivered into the datapath plus the
+    /// [`Accelerator::defense_events`] delta, so absorbed corruptions
+    /// count too. The signal behind the adaptive governor's windows and
+    /// the serving fleet's Vmin calibration.
+    ///
+    /// # Errors
+    ///
+    /// See [`Accelerator::measure`].
+    pub fn measure_events(&mut self, images: usize) -> Result<(Measurement, u64), MeasureError> {
+        let before = self.defense_events();
+        let m = self.measure(images)?;
+        Ok((m, m.injected_faults + (self.defense_events() - before)))
     }
 
     /// Drains this accelerator's telemetry: scalar counters/gauges plus

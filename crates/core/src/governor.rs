@@ -62,12 +62,6 @@ impl BoardHealth {
         }
     }
 
-    /// Mitigation rungs this operating point sits away from a commanded
-    /// baseline, per `ladder` — the router's degradation distance.
-    pub fn rungs_from(&self, ladder: &MitigationLadder, base_f_mhz: f64, base_mv: f64) -> u32 {
-        ladder.rungs_walked(base_f_mhz, base_mv, self.f_mhz, self.vccint_mv)
-    }
-
     /// The reading as typed attributes, for flight-recorder snapshots
     /// and trace spans. Keys are stable export names.
     pub fn attrs(&self) -> Vec<(String, redvolt_telemetry::AttrValue)> {
@@ -326,8 +320,8 @@ impl RescueTrace {
 /// produces SDC/ECC events, then takes the final measurement over
 /// `images` images at the settled point.
 ///
-/// The event signal combines the faults delivered into the datapath with
-/// the defense counters ([`Accelerator::defense_events`]), so the
+/// The event signal ([`Accelerator::measure_events`]) combines the
+/// faults delivered into the datapath with the defense counters, so the
 /// governor escalates even when ECC/ABFT absorbed every corruption —
 /// sustained correction traffic means the margin is gone, which is
 /// exactly the paper's cue to underscale.
@@ -354,10 +348,8 @@ pub fn run_adaptive_rescue(
         // The confirmation window closes the hysteresis streak at full
         // batch size; earlier windows are cheap short probes.
         let confirm = clean + 1 >= cfg.clean_windows;
-        let before = acc.defense_events();
         let n = if confirm { images } else { cfg.probe_images };
-        let m = acc.measure(n)?;
-        let events = m.injected_faults + (acc.defense_events() - before);
+        let (m, events) = acc.measure_events(n)?;
         steps.push(RescueStep {
             window,
             f_mhz: acc.clock_mhz(),
@@ -377,10 +369,8 @@ pub fn run_adaptive_rescue(
             clean += 1;
         } else {
             clean = 0;
-            match cfg.ladder.next(acc.clock_mhz(), acc.vccint_mv()) {
-                LadderMove::Underscale(f_mhz) => acc.set_clock_mhz(f_mhz),
-                LadderMove::Backoff(mv) => acc.set_vccint_mv(mv)?,
-                LadderMove::Exhausted => break,
+            if cfg.ladder.step(acc)? == LadderMove::Exhausted {
+                break;
             }
         }
     }
@@ -429,7 +419,6 @@ mod tests {
         assert!(!h.crashed);
         assert!(h.cycles_run > 0);
         assert!(h.power_w > 0.0);
-        assert_eq!(h.rungs_from(&MitigationLadder::default(), 333.0, 600.0), 2);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Voltage-region characterization (Fig. 3 and §4.2).
 //!
-//! Measures, per (board, benchmark), the paper's three regions:
+//! Derives, per (board, benchmark), the paper's three regions from a
+//! downward [`crate::sweep::voltage_sweep`]:
 //!
 //! * **guardband** — Vnom down to Vmin: no accuracy loss;
 //! * **critical** — Vmin down to Vcrash: accuracy degrades;
 //! * **crash** — below Vcrash: the board does not respond.
-
-use crate::experiment::{Accelerator, MeasureError};
-use redvolt_fpga::calib::VNOM_MV;
 
 /// The measured voltage regions of one accelerator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,34 +33,18 @@ impl VoltageRegions {
     pub fn critical_mv(&self) -> f64 {
         self.vmin_mv - self.vcrash_mv
     }
-}
 
-/// Search configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionSearchConfig {
-    /// Scan step, mV.
-    pub step_mv: f64,
-    /// Evaluation images per probe.
-    pub images: usize,
-    /// Accuracy loss below which a point still counts as "safe".
-    pub accuracy_tolerance: f64,
-}
-
-impl Default for RegionSearchConfig {
-    fn default() -> Self {
-        RegionSearchConfig {
-            step_mv: 5.0,
-            images: 100,
-            accuracy_tolerance: 0.01,
-        }
-    }
-}
-
-impl VoltageRegions {
-    /// Derives the regions from an already-measured downward sweep (same
-    /// criterion as [`find_regions`], without re-measuring): `Vmin` is the
-    /// lowest fault-free point with nominal accuracy, `Vcrash` the lowest
-    /// responsive point.
+    /// Derives the regions from a measured downward sweep. `Vnom` is the
+    /// sweep's first point. `Vmin` is the last point of the unbroken run
+    /// of clean points from the top, where a point is clean when it
+    /// observed no injected fault and its accuracy is within
+    /// `accuracy_tolerance` of the first point's. `Vcrash` is the lowest
+    /// responsive point (the sweep's last), whether or not the sweep
+    /// ended in a hang.
+    ///
+    /// The rule reads only the measurements, so a point whose timing
+    /// slack is already negative still counts as clean when its probe
+    /// saw no fault.
     ///
     /// Returns `None` for an empty sweep.
     pub fn from_sweep(
@@ -86,100 +68,12 @@ impl VoltageRegions {
     }
 }
 
-/// Finds the voltage regions, like the paper's measurement flow: establish
-/// nominal accuracy, lower the rails, mark `Vmin` at the first accuracy
-/// loss and `Vcrash` at the last responsive step. The descent is
-/// coarse-to-fine (4× the step until the first unsafe point, then back up
-/// one coarse step and down at full resolution) — the practical scan any
-/// measurement campaign uses inside a 280 mV guardband. Returns with the
-/// board power-cycled.
-///
-/// # Errors
-///
-/// Propagates non-crash measurement errors.
-pub fn find_regions(
-    acc: &mut Accelerator,
-    cfg: &RegionSearchConfig,
-) -> Result<VoltageRegions, MeasureError> {
-    acc.power_cycle();
-    let nominal = acc.measure(cfg.images)?;
-    let nominal_acc = nominal.accuracy;
-
-    // "Safe" means no accuracy loss over the paper's long soak runs, i.e.
-    // a fault-free operating point: zero observed faults, zero
-    // timing-slack deficit, nominal accuracy.
-    let probe = |acc: &mut Accelerator, mv: f64| -> Result<Option<bool>, MeasureError> {
-        match acc.set_vccint_mv(mv).and_then(|()| acc.measure(cfg.images)) {
-            Ok(m) => {
-                let safe = m.injected_faults == 0
-                    && acc.board().slack_deficit() == 0.0
-                    && m.accuracy >= nominal_acc - cfg.accuracy_tolerance;
-                Ok(Some(safe))
-            }
-            Err(MeasureError::Crashed { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    };
-
-    // Phase 1: coarse descent until the first unsafe/crashed probe.
-    let coarse = cfg.step_mv * 4.0;
-    let mut last_safe_mv = VNOM_MV;
-    let mut mv = VNOM_MV;
-    loop {
-        mv -= coarse;
-        if mv < 450.0 {
-            break;
-        }
-        match probe(acc, mv) {
-            Ok(Some(true)) => last_safe_mv = mv,
-            Ok(Some(false)) | Ok(None) => break,
-            Err(e) => {
-                acc.power_cycle();
-                return Err(e);
-            }
-        }
-    }
-    acc.power_cycle();
-
-    // Phase 2: fine descent from the last coarse-safe voltage.
-    let mut vmin_mv = last_safe_mv;
-    let mut vcrash_mv = last_safe_mv;
-    let mut degraded = false;
-    let mut mv = last_safe_mv;
-    loop {
-        mv -= cfg.step_mv;
-        if mv < 450.0 {
-            break;
-        }
-        match probe(acc, mv) {
-            Ok(Some(safe)) => {
-                vcrash_mv = mv;
-                if !degraded && safe {
-                    vmin_mv = mv;
-                } else {
-                    degraded = true;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                acc.power_cycle();
-                return Err(e);
-            }
-        }
-    }
-    acc.power_cycle();
-    Ok(VoltageRegions {
-        vnom_mv: VNOM_MV,
-        vmin_mv,
-        vcrash_mv,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bench_suite::BenchmarkId;
-    use crate::experiment::AcceleratorConfig;
+    use crate::experiment::{Accelerator, AcceleratorConfig, Measurement};
+    use crate::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
 
     fn regions(board: u32) -> VoltageRegions {
         let mut acc = Accelerator::bring_up(&AcceleratorConfig {
@@ -187,15 +81,17 @@ mod tests {
             ..AcceleratorConfig::tiny(BenchmarkId::VggNet)
         })
         .unwrap();
-        find_regions(
+        let sweep = voltage_sweep(
             &mut acc,
-            &RegionSearchConfig {
+            &SweepConfig {
+                start_mv: 850.0,
+                stop_mv: 450.0,
                 step_mv: 5.0,
                 images: 20,
-                accuracy_tolerance: 0.01,
             },
         )
-        .unwrap()
+        .unwrap();
+        VoltageRegions::from_sweep(&sweep, 0.01).unwrap()
     }
 
     #[test]
@@ -228,5 +124,89 @@ mod tests {
         );
         let mean = vmins.iter().sum::<f64>() / 3.0;
         assert!((mean - 570.0).abs() <= 10.0, "mean Vmin = {mean}");
+    }
+
+    /// A measurement carrying only what `from_sweep` reads.
+    fn point(vccint_mv: f64, accuracy: f64, injected_faults: u64) -> Measurement {
+        Measurement {
+            vccint_mv,
+            f_mhz: 333.0,
+            accuracy,
+            power_w: 1.0,
+            gops: 1.0,
+            gops_per_w: 1.0,
+            junction_c: 40.0,
+            injected_faults,
+            accuracy_std: 0.0,
+        }
+    }
+
+    fn sweep(points: Vec<Measurement>, crashed_at_mv: Option<f64>) -> VoltageSweep {
+        VoltageSweep {
+            points,
+            crashed_at_mv,
+        }
+    }
+
+    #[test]
+    fn fault_at_first_sub_nominal_step_pins_vmin_at_nominal() {
+        let s = sweep(
+            vec![
+                point(850.0, 0.9, 0),
+                point(845.0, 0.9, 1),
+                point(840.0, 0.9, 0),
+            ],
+            None,
+        );
+        let r = VoltageRegions::from_sweep(&s, 0.01).unwrap();
+        assert_eq!(r.vnom_mv, 850.0);
+        assert_eq!(r.vmin_mv, 850.0, "a later clean point does not count");
+        assert_eq!(r.vcrash_mv, 840.0);
+    }
+
+    #[test]
+    fn accuracy_loss_counts_only_beyond_the_tolerance() {
+        let s = sweep(
+            vec![
+                point(850.0, 0.90, 0),
+                point(845.0, 0.895, 0),
+                point(840.0, 0.85, 0),
+                point(835.0, 0.90, 0),
+            ],
+            None,
+        );
+        let r = VoltageRegions::from_sweep(&s, 0.01).unwrap();
+        assert_eq!(r.vmin_mv, 845.0, "0.005 loss is inside a 0.01 tolerance");
+        assert_eq!(r.vcrash_mv, 835.0);
+        let strict = VoltageRegions::from_sweep(&s, 0.001).unwrap();
+        assert_eq!(strict.vmin_mv, 850.0);
+    }
+
+    #[test]
+    fn hang_leaves_vcrash_at_the_last_responsive_point() {
+        let s = sweep(
+            vec![
+                point(850.0, 0.9, 0),
+                point(840.0, 0.9, 0),
+                point(830.0, 0.4, 9),
+            ],
+            Some(820.0),
+        );
+        let r = VoltageRegions::from_sweep(&s, 0.01).unwrap();
+        assert_eq!(r.vmin_mv, 840.0);
+        assert_eq!(r.vcrash_mv, 830.0, "the hang point itself never responded");
+        assert_eq!(r.critical_mv(), 10.0);
+    }
+
+    #[test]
+    fn empty_sweep_has_no_regions() {
+        assert_eq!(
+            VoltageRegions::from_sweep(&sweep(Vec::new(), None), 0.01),
+            None
+        );
+        assert_eq!(
+            VoltageRegions::from_sweep(&sweep(Vec::new(), Some(850.0)), 0.01),
+            None
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! * [`experiment`] — [`experiment::Accelerator`], the accelerator under
 //!   test: PMBus voltage control, averaged telemetry measurements.
 //! * [`sweep`] — downward voltage sweeps (Figs. 4–6).
-//! * [`guardband`] — Vmin / Vcrash searches and region sizes (Fig. 3).
+//! * [`guardband`] — Vmin / Vcrash regions of a sweep and their sizes
+//!   (Fig. 3).
 //! * [`executor`] — the parallel campaign executor: deterministic
 //!   sharding of independent (board × benchmark × config) cells across
 //!   `std::thread::scope` workers with per-cell derived seeds.

@@ -10,8 +10,11 @@
 //! the scheme collapses — retries stop converging.
 
 use crate::experiment::{Accelerator, MeasureError};
+use crate::sweep::{descend, SweepConfig};
 use redvolt_dpu::runtime::RunError;
+use redvolt_fpga::rails::RailId;
 use redvolt_num::stats::Summary;
+use std::ops::ControlFlow;
 
 /// One voltage point of the mitigation study.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,73 +55,51 @@ pub fn mitigation_study(
     max_retries: u32,
 ) -> Result<MitigationStudy, MeasureError> {
     acc.power_cycle();
-    let mut points = Vec::new();
-    let mut mv = start_mv;
-    while mv >= stop_mv - 1e-9 {
-        if acc.set_vccint_mv(mv).is_err() {
-            break;
-        }
+    let cfg = SweepConfig {
+        start_mv,
+        stop_mv,
+        step_mv,
+        images,
+    };
+    let (points, _) = descend(acc, &cfg, RailId::Vccint, |acc, mv| {
         // Unmitigated reference at the same point.
-        let plain = match acc.measure(images) {
-            Ok(m) => m,
-            Err(MeasureError::Crashed { .. }) => break,
-            Err(e) => {
-                acc.power_cycle();
-                return Err(e);
-            }
-        };
+        let plain = acc.measure(images)?;
         let reps = acc.config().repetitions.max(1);
         let n = images.min(acc.workload().eval.len()).max(1);
         let mut accs = Vec::with_capacity(reps);
         let mut attempts = Vec::with_capacity(reps);
         let mut unresolved = 0u64;
         let mut eff_gops_per_w = 0.0;
-        let mut crashed = false;
         for rep in 0..reps {
-            let eval_images: Vec<_> = acc.workload().eval.images[..n].to_vec();
-            let labels: Vec<usize> = acc.workload().eval.labels[..n].to_vec();
             let seed = acc.config().seed ^ ((rep as u64 + 1) << 32) ^ mv.to_bits();
-            let outcome = {
-                let (runtime, workload) = acc.runtime_and_workload_mut();
-                runtime.run_batch_mitigated(&mut workload.task, &eval_images, seed, max_retries)
-            };
-            match outcome {
-                Ok(r) => {
-                    let hits = r
-                        .predictions
-                        .iter()
-                        .zip(&labels)
-                        .filter(|(p, l)| p == l)
-                        .count();
-                    accs.push(hits as f64 / n as f64);
-                    attempts.push(r.attempts_per_image);
-                    unresolved += r.unresolved_images;
-                    eff_gops_per_w = r.timing.gops / r.on_chip_power_w;
-                }
-                Err(RunError::BoardCrashed) => {
-                    crashed = true;
-                    break;
-                }
-                Err(e) => {
-                    acc.power_cycle();
-                    return Err(MeasureError::Run(e));
-                }
-            }
+            let (runtime, workload) = acc.runtime_and_workload_mut();
+            let eval = &workload.eval;
+            let r = runtime
+                .run_batch(&mut workload.task, &eval.images[..n], seed, max_retries)
+                .map_err(|e| match e {
+                    RunError::BoardCrashed => MeasureError::Crashed { vccint_mv: mv },
+                    e => MeasureError::Run(e),
+                })?;
+            let hits = r
+                .predictions
+                .iter()
+                .zip(&eval.labels[..n])
+                .filter(|(p, l)| p == l)
+                .count();
+            accs.push(hits as f64 / n as f64);
+            attempts.push(r.attempts as f64 / n as f64);
+            unresolved += r.unresolved_images;
+            eff_gops_per_w = r.timing.gops / r.on_chip_power_w;
         }
-        if crashed || accs.is_empty() {
-            break;
-        }
-        points.push(MitigationPoint {
+        Ok(ControlFlow::Continue(MitigationPoint {
             vccint_mv: mv,
             accuracy: Summary::of(&accs).expect("reps >= 1").mean,
             unmitigated_accuracy: plain.accuracy,
             attempts_per_image: Summary::of(&attempts).expect("reps >= 1").mean,
             effective_gops_per_w: eff_gops_per_w,
             unresolved_fraction: unresolved as f64 / (reps * n) as f64,
-        });
-        mv -= step_mv;
-    }
-    acc.power_cycle();
+        }))
+    })?;
     Ok(MitigationStudy { points })
 }
 
@@ -182,6 +163,23 @@ impl MitigationLadder {
         LadderMove::Exhausted
     }
 
+    /// Takes the next rung from the accelerator's operating point: the
+    /// move [`MitigationLadder::next`] picks, applied over PMBus or the
+    /// clock. Returns the move taken.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed voltage backoff.
+    pub fn step(&self, acc: &mut Accelerator) -> Result<LadderMove, MeasureError> {
+        let next = self.next(acc.clock_mhz(), acc.vccint_mv());
+        match next {
+            LadderMove::Underscale(f_mhz) => acc.set_clock_mhz(f_mhz),
+            LadderMove::Backoff(mv) => acc.set_vccint_mv(mv)?,
+            LadderMove::Exhausted => {}
+        }
+        Ok(next)
+    }
+
     /// How many rungs separate the operating point `(f_mhz, vccint_mv)`
     /// from the commanded baseline `(base_f_mhz, base_mv)`: frequency
     /// underscaling steps plus voltage backoff steps. The serving
@@ -223,6 +221,14 @@ mod tests {
             .expect("560 mV measured");
         assert!(p560.accuracy > p560.unmitigated_accuracy + 0.05, "{p560:?}");
         assert!(p560.attempts_per_image > 1.0);
+    }
+
+    #[test]
+    fn rejected_start_voltage_is_an_error_not_an_empty_study() {
+        let mut acc = Accelerator::bring_up(&AcceleratorConfig::tiny(BenchmarkId::VggNet)).unwrap();
+        let r = mitigation_study(&mut acc, 1200.0, 1100.0, 50.0, 8, 2);
+        assert!(matches!(r, Err(MeasureError::Pmbus(_))), "{r:?}");
+        assert_eq!(acc.vccint_mv(), 850.0, "power-cycled back to nominal");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Voltage sweep campaigns (the backbone of Figs. 4–6).
 
 use crate::experiment::{Accelerator, MeasureError, Measurement};
+use redvolt_fpga::rails::RailId;
+use std::ops::ControlFlow;
 
 /// Configuration of a downward voltage sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,25 +108,43 @@ impl VoltageSweep {
     }
 }
 
-/// Runs a downward voltage sweep. Stops at the first hang (recording it)
-/// or at `stop_mv`. The accelerator is power-cycled and back at nominal
-/// when this returns.
+/// Walks `cfg`'s schedule down `rail`, the loop every undervolting
+/// campaign shares (§4.2: lower the rail in fixed steps, probe at each
+/// step). At each voltage it commands the rail over PMBus and runs
+/// `probe`, which returns the point to record and continue with, or
+/// [`ControlFlow::Break`] to end the descent there. The first hang,
+/// during the write or the probe, ends the descent and is returned as
+/// the commanded voltage. The accelerator is power-cycled, back at
+/// nominal, when this returns.
 ///
 /// # Errors
 ///
-/// Propagates non-crash errors ([`MeasureError::Pmbus`] etc.).
-pub fn voltage_sweep(
+/// Power-cycles, then propagates non-crash errors
+/// ([`MeasureError::Pmbus`] etc.).
+///
+/// # Panics
+///
+/// Panics if `rail` is not `VCCINT` or `VCCBRAM`, the two rails the
+/// accelerator regulates.
+pub fn descend<T>(
     acc: &mut Accelerator,
     cfg: &SweepConfig,
-) -> Result<VoltageSweep, MeasureError> {
+    rail: RailId,
+    mut probe: impl FnMut(&mut Accelerator, f64) -> Result<ControlFlow<(), T>, MeasureError>,
+) -> Result<(Vec<T>, Option<f64>), MeasureError> {
     let mut points = Vec::new();
     let mut crashed_at_mv = None;
     for mv in cfg.voltages_mv() {
-        let step_result = acc.set_vccint_mv(mv).and_then(|()| acc.measure(cfg.images));
-        match step_result {
-            Ok(m) => points.push(m),
-            Err(MeasureError::Crashed { vccint_mv }) => {
-                crashed_at_mv = Some(vccint_mv);
+        let set = match rail {
+            RailId::Vccint => acc.set_vccint_mv(mv),
+            RailId::Vccbram => acc.set_vccbram_mv(mv),
+            other => panic!("{} is not an undervolted rail", other.name()),
+        };
+        match set.and_then(|()| probe(acc, mv)) {
+            Ok(ControlFlow::Continue(point)) => points.push(point),
+            Ok(ControlFlow::Break(())) => break,
+            Err(MeasureError::Crashed { .. }) => {
+                crashed_at_mv = Some(mv);
                 break;
             }
             Err(e) => {
@@ -134,6 +154,22 @@ pub fn voltage_sweep(
         }
     }
     acc.power_cycle();
+    Ok((points, crashed_at_mv))
+}
+
+/// Runs a downward `VCCINT` sweep, measuring `cfg.images` images at
+/// every step: [`descend`] with a probe that never stops early.
+///
+/// # Errors
+///
+/// Propagates non-crash errors ([`MeasureError::Pmbus`] etc.).
+pub fn voltage_sweep(
+    acc: &mut Accelerator,
+    cfg: &SweepConfig,
+) -> Result<VoltageSweep, MeasureError> {
+    let (points, crashed_at_mv) = descend(acc, cfg, RailId::Vccint, |acc, _| {
+        acc.measure(cfg.images).map(ControlFlow::Continue)
+    })?;
     Ok(VoltageSweep {
         points,
         crashed_at_mv,

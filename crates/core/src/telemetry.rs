@@ -136,22 +136,13 @@ impl CellTelemetry {
     }
 
     /// Decodes [`CellTelemetry::encode_compact`]; `None` on any
-    /// malformed blob (the caller treats the cell as telemetry-less).
-    /// Blobs written before the SDC-defense counters existed carry 12
-    /// fields instead of 20 and decode with zeroed defense counters, so
-    /// old journals stay resumable.
+    /// malformed blob, including one with other than 20 fields (the
+    /// caller treats the cell as telemetry-less).
     pub fn decode_compact(blob: &str) -> Option<CellTelemetry> {
         let f: Vec<&str> = blob.split(',').collect();
-        if f.len() != 12 && f.len() != 20 {
+        if f.len() != 20 {
             return None;
         }
-        let defense = |i: usize| -> Option<u64> {
-            if f.len() == 12 {
-                Some(0)
-            } else {
-                f[i].parse().ok()
-            }
-        };
         Some(CellTelemetry {
             cycles: f[0].parse().ok()?,
             dpu_faults: f[1].parse().ok()?,
@@ -167,14 +158,14 @@ impl CellTelemetry {
             vccint_mv: f[9].parse().ok()?,
             vccbram_mv: f[10].parse().ok()?,
             junction_c: f[11].parse().ok()?,
-            ecc_corrected: defense(12)?,
-            ecc_uncorrectable: defense(13)?,
-            abft_checks: defense(14)?,
-            abft_mismatches: defense(15)?,
-            abft_reexecutions: defense(16)?,
-            abft_unresolved: defense(17)?,
-            scrub_passes: defense(18)?,
-            scrub_retired: defense(19)?,
+            ecc_corrected: f[12].parse().ok()?,
+            ecc_uncorrectable: f[13].parse().ok()?,
+            abft_checks: f[14].parse().ok()?,
+            abft_mismatches: f[15].parse().ok()?,
+            abft_reexecutions: f[16].parse().ok()?,
+            abft_unresolved: f[17].parse().ok()?,
+            scrub_passes: f[18].parse().ok()?,
+            scrub_retired: f[19].parse().ok()?,
             spans: Vec::new(),
         })
     }
@@ -540,20 +531,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_12_field_blob_decodes_with_zeroed_defense_counters() {
-        let t = sample_telem();
-        let blob = t.encode_compact();
-        let legacy: String = blob.split(',').take(12).collect::<Vec<_>>().join(",");
-        let decoded = CellTelemetry::decode_compact(&legacy).expect("legacy blob must decode");
-        assert_eq!(decoded.cycles, t.cycles);
-        assert_eq!(decoded.bus, t.bus);
-        assert_eq!(decoded.ecc_corrected, 0);
-        assert_eq!(decoded.abft_checks, 0);
-        assert_eq!(decoded.scrub_passes, 0);
-        // Any other field count is rejected outright.
-        assert_eq!(CellTelemetry::decode_compact("1,2,3"), None);
-        let thirteen: String = blob.split(',').take(13).collect::<Vec<_>>().join(",");
-        assert_eq!(CellTelemetry::decode_compact(&thirteen), None);
+    fn truncated_blobs_are_rejected() {
+        let blob = sample_telem().encode_compact();
+        // 12 fields is the pre-defense layout; its journals fail the plan
+        // fingerprint check before any blob is decoded.
+        for fields in [3, 12, 13, 19] {
+            let short: String = blob.split(',').take(fields).collect::<Vec<_>>().join(",");
+            assert_eq!(
+                CellTelemetry::decode_compact(&short),
+                None,
+                "{fields} fields"
+            );
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! let mut task = DpuTask::create("vgg", &graph, 8, &data.images(4))?;
 //!
 //! let mut rt = DpuRuntime::open(Zcu102Board::new(0));
-//! let result = rt.run_batch(&mut task, &data.images(8), 1)?;
+//! let result = rt.run_batch(&mut task, &data.images(8), 1, 0)?;
 //! assert_eq!(result.predictions.len(), 8);
 //! # Ok(())
 //! # }

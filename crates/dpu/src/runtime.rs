@@ -27,15 +27,15 @@ use redvolt_num::rng::derive_substream_seed;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Derives the fault-stream seed for one image of a batch.
+/// Derives the fault-stream seed for one execution of one image of a
+/// batch.
 ///
-/// Every image's injector state is a pure function of
+/// Every execution's injector state is a pure function of
 /// `(batch seed, image index, attempt)` — independent of how the batch
-/// is sharded across workers, which images ran before it, and whether
-/// the run is the plain or the Razor-mitigated path (the mitigated path
-/// retries with `attempt` = 1, 2, …; fresh attempts draw fresh faults).
-/// This is the shared seeding scheme of both [`DpuRuntime::run_batch`]
-/// and [`DpuRuntime::run_batch_mitigated`].
+/// is sharded across workers and which images ran before it. Attempt 0
+/// is the image's first execution; Razor retries in
+/// [`DpuRuntime::run_batch`] draw attempts 1, 2, … (fresh attempts draw
+/// fresh faults).
 pub fn image_stream_seed(batch_seed: u64, image_index: u64, attempt: u32) -> u64 {
     derive_substream_seed(batch_seed, image_index, u64::from(attempt))
 }
@@ -184,20 +184,11 @@ pub struct BatchResult {
     /// ABFT events for this batch (checksum checks, mismatches,
     /// re-executions, unresolved corruption).
     pub defense: DefenseStats,
-}
-
-/// Result of a Razor-mitigated batch run.
-#[derive(Debug, Clone)]
-pub struct MitigatedBatchResult {
-    /// Per-image predicted classes (after retries).
-    pub predictions: Vec<usize>,
-    /// Timing with effective (retry-degraded) throughput rates.
-    pub timing: Timing,
-    /// On-chip power during the run, watts.
-    pub on_chip_power_w: f64,
-    /// Mean executions per image (1.0 = no retries).
-    pub attempts_per_image: f64,
-    /// Images whose final attempt still contained faults.
+    /// Image executions, Razor retries included (one per image with a
+    /// zero retry budget).
+    pub attempts: u64,
+    /// Images whose last execution still saw a fault event (with a zero
+    /// retry budget: every image a fault hit).
     pub unresolved_images: u64,
 }
 
@@ -210,53 +201,69 @@ struct ImageRun {
     defense: DefenseStats,
     latent: u64,
     injected: u64,
+    attempts: u32,
+    unresolved: bool,
 }
 
-/// Executes one image against the shared graph with its own derived
-/// fault stream and the worker's scratch arena.
+/// Executes image `index` against the shared graph with the worker's
+/// scratch arena, on its own derived fault stream per attempt. Razor
+/// detect-and-retry: while an execution sees a fault event and
+/// `max_retries` allows, the image re-executes on the next attempt's
+/// stream. Counters cover every attempt; the outcome is the last one's.
+#[allow(clippy::too_many_arguments)]
 fn run_one_image(
     graph: &QuantizedGraph,
     board: &Zcu102Board,
     mode: DefenseMode,
     seed: u64,
+    max_retries: u32,
+    images: &[Tensor],
     index: usize,
-    image: &Tensor,
     scratch: &mut ExecScratch,
 ) -> ImageRun {
-    let mut injector = EccInjector::new(
-        board_injector(board, image_stream_seed(seed, index as u64, 0)),
-        mode,
-    );
+    let mut ecc = EccStats::default();
     let mut defense = DefenseStats::default();
-    let outcome = graph.predict_shared(image, &mut injector, scratch, &mut defense);
-    let ecc = injector.stats();
-    let latent = injector.take_latent();
-    ImageRun {
-        outcome,
-        ecc,
-        defense,
-        latent,
-        injected: injector.into_inner().injected_count(),
+    let (mut latent, mut injected) = (0, 0);
+    let mut attempt = 0;
+    loop {
+        let mut injector = EccInjector::new(
+            board_injector(board, image_stream_seed(seed, index as u64, attempt)),
+            mode,
+        );
+        let outcome = graph.predict_shared(&images[index], &mut injector, scratch, &mut defense);
+        ecc.merge(&injector.stats());
+        latent += injector.take_latent();
+        let inner = injector.into_inner();
+        injected += inner.injected_count();
+        let faulted = inner.event_count() > 0;
+        if !faulted || outcome.is_err() || attempt == max_retries {
+            return ImageRun {
+                outcome,
+                ecc,
+                defense,
+                latent,
+                injected,
+                attempts: attempt + 1,
+                unresolved: faulted,
+            };
+        }
+        attempt += 1;
     }
 }
 
-/// Runs the first `executed` images of a batch, sharded across up to
-/// `workers` threads (one scratch arena per worker, reused across
-/// batches via `pool`), and returns the per-image results in image
-/// order. With `workers <= 1` the walk is inline — no threads spawned.
+/// Runs `run` on the first `executed` image indices of a batch, sharded
+/// across up to `workers` threads (one scratch arena per worker, reused
+/// across batches via `pool`), and returns the per-image results in
+/// image order. With `workers <= 1` the walk is inline — no threads
+/// spawned.
 ///
-/// Results are a pure function of `(graph, board, mode, seed)` per
-/// image, so the returned vector is identical for every worker count.
-#[allow(clippy::too_many_arguments)]
+/// `run` is a pure function of the image index, so the returned vector
+/// is identical for every worker count.
 fn run_images(
-    graph: &QuantizedGraph,
-    board: &Zcu102Board,
-    mode: DefenseMode,
-    images: &[Tensor],
     executed: usize,
-    seed: u64,
     workers: usize,
     pool: &mut Vec<ExecScratch>,
+    run: impl Fn(usize, &mut ExecScratch) -> ImageRun + Sync,
 ) -> Vec<ImageRun> {
     let workers = workers.clamp(1, executed.max(1));
     if pool.len() < workers {
@@ -264,12 +271,9 @@ fn run_images(
     }
     if workers <= 1 {
         let scratch = &mut pool[0];
-        return images[..executed]
-            .iter()
-            .enumerate()
-            .map(|(i, img)| run_one_image(graph, board, mode, seed, i, img, scratch))
-            .collect();
+        return (0..executed).map(|i| run(i, scratch)).collect();
     }
+    let run = &run;
     let queue = AtomicUsize::new(0);
     let mut slots: Vec<Option<ImageRun>> = Vec::with_capacity(executed);
     slots.resize_with(executed, || None);
@@ -284,10 +288,7 @@ fn run_images(
                     if i >= executed {
                         break;
                     }
-                    local.push((
-                        i,
-                        run_one_image(graph, board, mode, seed, i, &images[i], scratch),
-                    ));
+                    local.push((i, run(i, scratch)));
                 }
                 local
             }));
@@ -495,75 +496,15 @@ impl DpuRuntime {
         engine::timing(&task.kernel, self.f_mhz, self.cores)
     }
 
-    /// Runs a batch with Razor-style detect-and-retry fault mitigation
+    /// Runs a batch of images, returning predictions and measurements.
+    ///
+    /// `max_retries` arms Razor-style detect-and-retry fault mitigation
     /// (the paper's future-work item i, §9): shadow-latch style error
     /// detection flags any timing fault during an inference, and the
     /// image is re-executed (faults are transient, so retries draw fresh
     /// fault outcomes) up to `max_retries` times. Throughput pays for the
     /// re-executions: the returned timing's effective rates are scaled by
-    /// `images / attempts`.
-    ///
-    /// # Errors
-    ///
-    /// See [`DpuRuntime::run_batch`].
-    pub fn run_batch_mitigated(
-        &mut self,
-        task: &mut DpuTask,
-        images: &[Tensor],
-        seed: u64,
-        max_retries: u32,
-    ) -> Result<MitigatedBatchResult, RunError> {
-        if self.board.is_crashed() {
-            return Err(RunError::BoardCrashed);
-        }
-        let timing = engine::timing(&task.kernel, self.f_mhz, self.cores);
-        let load = LoadProfile {
-            f_mhz: self.f_mhz,
-            ops_rate_norm: timing.gops / task.nominal_gops,
-            energy_per_op_factor: LoadProfile::energy_factor_for_bits(task.kernel.bits),
-            critical_path_factor: task.critical_path_factor,
-        };
-        self.board.set_crash_slack_ratio(task.crash_slack_ratio);
-        self.board.set_load(load);
-        if self.board.is_crashed() {
-            return Err(RunError::BoardCrashed);
-        }
-        let mut predictions = Vec::with_capacity(images.len());
-        let mut attempts_total = 0u64;
-        let mut unresolved = 0u64;
-        for (i, img) in images.iter().enumerate() {
-            let mut attempt = 0u32;
-            loop {
-                attempts_total += 1;
-                self.charge_cycles(task.kernel.total_cycles())?;
-                let mut injector =
-                    board_injector(&self.board, image_stream_seed(seed, i as u64, attempt));
-                let pred = task.qgraph.predict_with(img, &mut injector)?;
-                self.faults_observed += injector.event_count();
-                if injector.event_count() == 0 || attempt >= max_retries {
-                    if injector.event_count() > 0 {
-                        unresolved += 1;
-                    }
-                    predictions.push(pred);
-                    break;
-                }
-                attempt += 1;
-            }
-        }
-        let redundancy = attempts_total as f64 / images.len().max(1) as f64;
-        let mut effective = timing;
-        effective.images_per_s /= redundancy;
-        effective.gops /= redundancy;
-        Ok(MitigatedBatchResult {
-            predictions,
-            timing: effective,
-            on_chip_power_w: self.board.on_chip_power_w(),
-            attempts_per_image: redundancy,
-            unresolved_images: unresolved,
-        })
-    }
-
-    /// Runs a batch of images, returning predictions and measurements.
+    /// `images / attempts`. `0` runs every image exactly once.
     ///
     /// # Errors
     ///
@@ -575,11 +516,12 @@ impl DpuRuntime {
         task: &mut DpuTask,
         images: &[Tensor],
         seed: u64,
+        max_retries: u32,
     ) -> Result<BatchResult, RunError> {
         if self.board.is_crashed() {
             return Err(RunError::BoardCrashed);
         }
-        let timing = engine::timing(&task.kernel, self.f_mhz, self.cores);
+        let mut timing = engine::timing(&task.kernel, self.f_mhz, self.cores);
         let load = LoadProfile {
             f_mhz: self.f_mhz,
             ops_rate_norm: timing.gops / task.nominal_gops,
@@ -603,16 +545,10 @@ impl DpuRuntime {
         } else {
             self.image_jobs
         };
-        let runs = run_images(
-            &task.qgraph,
-            &self.board,
-            self.defense.mode,
-            images,
-            executed,
-            seed,
-            workers,
-            &mut self.scratch_pool,
-        );
+        let (graph, board, mode) = (&task.qgraph, &self.board, self.defense.mode);
+        let runs = run_images(executed, workers, &mut self.scratch_pool, |i, scratch| {
+            run_one_image(graph, board, mode, seed, max_retries, images, i, scratch)
+        });
         task.qgraph.set_defense(DefensePolicy::off());
         // Merge in image order, stopping the accounting at the first
         // graph error — exactly what a sequential walk would have seen.
@@ -622,6 +558,8 @@ impl DpuRuntime {
         let mut defense = DefenseStats::default();
         let mut latent = 0u64;
         let mut injected = 0u64;
+        let mut attempts = 0u64;
+        let mut unresolved_images = 0u64;
         let mut graph_err: Option<GraphError> = None;
         for run in runs {
             if graph_err.is_some() {
@@ -634,23 +572,36 @@ impl DpuRuntime {
                     defense.merge(&run.defense);
                     latent += run.latent;
                     injected += run.injected;
+                    attempts += u64::from(run.attempts);
+                    unresolved_images += u64::from(run.unresolved);
                 }
                 Err(e) => graph_err = Some(e),
             }
         }
+        // Retries were charged nothing up front; charge them now.
+        let retries = attempts.saturating_sub(executed as u64);
+        let retry_err = match retries {
+            0 => None,
+            n => self.charge_cycles(per_image.saturating_mul(n)).err(),
+        };
         self.ecc_total.merge(&ecc);
         self.defense_total.merge(&defense);
         self.scrubber.record_latent(latent);
         self.scrubber
-            .tick(per_image.saturating_mul(images.len() as u64));
+            .tick(per_image.saturating_mul(images.len() as u64 + retries));
         // Flips that ECC corrected never reached the datapath.
         let delivered = injected - ecc.dropped_flips;
         self.faults_observed += delivered;
         if let Some(e) = graph_err {
             return Err(e.into());
         }
-        if let Some(e) = budget_err {
+        if let Some(e) = budget_err.or(retry_err) {
             return Err(e);
+        }
+        if retries > 0 {
+            let redundancy = attempts as f64 / executed as f64;
+            timing.images_per_s /= redundancy;
+            timing.gops /= redundancy;
         }
         Ok(BatchResult {
             predictions,
@@ -660,6 +611,8 @@ impl DpuRuntime {
             injected_faults: delivered,
             ecc,
             defense,
+            attempts,
+            unresolved_images,
         })
     }
 }
@@ -683,7 +636,7 @@ mod tests {
     #[test]
     fn clean_run_at_nominal() {
         let (mut rt, mut task, images) = setup();
-        let r = rt.run_batch(&mut task, &images, 1).unwrap();
+        let r = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert_eq!(r.predictions.len(), 12);
         assert_eq!(r.injected_faults, 0);
         assert!((r.on_chip_power_w - 12.59).abs() < 0.1);
@@ -693,10 +646,10 @@ mod tests {
     #[test]
     fn guardband_run_is_fault_free_and_cheaper() {
         let (mut rt, mut task, images) = setup();
-        let nominal = rt.run_batch(&mut task, &images, 1).unwrap();
+        let nominal = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.570).unwrap();
-        let vmin = rt.run_batch(&mut task, &images, 1).unwrap();
+        let vmin = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert_eq!(vmin.injected_faults, 0);
         assert_eq!(vmin.predictions, nominal.predictions);
         assert!(vmin.on_chip_power_w < nominal.on_chip_power_w / 2.0);
@@ -708,7 +661,7 @@ mod tests {
         let (mut rt, mut task, images) = setup();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let r = rt.run_batch(&mut task, &images, 1).unwrap();
+        let r = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert!(r.injected_faults > 0, "expected faults at 542 mV");
     }
 
@@ -718,22 +671,22 @@ mod tests {
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.535).unwrap();
         assert!(matches!(
-            rt.run_batch(&mut task, &images, 1),
+            rt.run_batch(&mut task, &images, 1, 0),
             Err(RunError::BoardCrashed)
         ));
         rt.board_mut().power_cycle();
-        assert!(rt.run_batch(&mut task, &images, 1).is_ok());
+        assert!(rt.run_batch(&mut task, &images, 1, 0).is_ok());
     }
 
     #[test]
     fn frequency_underscaling_restores_correctness() {
         // Table 2's flow: at 545 mV the 333 MHz run faults; 250 MHz doesn't.
         let (mut rt, mut task, images) = setup();
-        let clean = rt.run_batch(&mut task, &images, 1).unwrap();
+        let clean = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.545).unwrap();
         rt.set_clock_mhz(250.0);
-        let r = rt.run_batch(&mut task, &images, 1).unwrap();
+        let r = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert_eq!(r.injected_faults, 0);
         assert_eq!(r.predictions, clean.predictions);
         assert!(r.timing.gops < clean.timing.gops);
@@ -742,31 +695,33 @@ mod tests {
     #[test]
     fn lower_clock_lowers_power_and_throughput() {
         let (mut rt, mut task, images) = setup();
-        let fast = rt.run_batch(&mut task, &images, 1).unwrap();
+        let fast = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         rt.set_clock_mhz(200.0);
-        let slow = rt.run_batch(&mut task, &images, 1).unwrap();
+        let slow = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert!(slow.timing.gops < fast.timing.gops);
         assert!(slow.on_chip_power_w < fast.on_chip_power_w);
     }
 
     #[test]
-    fn mitigated_run_is_clean_at_nominal_with_no_retries() {
+    fn razor_run_is_clean_at_nominal_with_no_retries() {
         let (mut rt, mut task, images) = setup();
-        let r = rt.run_batch_mitigated(&mut task, &images, 1, 3).unwrap();
-        assert_eq!(r.attempts_per_image, 1.0);
+        let plain = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let r = rt.run_batch(&mut task, &images, 1, 3).unwrap();
+        assert_eq!(r.attempts, images.len() as u64);
         assert_eq!(r.unresolved_images, 0);
-        assert_eq!(r.predictions.len(), images.len());
+        assert_eq!(r.predictions, plain.predictions);
+        assert_eq!(r.timing.gops, plain.timing.gops);
     }
 
     #[test]
-    fn mitigated_run_retries_and_recovers_in_critical_region() {
+    fn razor_run_retries_and_recovers_in_critical_region() {
         let (mut rt, mut task, images) = setup();
-        let clean = rt.run_batch(&mut task, &images, 1).unwrap();
+        let clean = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let mitigated = rt.run_batch_mitigated(&mut task, &images, 1, 8).unwrap();
+        let mitigated = rt.run_batch(&mut task, &images, 1, 8).unwrap();
         assert!(
-            mitigated.attempts_per_image > 1.0,
+            mitigated.attempts > images.len() as u64,
             "retries expected at 542 mV: {mitigated:?}"
         );
         // Resolved images carry clean predictions.
@@ -811,34 +766,34 @@ mod tests {
     fn cycle_budget_trips_and_accounts() {
         let (mut rt, mut task, images) = setup();
         assert_eq!(rt.cycles_run(), 0);
-        rt.run_batch(&mut task, &images, 1).unwrap();
+        rt.run_batch(&mut task, &images, 1, 0).unwrap();
         let after_one = rt.cycles_run();
         assert!(after_one > 0);
         // A budget below one more batch's worth must trip mid-run.
         rt.set_cycle_budget(Some(after_one + task.kernel.total_cycles()));
-        let err = rt.run_batch(&mut task, &images, 1).unwrap_err();
+        let err = rt.run_batch(&mut task, &images, 1, 0).unwrap_err();
         assert!(
             matches!(err, RunError::CycleBudgetExceeded { .. }),
             "{err:?}"
         );
         // Clearing the budget restores service.
         rt.set_cycle_budget(None);
-        assert!(rt.run_batch(&mut task, &images, 1).is_ok());
+        assert!(rt.run_batch(&mut task, &images, 1, 0).is_ok());
     }
 
     #[test]
     fn defended_run_counts_events_and_rescues_when_resolved() {
         let (mut rt, mut task, images) = setup();
-        let clean = rt.run_batch(&mut task, &images, 1).unwrap().predictions;
+        let clean = rt.run_batch(&mut task, &images, 1, 0).unwrap().predictions;
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let undefended = rt.run_batch(&mut task, &images, 1).unwrap();
+        let undefended = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert!(undefended.injected_faults > 0, "expected faults at 542 mV");
         assert_eq!(undefended.ecc, EccStats::default());
         assert_eq!(undefended.defense, DefenseStats::default());
 
         rt.set_defense(DefensePolicy::correct());
-        let defended = rt.run_batch(&mut task, &images, 1).unwrap();
+        let defended = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert!(defended.defense.checks > 0, "ABFT must have run");
         assert!(
             defended.defense.mismatches > 0,
@@ -855,7 +810,7 @@ mod tests {
         assert_eq!(rt.ecc_stats(), defended.ecc);
         // Back off: the policy does not leak into later undefended runs.
         rt.set_defense(DefensePolicy::off());
-        let again = rt.run_batch(&mut task, &images, 1).unwrap();
+        let again = rt.run_batch(&mut task, &images, 1, 0).unwrap();
         assert_eq!(again.predictions, undefended.predictions);
         assert_eq!(again.defense, DefenseStats::default());
     }
@@ -865,56 +820,65 @@ mod tests {
         let (mut rt, mut task, images) = setup();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.545).unwrap();
-        let a = rt.run_batch(&mut task, &images, 9).unwrap();
-        let b = rt.run_batch(&mut task, &images, 9).unwrap();
+        let a = rt.run_batch(&mut task, &images, 9, 0).unwrap();
+        let b = rt.run_batch(&mut task, &images, 9, 0).unwrap();
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.injected_faults, b.injected_faults);
     }
 
     #[test]
-    fn both_batch_paths_agree_at_zero_retries() {
-        // The unified seeding contract: run_batch and run_batch_mitigated
-        // draw the same per-image fault streams, so with retries disabled
-        // (and no defense filtering the flips) their predictions match
-        // even deep in the critical region.
+    fn zero_retry_budget_runs_each_image_once() {
+        // Deep in the critical region faults hit some images, but with
+        // no retry budget none re-executes and throughput is not scaled.
         let (mut rt, mut task, images) = setup();
+        let nominal = rt.run_batch(&mut task, &images, 7, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let plain = rt.run_batch(&mut task, &images, 7).unwrap();
+        let plain = rt.run_batch(&mut task, &images, 7, 0).unwrap();
         assert!(plain.injected_faults > 0, "expected faults at 542 mV");
-        let mitigated = rt.run_batch_mitigated(&mut task, &images, 7, 0).unwrap();
-        assert_eq!(mitigated.attempts_per_image, 1.0);
-        assert_eq!(plain.predictions, mitigated.predictions);
+        assert_eq!(plain.attempts, images.len() as u64);
+        assert!(plain.unresolved_images > 0);
+        assert_eq!(plain.timing.gops, nominal.timing.gops);
     }
 
     #[test]
     fn image_sharding_is_invisible_in_the_results() {
         // Per-image fault streams derive from (seed, index, attempt), so
         // any image-shard worker count reproduces the sequential batch —
-        // predictions, fault counts, ECC/ABFT events and cycle meter.
-        let (mut rt, mut task, images) = setup();
-        let mut host = PmbusAdapter::new();
-        host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        rt.set_defense(DefensePolicy::correct());
-        let baseline = rt.run_batch(&mut task, &images, 11).unwrap();
-        let baseline_cycles = rt.cycles_run();
-        assert!(baseline.injected_faults > 0, "expected faults at 542 mV");
-        for jobs in [2usize, 3, 8, 0] {
-            let (mut rt2, mut task2, images2) = setup();
-            let mut host2 = PmbusAdapter::new();
-            host2.set_vout(rt2.board_mut(), 0x13, 0.542).unwrap();
-            rt2.set_defense(DefensePolicy::correct());
-            rt2.set_image_jobs(jobs);
-            let sharded = rt2.run_batch(&mut task2, &images2, 11).unwrap();
-            assert_eq!(sharded.predictions, baseline.predictions, "jobs={jobs}");
-            assert_eq!(
-                sharded.injected_faults, baseline.injected_faults,
-                "jobs={jobs}"
-            );
-            assert_eq!(sharded.ecc, baseline.ecc, "jobs={jobs}");
-            assert_eq!(sharded.defense, baseline.defense, "jobs={jobs}");
-            assert_eq!(rt2.cycles_run(), baseline_cycles, "jobs={jobs}");
-            assert_eq!(rt2.faults_observed(), rt.faults_observed(), "jobs={jobs}");
+        // predictions, Razor attempts, fault counts, ECC/ABFT events and
+        // cycle meter — with and without a retry budget.
+        for retries in [0u32, 6] {
+            let (mut rt, mut task, images) = setup();
+            let mut host = PmbusAdapter::new();
+            host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
+            rt.set_defense(DefensePolicy::correct());
+            let baseline = rt.run_batch(&mut task, &images, 11, retries).unwrap();
+            let baseline_cycles = rt.cycles_run();
+            assert!(baseline.injected_faults > 0, "expected faults at 542 mV");
+            if retries > 0 {
+                assert!(baseline.attempts > images.len() as u64, "retries expected");
+            }
+            for jobs in [1usize, 2, 3, 8, 0] {
+                let (mut rt2, mut task2, images2) = setup();
+                let mut host2 = PmbusAdapter::new();
+                host2.set_vout(rt2.board_mut(), 0x13, 0.542).unwrap();
+                rt2.set_defense(DefensePolicy::correct());
+                rt2.set_image_jobs(jobs);
+                let sharded = rt2.run_batch(&mut task2, &images2, 11, retries).unwrap();
+                let at = format!("jobs={jobs} retries={retries}");
+                assert_eq!(sharded.predictions, baseline.predictions, "{at}");
+                assert_eq!(sharded.attempts, baseline.attempts, "{at}");
+                assert_eq!(
+                    sharded.unresolved_images, baseline.unresolved_images,
+                    "{at}"
+                );
+                assert_eq!(sharded.injected_faults, baseline.injected_faults, "{at}");
+                assert_eq!(sharded.ecc, baseline.ecc, "{at}");
+                assert_eq!(sharded.defense, baseline.defense, "{at}");
+                assert_eq!(sharded.timing.gops, baseline.timing.gops, "{at}");
+                assert_eq!(rt2.cycles_run(), baseline_cycles, "{at}");
+                assert_eq!(rt2.faults_observed(), rt.faults_observed(), "{at}");
+            }
         }
     }
 }

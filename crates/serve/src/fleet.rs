@@ -18,11 +18,14 @@ use crate::event::Cycle;
 use redvolt_core::experiment::{Accelerator, AcceleratorConfig, MeasureError, Measurement};
 use redvolt_core::governor::BoardHealth;
 use redvolt_core::mitigation::{LadderMove, MitigationLadder};
+use redvolt_core::sweep::{descend, SweepConfig};
 use redvolt_dpu::runtime::RunError;
 use redvolt_fpga::calib::F_NOM_MHZ;
 use redvolt_fpga::power::EnergyAccount;
+use redvolt_fpga::rails::RailId;
 use redvolt_nn::tensor::Tensor;
 use redvolt_num::rng::derive_substream_seed;
+use std::ops::ControlFlow;
 
 /// Vmin-calibration settings.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +56,7 @@ impl Default for CalibConfig {
 }
 
 /// Outcome of one served batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchExec {
     /// Service time in reference cycles (DPU cycles rescaled from the
     /// board clock to the nominal clock, plus the dispatch overhead).
@@ -167,52 +170,33 @@ impl FleetBoard {
     /// Sets the DPU runtime's intra-batch image workers (bit-invariant
     /// across worker counts by construction).
     pub fn set_image_jobs(&mut self, jobs: usize) {
-        self.acc.runtime_and_workload_mut().0.set_image_jobs(jobs);
-    }
-
-    /// SDC/ECC events of one measurement, including absorbed ones.
-    fn probe_events(&mut self, images: usize) -> Result<(Measurement, u64), MeasureError> {
-        let before = self.acc.defense_events();
-        let m = self.acc.measure(images)?;
-        Ok((m, m.injected_faults + (self.acc.defense_events() - before)))
+        self.acc.set_image_jobs(jobs);
     }
 
     /// Calibrates the board's Vmin and parks it at the serving point.
     ///
     /// # Errors
     ///
-    /// Propagates non-crash measurement errors (crashes during the
-    /// descent terminate the probe and are handled by power-cycling).
+    /// Propagates non-crash measurement errors (a crash during the
+    /// descent ends it, and the descent power-cycles the board).
     pub fn calibrate(
         &mut self,
         calib: &CalibConfig,
         ops_per_image: u64,
     ) -> Result<(), MeasureError> {
-        let mut last_clean: Option<f64> = None;
-        let mut mv = calib.start_mv;
-        while mv >= calib.floor_mv - 1e-9 {
-            match self.acc.set_vccint_mv(mv) {
-                Ok(()) => {}
-                Err(MeasureError::Crashed { .. }) => {
-                    self.acc.power_cycle();
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-            match self.probe_events(calib.probe_images) {
-                Ok((_, 0)) => {
-                    last_clean = Some(mv);
-                    mv -= calib.step_mv;
-                }
-                Ok((_, _)) => break,
-                Err(MeasureError::Crashed { .. }) => {
-                    self.acc.power_cycle();
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.vmin_mv = last_clean.unwrap_or(calib.start_mv);
+        let schedule = SweepConfig {
+            start_mv: calib.start_mv,
+            stop_mv: calib.floor_mv,
+            step_mv: calib.step_mv,
+            images: calib.probe_images,
+        };
+        let (clean, _) = descend(&mut self.acc, &schedule, RailId::Vccint, |acc, mv| {
+            Ok(match acc.measure_events(calib.probe_images)? {
+                (_, 0) => ControlFlow::Continue(mv),
+                _ => ControlFlow::Break(()),
+            })
+        })?;
+        self.vmin_mv = clean.last().copied().unwrap_or(calib.start_mv);
         self.base_mv = (self.vmin_mv + calib.margin_mv).max(calib.floor_mv);
         self.base_f_mhz = F_NOM_MHZ;
         // Keep voltage-backoff headroom above even a weak board's base.
@@ -223,15 +207,15 @@ impl FleetBoard {
                 .max(self.base_mv + 3.0 * default_ladder.v_step_mv),
             ..default_ladder
         };
-        // Park at the serving point; a board too weak for a sub-Vmin
-        // margin falls back to its Vmin.
-        self.acc.power_cycle();
+        // Park at the serving point (the descent returned the board
+        // power-cycled); a board too weak for a sub-Vmin margin falls
+        // back to its Vmin.
         if self.acc.set_vccint_mv(self.base_mv).is_err() || self.acc.board().is_crashed() {
             self.acc.power_cycle();
             self.base_mv = self.vmin_mv;
             self.acc.set_vccint_mv(self.base_mv)?;
         }
-        let (m, _) = self.probe_events(calib.probe_images)?;
+        let (m, _) = self.acc.measure_events(calib.probe_images)?;
         self.energy_per_inf_j = energy_per_inference_j(&m, ops_per_image);
         self.rungs = 0;
         Ok(())
@@ -262,7 +246,7 @@ impl FleetBoard {
         let defense = self.acc.config().defense;
         let cycles_before = self.acc.cycles_run();
         let (runtime, workload) = self.acc.runtime_and_workload_mut();
-        let result = runtime.run_batch(&mut workload.task, &images, seed);
+        let result = runtime.run_batch(&mut workload.task, &images, seed, 0);
         match result {
             Ok(r) => {
                 let dpu_cycles = self.acc.cycles_run() - cycles_before;
@@ -295,14 +279,8 @@ impl FleetBoard {
                 })
             }
             Err(RunError::BoardCrashed) => Ok(BatchExec {
-                service_ref_cycles: 0,
-                predictions: Vec::new(),
-                events: 0,
-                unresolved: 0,
-                mismatches: 0,
-                flagged: false,
-                energy_j: 0.0,
                 crashed: true,
+                ..BatchExec::default()
             }),
             Err(e) => Err(e),
         }
@@ -314,17 +292,12 @@ impl FleetBoard {
     /// the governor is armed. Returns the post-move state so the caller
     /// can attach the escalation to its trace.
     pub fn escalate(&mut self) -> Escalation {
-        let kind = match self.ladder.next(self.acc.clock_mhz(), self.acc.vccint_mv()) {
-            LadderMove::Underscale(f_mhz) => {
-                self.acc.set_clock_mhz(f_mhz);
-                "underscale"
-            }
-            // Backing *up* in voltage cannot hang the board.
-            LadderMove::Backoff(mv) => {
-                let _ = self.acc.set_vccint_mv(mv);
-                "backoff"
-            }
-            LadderMove::Exhausted => "exhausted",
+        // Only a voltage backoff can fail, and backing *up* in voltage
+        // cannot hang the board.
+        let kind = match self.ladder.step(&mut self.acc) {
+            Ok(LadderMove::Underscale(_)) => "underscale",
+            Ok(LadderMove::Backoff(_)) | Err(_) => "backoff",
+            Ok(LadderMove::Exhausted) => "exhausted",
         };
         self.refresh_rungs();
         Escalation {

@@ -8,7 +8,8 @@
 
 use redvolt::core::bench_suite::BenchmarkId;
 use redvolt::core::experiment::{Accelerator, AcceleratorConfig};
-use redvolt::core::guardband::{find_regions, RegionSearchConfig};
+use redvolt::core::guardband::VoltageRegions;
+use redvolt::core::sweep::{voltage_sweep, SweepConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
@@ -25,14 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 repetitions: 3,
                 ..AcceleratorConfig::default()
             })?;
-            let r = find_regions(
+            let sweep = voltage_sweep(
                 &mut acc,
-                &RegionSearchConfig {
-                    step_mv: 5.0,
+                &SweepConfig {
                     images: 50,
-                    accuracy_tolerance: 0.01,
+                    ..SweepConfig::full()
                 },
             )?;
+            let r = VoltageRegions::from_sweep(&sweep, 0.01).ok_or("empty sweep")?;
             println!(
                 "{:<10} {:>5} {:>8.0} {:>9.0} {:>10.1}% {:>8.0}mV",
                 benchmark.name(),

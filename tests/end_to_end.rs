@@ -12,7 +12,7 @@
 
 use redvolt::core::bench_suite::BenchmarkId;
 use redvolt::core::experiment::{Accelerator, AcceleratorConfig, MeasureError};
-use redvolt::core::guardband::{find_regions, RegionSearchConfig};
+use redvolt::core::guardband::VoltageRegions;
 use redvolt::core::sweep::{voltage_sweep, SweepConfig};
 use redvolt::fpga::board::Zcu102Board;
 use redvolt::fpga::power::LoadProfile;
@@ -81,16 +81,17 @@ fn boards_disagree_on_vmin_like_real_silicon() {
                 ..tiny(BenchmarkId::VggNet)
             })
             .unwrap();
-            find_regions(
+            let sweep = voltage_sweep(
                 &mut acc,
-                &RegionSearchConfig {
+                &SweepConfig {
+                    start_mv: 850.0,
+                    stop_mv: 450.0,
                     step_mv: 5.0,
                     images: 8,
-                    accuracy_tolerance: 0.01,
                 },
             )
-            .unwrap()
-            .vmin_mv
+            .unwrap();
+            VoltageRegions::from_sweep(&sweep, 0.01).unwrap().vmin_mv
         })
         .collect();
     let spread = regions.iter().cloned().fold(f64::MIN, f64::max)

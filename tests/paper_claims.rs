@@ -25,17 +25,19 @@ fn tiny(benchmark: BenchmarkId) -> AcceleratorConfig {
 
 #[test]
 fn claim_guardband_is_about_a_third_of_vnom() {
-    use redvolt::core::guardband::{find_regions, RegionSearchConfig};
+    use redvolt::core::guardband::VoltageRegions;
     let mut acc = Accelerator::bring_up(&tiny(BenchmarkId::GoogleNet)).unwrap();
-    let r = find_regions(
+    let sweep = voltage_sweep(
         &mut acc,
-        &RegionSearchConfig {
+        &SweepConfig {
+            start_mv: 850.0,
+            stop_mv: 450.0,
             step_mv: 5.0,
             images: 12,
-            accuracy_tolerance: 0.01,
         },
     )
     .unwrap();
+    let r = VoltageRegions::from_sweep(&sweep, 0.01).unwrap();
     assert!((0.30..0.36).contains(&r.guardband_fraction()), "{r:?}");
     assert!((20.0..40.0).contains(&r.critical_mv()), "{r:?}");
 }
