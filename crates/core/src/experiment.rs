@@ -324,7 +324,7 @@ impl Accelerator {
         let board = self.runtime.board_mut();
         match self.host.set_vout(board, address, mv / 1000.0) {
             Err(PmbusError::DeviceHung { .. }) => Err(MeasureError::Crashed { vccint_mv: mv }),
-            result => Ok(result?),
+            result => result.map_err(MeasureError::Pmbus),
         }
     }
 

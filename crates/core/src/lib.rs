@@ -6,7 +6,8 @@
 //! * [`bench_suite`] — the five Table-1 benchmarks packaged as workloads.
 //! * [`experiment`] — [`experiment::Accelerator`], the accelerator under
 //!   test: PMBus voltage control, averaged telemetry measurements.
-//! * [`sweep`] — downward voltage sweeps (Figs. 4–6).
+//! * [`sweep`] — downward voltage sweeps (Figs. 4–6) and the shared
+//!   descent behind every undervolting campaign.
 //! * [`guardband`] — Vmin / Vcrash regions of a sweep and their sizes
 //!   (Fig. 3).
 //! * [`executor`] — the parallel campaign executor: deterministic

@@ -1,4 +1,5 @@
-//! Voltage sweep campaigns (the backbone of Figs. 4–6).
+//! Voltage sweep campaigns (the backbone of Figs. 4–6) and the downward
+//! descent every undervolting campaign walks.
 
 use crate::experiment::{Accelerator, MeasureError, Measurement};
 use redvolt_fpga::rails::RailId;

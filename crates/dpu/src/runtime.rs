@@ -578,7 +578,8 @@ impl DpuRuntime {
                 Err(e) => graph_err = Some(e),
             }
         }
-        // Retries were charged nothing up front; charge them now.
+        // Retries were charged nothing up front; charge them now (only
+        // when there are any: a zero charge fails an exhausted budget).
         let retries = attempts.saturating_sub(executed as u64);
         let retry_err = match retries {
             0 => None,

@@ -56,7 +56,7 @@ impl Default for CalibConfig {
 }
 
 /// Outcome of one served batch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BatchExec {
     /// Service time in reference cycles (DPU cycles rescaled from the
     /// board clock to the nominal clock, plus the dispatch overhead).
@@ -170,7 +170,7 @@ impl FleetBoard {
     /// Sets the DPU runtime's intra-batch image workers (bit-invariant
     /// across worker counts by construction).
     pub fn set_image_jobs(&mut self, jobs: usize) {
-        self.acc.set_image_jobs(jobs);
+        self.acc.runtime_and_workload_mut().0.set_image_jobs(jobs);
     }
 
     /// Calibrates the board's Vmin and parks it at the serving point.
@@ -279,8 +279,14 @@ impl FleetBoard {
                 })
             }
             Err(RunError::BoardCrashed) => Ok(BatchExec {
+                service_ref_cycles: 0,
+                predictions: Vec::new(),
+                events: 0,
+                unresolved: 0,
+                mismatches: 0,
+                flagged: false,
+                energy_j: 0.0,
                 crashed: true,
-                ..BatchExec::default()
             }),
             Err(e) => Err(e),
         }
