@@ -201,7 +201,7 @@ struct ImageRun {
     defense: DefenseStats,
     latent: u64,
     injected: u64,
-    attempts: u32,
+    attempts: u64,
     unresolved: bool,
 }
 
@@ -243,7 +243,7 @@ fn run_one_image(
                 defense,
                 latent,
                 injected,
-                attempts: attempt + 1,
+                attempts: u64::from(attempt) + 1,
                 unresolved: faulted,
             };
         }
@@ -572,7 +572,7 @@ impl DpuRuntime {
                     defense.merge(&run.defense);
                     latent += run.latent;
                     injected += run.injected;
-                    attempts += u64::from(run.attempts);
+                    attempts += run.attempts;
                     unresolved_images += u64::from(run.unresolved);
                 }
                 Err(e) => graph_err = Some(e),
