@@ -1042,6 +1042,67 @@ impl QuantizedGraph {
         }
         Ok(())
     }
+
+    /// Replays the fault-plan requests of one execution against
+    /// `injector`, in [`QuantizedGraph::run_shared`]'s order, without
+    /// running a kernel: weights, accumulators, then activations of each
+    /// conv/dense layer. Returns `true` when every plan comes back empty,
+    /// and stops at the first non-empty one.
+    ///
+    /// Until a plan is non-empty the requests depend only on the static
+    /// layer shapes (a defended stage that sees no fault verifies once
+    /// and moves on), so `true` means an identically seeded execution
+    /// draws nothing either: its output is a [`NoFaults`] execution's and
+    /// its ABFT counters are [`QuantizedGraph::fault_free_defense_stats`].
+    pub fn draws_no_faults(&self, injector: &mut dyn FaultInjector) -> bool {
+        let bits = self.format.bits();
+        self.nodes.iter().all(|node| {
+            let (wcodes, acc_len, macs_per_out) = match &node.op {
+                QOp::Conv { params, wcodes, .. } => {
+                    let input = self.nodes[node.inputs[0]].shape;
+                    let (oh, ow) = params.out_hw(input.h, input.w);
+                    let macs_per_out = params.k * params.k * params.in_ch;
+                    (wcodes, oh * ow * params.out_ch, macs_per_out)
+                }
+                QOp::Dense {
+                    in_len,
+                    out_len,
+                    wcodes,
+                    ..
+                } => (wcodes, *out_len, *in_len),
+                _ => return true,
+            };
+            let name = node.name.as_str();
+            let out_len = node.shape.h * node.shape.w * node.shape.c;
+            injector
+                .plan_weight_faults(name, wcodes.len(), bits)
+                .is_empty()
+                && injector
+                    .plan_accumulator_faults(name, acc_len, macs_per_out)
+                    .is_empty()
+                && injector
+                    .plan_activation_faults(name, out_len, bits)
+                    .is_empty()
+        })
+    }
+
+    /// The ABFT counters of one execution that draws no fault under the
+    /// active policy: two checks (accumulator and activation stage) per
+    /// conv/dense layer when armed, nothing when off.
+    pub fn fault_free_defense_stats(&self) -> DefenseStats {
+        if !self.defense.is_on() {
+            return DefenseStats::default();
+        }
+        let layers = self
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, QOp::Conv { .. } | QOp::Dense { .. }))
+            .count();
+        DefenseStats {
+            checks: 2 * layers as u64,
+            ..DefenseStats::default()
+        }
+    }
 }
 
 fn scale_of(nodes: &[QNode], id: usize) -> f32 {

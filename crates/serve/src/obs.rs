@@ -12,9 +12,12 @@
 //!
 //! One connection at a time, `Connection: close` on every response; the
 //! accept loop is bounded by `max_requests` when the caller needs the
-//! server to terminate (tests, CI smoke).
+//! server to terminate (tests, CI smoke). The request head is read under
+//! constant caps, so a peer cannot grow the server's buffers: an
+//! over-long request line answers `414`, an over-long header line or too
+//! many headers answer `431`.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -23,6 +26,18 @@ use crate::report::ServeReport;
 /// Per-connection socket timeout: a stalled peer cannot wedge the
 /// accept loop forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request line read, its line terminator included.
+const MAX_REQUEST_LINE: u64 = 8 * 1024;
+
+/// Longest header line read, its line terminator included.
+const MAX_HEADER_LINE: u64 = 8 * 1024;
+
+/// Most header lines a request may carry.
+const MAX_HEADER_LINES: usize = 100;
+
+const URI_TOO_LONG: &str = "414 URI Too Long";
+const HEADERS_TOO_LARGE: &str = "431 Request Header Fields Too Large";
 
 /// The immutable endpoint payloads, rendered once from a final report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,37 +118,11 @@ impl ObsServer {
         stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
         let mut reader = BufReader::new(stream);
-        let mut request_line = String::new();
-        reader.read_line(&mut request_line)?;
-        // Drain the headers; the snapshot server ignores them all.
-        loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-                break;
-            }
-        }
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("");
-        let mut stream = reader.into_inner();
-        let (status, content_type, body): (&str, &str, &str) = if method != "GET" {
-            (
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "method not allowed\n",
-            )
-        } else {
-            match path {
-                "/metrics" => (
-                    "200 OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    &self.snapshot.metrics,
-                ),
-                "/healthz" => ("200 OK", "application/json", &self.snapshot.healthz),
-                "/trace" => ("200 OK", "application/json", &self.snapshot.trace),
-                _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n"),
-            }
+        let (status, content_type, body) = match read_head(&mut reader)? {
+            Ok(request_line) => self.route(&request_line),
+            Err(status) => (status, "text/plain; charset=utf-8", "request too large\n"),
         };
+        let mut stream = reader.into_inner();
         write!(
             stream,
             "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -142,6 +131,56 @@ impl ObsServer {
         stream.write_all(body.as_bytes())?;
         stream.flush()
     }
+
+    /// The status, content type and body answering `request_line`.
+    fn route(&self, request_line: &str) -> (&'static str, &'static str, &str) {
+        let mut parts = request_line.split_whitespace();
+        let method = parts.next().unwrap_or("");
+        let path = parts.next().unwrap_or("");
+        if method != "GET" {
+            return (
+                "405 Method Not Allowed",
+                "text/plain; charset=utf-8",
+                "method not allowed\n",
+            );
+        }
+        match path {
+            "/metrics" => (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                &self.snapshot.metrics,
+            ),
+            "/healthz" => ("200 OK", "application/json", &self.snapshot.healthz),
+            "/trace" => ("200 OK", "application/json", &self.snapshot.trace),
+            _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n"),
+        }
+    }
+}
+
+/// Reads the request line and drains the headers (the snapshot server
+/// ignores them all) within the caps. Returns the request line, or the
+/// status refusing a request that exceeds a cap.
+fn read_head(reader: &mut impl BufRead) -> io::Result<Result<String, &'static str>> {
+    let Some(request_line) = read_line_capped(reader, MAX_REQUEST_LINE)? else {
+        return Ok(Err(URI_TOO_LONG));
+    };
+    // The headers, then the blank line that ends them.
+    for _ in 0..=MAX_HEADER_LINES {
+        match read_line_capped(reader, MAX_HEADER_LINE)?.as_deref() {
+            None => return Ok(Err(HEADERS_TOO_LARGE)),
+            Some("" | "\r\n" | "\n") => return Ok(Ok(request_line)),
+            Some(_) => {}
+        }
+    }
+    Ok(Err(HEADERS_TOO_LARGE))
+}
+
+/// Reads one line of at most `cap` bytes; `None` when it is longer.
+/// An empty string means the peer closed the connection.
+fn read_line_capped(reader: &mut impl BufRead, cap: u64) -> io::Result<Option<String>> {
+    let mut line = String::new();
+    let read = reader.by_ref().take(cap).read_line(&mut line)?;
+    Ok((read as u64 != cap || line.ends_with('\n')).then_some(line))
 }
 
 #[cfg(test)]
@@ -195,6 +234,53 @@ mod tests {
         let post = get(addr, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(post.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"));
         assert_eq!(handle.join().unwrap(), 2);
+    }
+
+    /// Like `get`, but keeps what arrived when the server resets the
+    /// connection after answering (it closes without reading the rest of
+    /// an oversized request).
+    fn get_refused(addr: SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        response
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_refused_and_serving_continues() {
+        let (addr, handle) = spawn(2);
+        let path = "a".repeat(MAX_REQUEST_LINE as usize);
+        let refused = get_refused(addr, &format!("GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n"));
+        assert!(
+            refused.starts_with("HTTP/1.1 414 URI Too Long\r\n"),
+            "{refused}"
+        );
+        let healthz = get(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(healthz.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert_eq!(handle.join().unwrap(), 2);
+    }
+
+    #[test]
+    fn too_many_or_overlong_headers_are_refused_and_serving_continues() {
+        let (addr, handle) = spawn(3);
+        let many = "X-Pad: 1\r\n".repeat(MAX_HEADER_LINES + 1);
+        let refused = get_refused(addr, &format!("GET /healthz HTTP/1.1\r\n{many}\r\n"));
+        assert!(
+            refused.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{refused}"
+        );
+        let long = "b".repeat(MAX_HEADER_LINE as usize);
+        let refused = get_refused(
+            addr,
+            &format!("GET /healthz HTTP/1.1\r\nX-Pad: {long}\r\n\r\n"),
+        );
+        assert!(refused.starts_with("HTTP/1.1 431 "), "{refused}");
+        // Exactly at the caps is still a request.
+        let most = "X-Pad: 1\r\n".repeat(MAX_HEADER_LINES);
+        let healthz = get(addr, &format!("GET /healthz HTTP/1.1\r\n{most}\r\n"));
+        assert!(healthz.starts_with("HTTP/1.1 200 OK\r\n"), "{healthz}");
+        assert_eq!(handle.join().unwrap(), 3);
     }
 
     #[test]
