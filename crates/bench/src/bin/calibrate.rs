@@ -26,9 +26,10 @@
 //! `--image-jobs` — parses here for parity with `repro`, but those flags
 //! have no effect on this binary: the calibration searches query the
 //! timing and power models directly and never execute kernels, so there
-//! is nothing for ABFT, the governor or image sharding to act on.
+//! is nothing for ABFT, the governor or image sharding to act on. Any
+//! other argument exits 2 with a usage line before any check runs.
 
-use redvolt_bench::harness::CampaignOptions;
+use redvolt_bench::harness::{CampaignOptions, CAMPAIGN_USAGE};
 use redvolt_core::executor::run_indexed;
 use redvolt_core::journal::{read_journal, JournalEntry, JournalWriter};
 use redvolt_core::telemetry::CampaignTelemetry;
@@ -57,13 +58,17 @@ const JOURNAL_META: &str = "tool=calibrate boards=3 grid=5mv";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match CampaignOptions::from_args(&args) {
-        Ok(opts) => opts,
-        Err(e) => {
+    // Every argument is checked before any work starts.
+    let opts = CampaignOptions::from_args(&args, &[])
+        .and_then(|(opts, positional)| match positional.first() {
+            None => Ok(opts),
+            Some(arg) => Err(format!("unexpected argument {arg}")),
+        })
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
+            eprintln!("usage: calibrate {CAMPAIGN_USAGE}");
             std::process::exit(2);
-        }
-    };
+        });
     let jobs = opts.jobs;
     let reg = Registry::new();
     let mut all_ok = true;

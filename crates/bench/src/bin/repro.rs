@@ -20,6 +20,8 @@
 //! its fault stream from `(cell seed, image index, attempt)`, so output
 //! stays byte-identical for any (jobs, image-jobs) combination. Per-cell
 //! timing goes to stderr so stdout stays comparable across job counts.
+//! An unknown flag or experiment name exits 2 with a usage line before
+//! anything runs.
 //!
 //! The shared sweep campaign runs under the crash-resilient supervisor:
 //! `--fault-profile none|light|heavy` injects transient PMBus faults
@@ -51,7 +53,7 @@
 //! (seed, plan), so defended campaigns remain jobs-invariant.
 
 use redvolt_bench::harness::{
-    self, CampaignOptions, Settings, ALL_EXPERIMENTS, SWEEP_CACHED_EXPERIMENTS, VALUE_FLAGS,
+    self, CampaignOptions, Settings, CAMPAIGN_USAGE, SWEEP_CACHED_EXPERIMENTS,
 };
 use redvolt_core::telemetry::{
     bus_stats_table, defense_stats_table, CampaignObserver, CampaignTelemetry,
@@ -62,26 +64,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
-    let opts = match CampaignOptions::from_args(&args) {
-        Ok(opts) => opts,
-        Err(e) => {
+    // Every argument is checked before any work starts.
+    let (opts, wanted) = CampaignOptions::from_args(&args, &["--quick", "--csv"])
+        .and_then(|(opts, names)| Ok((opts, harness::select_experiments(names)?)))
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
+            eprintln!("usage: repro [--quick] [--csv] {CAMPAIGN_USAGE} [all | EXPERIMENT...]");
             std::process::exit(2);
-        }
-    };
-    let mut skip_next = false;
-    let mut wanted: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let take = !skip_next && !a.starts_with("--");
-            skip_next = VALUE_FLAGS.contains(&a.as_str());
-            take
-        })
-        .cloned()
-        .collect();
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
+        });
     let settings = Settings {
         bus_faults: opts.fault_profile,
         defense: opts.defense,
@@ -112,7 +102,7 @@ fn main() {
     {
         let journal = opts.journal_spec();
         let progress = opts.progress_reporter(harness::sweep_plan(&settings).len());
-        let sup = match harness::prefetch_sweeps_observed(
+        let sup = match harness::prefetch_sweeps(
             &settings,
             opts.jobs,
             &opts.supervisor_config(),
@@ -158,19 +148,13 @@ fn main() {
     }
     for name in &wanted {
         let t0 = Instant::now();
-        match harness::run_experiment(name, &settings) {
-            Ok(tables) => {
-                for table in tables {
-                    println!("{}", if csv { table.to_csv() } else { table.to_text() });
-                }
-                // Timing goes to stderr: stdout must stay byte-identical
-                // across runs and --jobs values (tests/determinism.rs).
-                eprintln!("# {name} done in {:.1}s", t0.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("error: experiment {name}: {e}");
-                std::process::exit(2);
-            }
+        let tables = harness::run_experiment(name, &settings)
+            .expect("select_experiments admits known names only");
+        for table in tables {
+            println!("{}", if csv { table.to_csv() } else { table.to_text() });
         }
+        // Timing goes to stderr: stdout must stay byte-identical across
+        // runs and --jobs values (tests/determinism.rs).
+        eprintln!("# {name} done in {:.1}s", t0.elapsed().as_secs_f64());
     }
 }

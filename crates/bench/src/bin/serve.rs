@@ -4,8 +4,6 @@
 //! cargo run --release -p redvolt-bench --bin serve -- \
 //!     run --boards 3 --requests 120 --rps 40000 --seed 42 \
 //!         --defense correct --router vmin --metrics-out serve.jsonl
-//! cargo run --release -p redvolt-bench --bin serve -- bench --quick
-//! cargo run --release -p redvolt-bench --bin serve -- bench --check BENCH_9.json
 //! ```
 //!
 //! `run` executes one serving scenario and prints the deterministic
@@ -18,38 +16,22 @@
 //! `--obs-addr HOST:PORT` then serves the final snapshot over HTTP
 //! (`/metrics` byte-identical to `--prom-out`, plus `/healthz` and
 //! `/trace`) until `--obs-max-requests` connections have been answered.
-//!
-//! `bench` compares the Vmin-aware router against the round-robin
-//! baseline on the *same* seeded scenario (defense `correct`, governor
-//! on, a sub-Vmin serving margin so mitigation actually fires) and
-//! writes `BENCH_9.json` (schema `redvolt-bench/serve/v1`). The gated
-//! quantity is **modeled energy per completed request** — a pure
-//! function of `(seed, config)`, not wall clock — so the `--min-gain`
-//! floor holds on any runner. The gate also requires both arms to finish
-//! with zero silently corrupt responses and the Vmin arm to meet the
-//! scenario's p99 SLO.
 
 use redvolt_nn::abft::DefenseMode;
 use redvolt_nn::models::ModelKind;
-use redvolt_serve::fleet::CalibConfig;
 use redvolt_serve::obs::{ObsServer, ObsSnapshot};
 use redvolt_serve::report::ServeReport;
 use redvolt_serve::router::RouterPolicy;
 use redvolt_serve::sim::{self, ServeConfig};
 use std::time::Instant;
 
-/// Report schema identifier; bump on layout changes.
-const SCHEMA: &str = "redvolt-bench/serve/v1";
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => run_cmd(&args[1..]),
-        Some("bench") => bench_cmd(&args[1..]),
         _ => {
-            eprintln!("usage: serve <run|bench> [flags]");
+            eprintln!("usage: serve run [flags]");
             eprintln!("  run    one serving scenario; report to stdout");
-            eprintln!("  bench  Vmin-aware vs round-robin routing gate");
             std::process::exit(2);
         }
     }
@@ -203,210 +185,4 @@ fn write_or_die(path: &str, content: &str) {
         eprintln!("error: writing {path}: {e}");
         std::process::exit(1);
     });
-}
-
-/// The benchmarked scenario: a fleet served just below Vmin under load,
-/// defense `correct`, governor on — the regime where boards diverge
-/// (different corners, different mitigation walks) and routing policy
-/// decides how much energy the fleet spends per answer.
-fn bench_scenario(quick: bool, router: RouterPolicy) -> ServeConfig {
-    ServeConfig {
-        seed: 1909,
-        boards: if quick { 4 } else { 6 },
-        requests: if quick { 160 } else { 400 },
-        rps: 30_000.0,
-        calib: CalibConfig {
-            margin_mv: -10.0,
-            ..CalibConfig::default()
-        },
-        slo_p99_cycles: 60_000_000,
-        router,
-        ..ServeConfig::default()
-    }
-}
-
-fn bench_cmd(args: &[String]) {
-    let mut quick = false;
-    let mut out_path = "BENCH_9.json".to_string();
-    let mut min_gain: Option<f64> = None;
-    let mut check_path: Option<String> = None;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out_path = expect_value(&mut it, a),
-            "--min-gain" => min_gain = Some(parse_num(&expect_value(&mut it, a), a)),
-            "--check" => check_path = Some(expect_value(&mut it, a)),
-            other => {
-                eprintln!("error: unknown flag {other}");
-                eprintln!(
-                    "usage: serve bench [--quick] [--out PATH] [--min-gain X] [--check PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = check_path {
-        check_report(&path);
-        return;
-    }
-
-    let mut arms = Vec::new();
-    for router in [RouterPolicy::VminAware, RouterPolicy::RoundRobin] {
-        let cfg = bench_scenario(quick, router);
-        eprintln!(
-            "# serve bench: router {} ({} boards, {} requests)...",
-            router.name(),
-            cfg.boards,
-            cfg.requests
-        );
-        let wall = Instant::now();
-        let outcome = sim::run(&cfg).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        let wall_s = wall.elapsed().as_secs_f64();
-        let report = ServeReport::build(&cfg, outcome);
-        eprintln!(
-            "  energy/completed {:.3} uJ, p99 {} cycles, silent {} ({wall_s:.2}s wall)",
-            report.energy_per_completed_j * 1e6,
-            report.p99_cycles,
-            report.outcome.counters.silently_corrupt,
-        );
-        arms.push(report);
-    }
-    let vmin = &arms[0];
-    let rr = &arms[1];
-    let gain = rr.energy_per_completed_j / vmin.energy_per_completed_j.max(1e-18);
-    eprintln!("# energy-per-inference gain (rr/vmin): x{gain:.3}");
-
-    let json = render_report(quick, vmin, rr, gain);
-    write_or_die(&out_path, &json);
-    eprintln!("wrote {out_path}");
-
-    let mut failures = Vec::new();
-    if vmin.outcome.counters.silently_corrupt > 0 || rr.outcome.counters.silently_corrupt > 0 {
-        failures.push("silent corruption under --defense correct".to_string());
-    }
-    if !vmin.slo_ok {
-        failures.push(format!(
-            "vmin arm violated its SLO (p99 {} > {})",
-            vmin.p99_cycles, vmin.config.slo_p99_cycles
-        ));
-    }
-    if let Some(floor) = min_gain {
-        if gain < floor {
-            failures.push(format!(
-                "energy gain x{gain:.3} below the x{floor:.3} floor"
-            ));
-        } else {
-            eprintln!("OK: energy gain x{gain:.3} >= x{floor:.3}");
-        }
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn arm_json(name: &str, r: &ServeReport) -> String {
-    let c = &r.outcome.counters;
-    format!(
-        "  \"{name}\": {{\n    \"energy_per_completed_j\": {:?},\n    \"fleet_energy_j\": {:?},\n    \"completed\": {},\n    \"shed\": {},\n    \"retried\": {},\n    \"escalations\": {},\n    \"crashes\": {},\n    \"silently_corrupt\": {},\n    \"p50_cycles\": {},\n    \"p99_cycles\": {},\n    \"slo_ok\": {}\n  }}",
-        r.energy_per_completed_j,
-        r.fleet_energy_j,
-        c.completed,
-        c.shed,
-        c.retried,
-        c.escalations,
-        c.crashes,
-        c.silently_corrupt,
-        r.p50_cycles,
-        r.p99_cycles,
-        r.slo_ok,
-    )
-}
-
-fn render_report(quick: bool, vmin: &ServeReport, rr: &ServeReport, gain: f64) -> String {
-    let cfg = &vmin.config;
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"scenario\": {{\n    \"seed\": {},\n    \"boards\": {},\n    \"requests\": {},\n    \"rps\": {:?},\n    \"margin_mv\": {:?},\n    \"defense\": \"{}\",\n    \"governor\": {},\n    \"slo_p99_cycles\": {}\n  }},\n",
-        cfg.seed,
-        cfg.boards,
-        cfg.requests,
-        cfg.rps,
-        cfg.calib.margin_mv,
-        cfg.defense.name(),
-        cfg.governor,
-        cfg.slo_p99_cycles,
-    ));
-    s.push_str(&arm_json("vmin_aware", vmin));
-    s.push_str(",\n");
-    s.push_str(&arm_json("round_robin", rr));
-    s.push_str(",\n");
-    s.push_str(&format!("  \"energy_gain\": {gain:?}\n"));
-    s.push_str("}\n");
-    s
-}
-
-/// Structural validation of a report file: correct schema tag, both
-/// arms present, zero silent corruption attested, and a positive-finite
-/// energy gain.
-fn check_report(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: reading {path}: {e}");
-        std::process::exit(1);
-    });
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        problems.push(format!("missing or wrong schema tag (want {SCHEMA})"));
-    }
-    for key in [
-        "\"quick\":",
-        "\"scenario\":",
-        "\"vmin_aware\":",
-        "\"round_robin\":",
-        "\"energy_per_completed_j\":",
-        "\"p99_cycles\":",
-        "\"energy_gain\":",
-    ] {
-        if !text.contains(key) {
-            problems.push(format!("missing key {key}"));
-        }
-    }
-    if text.contains("\"silently_corrupt\": 0") {
-        // Both arms must attest zero; two occurrences expected.
-        if text.matches("\"silently_corrupt\": 0").count() < 2 {
-            problems.push("an arm reports silent corruption".to_string());
-        }
-    } else {
-        problems.push("silently_corrupt attestations missing or nonzero".to_string());
-    }
-    for line in text.lines() {
-        if let Some(rest) = line.trim().strip_prefix("\"energy_gain\":") {
-            let v: f64 = rest
-                .trim()
-                .trim_end_matches(',')
-                .parse()
-                .unwrap_or(f64::NAN);
-            if !v.is_finite() || v <= 0.0 {
-                problems.push(format!("energy_gain not positive-finite: {v}"));
-            }
-        }
-    }
-    if problems.is_empty() {
-        eprintln!("OK: {path} conforms to {SCHEMA}");
-    } else {
-        for p in &problems {
-            eprintln!("FAIL: {p}");
-        }
-        std::process::exit(1);
-    }
 }

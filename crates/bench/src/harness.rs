@@ -1,8 +1,8 @@
 //! Campaign drivers, one per table/figure of the paper.
 
 use redvolt_core::bench_suite::{benchmark_index, BenchmarkId};
-use redvolt_core::executor::{CampaignPlan, CampaignReport};
-use redvolt_core::experiment::{Accelerator, AcceleratorConfig, MeasureError};
+use redvolt_core::executor::CampaignPlan;
+use redvolt_core::experiment::{Accelerator, AcceleratorConfig};
 use redvolt_core::freqscale::{frequency_underscaling, FreqScaleConfig, FreqScaleRow};
 use redvolt_core::guardband::VoltageRegions;
 use redvolt_core::pruneexp::{pruning_study, PruneStudy};
@@ -72,7 +72,7 @@ impl Settings {
         }
     }
 
-    /// Tiny settings for criterion benches and smoke tests.
+    /// Tiny settings for unit and smoke tests.
     pub fn tiny() -> Self {
         Settings {
             boards: vec![0],
@@ -133,44 +133,6 @@ fn cache_key(s: &Settings, kind: BenchmarkId, board: u32) -> SweepKey {
     )
 }
 
-/// Runs the full (benchmark × board) sweep grid for `s` through the
-/// parallel campaign executor and seeds the shared sweep cache with the
-/// results, so every subsequent figure/table draws from the same sweeps.
-///
-/// Cell seeds derive from `(master seed 42, cell index)` — see
-/// `redvolt_core::executor` — so the cache contents (and therefore all
-/// downstream tables) are byte-identical for every `jobs` value. Run this
-/// *before* the figures (the `repro` binary does); mixing prefetched and
-/// lazily-computed sweeps in one process would select different seeds
-/// depending on call order.
-pub fn prefetch_sweeps(s: &Settings, jobs: usize) -> CampaignReport {
-    prefetch_sweeps_with(s, jobs, &SupervisorConfig::default(), None)
-        .expect("no journal in use, so no I/O error is reachable")
-        .report
-}
-
-/// [`prefetch_sweeps`] routed through the crash-resilient supervisor:
-/// cells run under panic isolation and the watchdog, are retried per
-/// `config`, and — when `journal` is given — each completed cell is
-/// journaled write-ahead so an interrupted prefetch can `--resume`.
-///
-/// Successfully swept cells seed the shared cache exactly as the plain
-/// path does; aborted cells are skipped (their figures fall back to the
-/// lazy per-figure sweep).
-///
-/// # Errors
-///
-/// Fails only on journal I/O problems or a meta mismatch between the
-/// journal on disk and this plan (wrong seed or cell list).
-pub fn prefetch_sweeps_with(
-    s: &Settings,
-    jobs: usize,
-    config: &SupervisorConfig,
-    journal: Option<&JournalSpec>,
-) -> Result<SupervisedReport, SupervisorError> {
-    prefetch_sweeps_observed(s, jobs, config, journal, None)
-}
-
 /// The sweep-grid campaign plan [`prefetch_sweeps`] executes — exposed so
 /// callers can size progress reporters before the run starts.
 pub fn sweep_plan(s: &Settings) -> CampaignPlan {
@@ -184,14 +146,30 @@ pub fn sweep_plan(s: &Settings) -> CampaignPlan {
     )
 }
 
-/// [`prefetch_sweeps_with`] plus a live progress observer (the `repro`
-/// binary's `--progress` reporter). The observer sees cells in completion
-/// order on stderr; the returned report and cache are unaffected by it.
+/// Runs the full (benchmark × board) sweep grid for `s` through the
+/// crash-resilient supervisor and seeds the shared sweep cache with the
+/// results, so every subsequent figure/table draws from the same sweeps.
+///
+/// Cells run under panic isolation and the watchdog and are retried per
+/// `config`; when `journal` is given, each completed cell is journaled
+/// write-ahead so an interrupted prefetch can `--resume`. The `observer`
+/// (the `repro` binary's `--progress` reporter) sees cells in completion
+/// order; the returned report and the cache are unaffected by it. Aborted
+/// cells are skipped: their figures fall back to the lazy per-figure
+/// sweep.
+///
+/// Cell seeds derive from `(master seed 42, cell index)` — see
+/// `redvolt_core::executor` — so the cache contents (and therefore all
+/// downstream tables) are byte-identical for every `jobs` value. Run this
+/// *before* the figures (the `repro` binary does); mixing prefetched and
+/// lazily-computed sweeps in one process would select different seeds
+/// depending on call order.
 ///
 /// # Errors
 ///
-/// See [`prefetch_sweeps_with`].
-pub fn prefetch_sweeps_observed(
+/// Fails only on journal I/O problems or a meta mismatch between the
+/// journal on disk and this plan (wrong seed or cell list).
+pub fn prefetch_sweeps(
     s: &Settings,
     jobs: usize,
     config: &SupervisorConfig,
@@ -237,9 +215,8 @@ pub fn parse_jobs(args: &[String]) -> usize {
     .max(1)
 }
 
-/// Flags that consume the following argument. The binaries use this to
-/// tell option values apart from experiment names when filtering argv.
-pub const VALUE_FLAGS: [&str; 10] = [
+/// Flags that consume the following argument (or an inline `=VALUE`).
+const VALUE_FLAGS: [&str; 10] = [
     "--jobs",
     "--image-jobs",
     "--journal",
@@ -251,6 +228,12 @@ pub const VALUE_FLAGS: [&str; 10] = [
     "--progress",
     "--defense",
 ];
+
+/// Usage text for the flags [`CampaignOptions::from_args`] reads.
+pub const CAMPAIGN_USAGE: &str = "[--jobs N] [--image-jobs N] [--journal PATH [--resume]] \
+     [--max-attempts N] [--fault-profile none|light|heavy] [--halt-after-cells K] \
+     [--metrics-out PATH] [--prom-out PATH] [--progress SECS] \
+     [--defense off|detect|correct] [--governor]";
 
 /// Campaign-level options shared by the `repro` and `calibrate` binaries:
 /// parallelism, the write-ahead journal, the retry budget, the injected
@@ -310,23 +293,26 @@ impl Default for CampaignOptions {
 
 impl CampaignOptions {
     /// Parses the shared campaign flags out of `args`, accepting both the
-    /// `--flag VALUE` and `--flag=VALUE` spellings. Non-flag arguments
-    /// (experiment names, `--csv`, `--quick`) are ignored.
+    /// `--flag VALUE` and `--flag=VALUE` spellings, plus the calling
+    /// binary's own value-less `switches` (which it reads itself). Returns
+    /// the options and the remaining, positional arguments in order.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for a missing or malformed value,
-    /// an unknown fault profile, or `--resume` without `--journal`.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
+    /// Returns a human-readable message for any other `--flag`, a missing
+    /// or malformed value, an unknown fault profile, or `--resume` without
+    /// `--journal`.
+    pub fn from_args(args: &[String], switches: &[&str]) -> Result<(Self, Vec<String>), String> {
         let mut opts = CampaignOptions {
             jobs: parse_jobs(args),
             ..CampaignOptions::default()
         };
+        let mut positional = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let (flag, inline) = match args[i].split_once('=') {
-                Some((f, v)) => (f, Some(v.to_string())),
-                None => (args[i].as_str(), None),
+                Some((f, v)) if VALUE_FLAGS.contains(&f) => (f, Some(v.to_string())),
+                _ => (args[i].as_str(), None),
             };
             let value = if VALUE_FLAGS.contains(&flag) {
                 match inline {
@@ -340,6 +326,7 @@ impl CampaignOptions {
                 None
             };
             match flag {
+                "--jobs" => {} // read by `parse_jobs` above
                 "--image-jobs" => {
                     opts.image_jobs = value
                         .as_deref()
@@ -393,14 +380,16 @@ impl CampaignOptions {
                         .ok_or_else(|| format!("unknown defense mode `{name}`"))?;
                 }
                 "--governor" => opts.governor = true,
-                _ => {}
+                f if !f.starts_with("--") => positional.push(f.to_string()),
+                f if switches.contains(&f) => {}
+                f => return Err(format!("unknown flag {f}")),
             }
             i += 1;
         }
         if opts.resume && opts.journal.is_none() {
             return Err("--resume requires --journal PATH".to_string());
         }
-        Ok(opts)
+        Ok((opts, positional))
     }
 
     /// The supervisor configuration these options select.
@@ -1093,12 +1082,9 @@ fn temp_study(s: &Settings) -> TempStudy {
     study
 }
 
-/// Convenience: runs a named experiment, returning its rendered tables.
-///
-/// # Errors
-///
-/// Returns an error string for unknown experiment names.
-pub fn run_experiment(name: &str, s: &Settings) -> Result<Vec<Table>, MeasureError> {
+/// Runs a named experiment, returning its rendered tables, or `None` for
+/// a name outside [`ALL_EXPERIMENTS`].
+pub fn run_experiment(name: &str, s: &Settings) -> Option<Vec<Table>> {
     let tables = match name {
         "table1" => vec![table1(s)],
         "power-breakdown" => vec![power_breakdown(s)],
@@ -1121,15 +1107,9 @@ pub fn run_experiment(name: &str, s: &Settings) -> Result<Vec<Table>, MeasureErr
         "mitigation" => vec![mitigation(s)],
         "governor" => vec![governor(s)],
         "bram" => vec![bram(s)],
-        other => {
-            return Err(MeasureError::Pmbus(
-                redvolt_pmbus::PmbusError::Unencodable {
-                    reason: format!("unknown experiment {other}"),
-                },
-            ))
-        }
+        _ => return None,
     };
-    Ok(tables)
+    Some(tables)
 }
 
 /// All experiment names in paper order.
@@ -1150,6 +1130,25 @@ pub const ALL_EXPERIMENTS: [&str; 15] = [
     "governor",
     "bram",
 ];
+
+/// The experiments `names` selects, in order: every one of
+/// [`ALL_EXPERIMENTS`] when `names` is empty or contains `all`.
+///
+/// # Errors
+///
+/// Names the first argument that is neither `all` nor an experiment.
+pub fn select_experiments(names: Vec<String>) -> Result<Vec<String>, String> {
+    if let Some(bad) = names
+        .iter()
+        .find(|n| *n != "all" && !ALL_EXPERIMENTS.contains(&n.as_str()))
+    {
+        return Err(format!("unknown experiment {bad}"));
+    }
+    if names.is_empty() || names.iter().any(|n| n == "all") {
+        return Ok(ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect());
+    }
+    Ok(names)
+}
 
 #[cfg(test)]
 mod tests {
@@ -1172,8 +1171,13 @@ mod tests {
     #[test]
     fn prefetch_is_jobs_invariant_and_fills_the_cache() {
         let s = Settings::tiny();
-        let serial = prefetch_sweeps(&s, 1);
-        let parallel = prefetch_sweeps(&s, 4);
+        let prefetch = |jobs| {
+            prefetch_sweeps(&s, jobs, &SupervisorConfig::default(), None, None)
+                .unwrap()
+                .report
+        };
+        let serial = prefetch(1);
+        let parallel = prefetch(4);
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.results.len(), BenchmarkId::ALL.len());
         let cache = sweep_cache().lock().expect("cache lock");
@@ -1198,22 +1202,26 @@ mod tests {
     #[test]
     fn campaign_options_parse_both_spellings_and_validate() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let opts = CampaignOptions::from_args(&args(&[
-            "fig6",
-            "--jobs=2",
-            "--image-jobs=4",
-            "--journal",
-            "run.journal",
-            "--resume",
-            "--max-attempts=5",
-            "--fault-profile",
-            "light",
-            "--halt-after-cells=3",
-            "--defense",
-            "correct",
-            "--governor",
-        ]))
+        let (opts, positional) = CampaignOptions::from_args(
+            &args(&[
+                "fig6",
+                "--jobs=2",
+                "--image-jobs=4",
+                "--journal",
+                "run.journal",
+                "--resume",
+                "--max-attempts=5",
+                "--fault-profile",
+                "light",
+                "--halt-after-cells=3",
+                "--defense",
+                "correct",
+                "--governor",
+            ]),
+            &[],
+        )
         .unwrap();
+        assert_eq!(positional, ["fig6"]);
         assert_eq!(opts.jobs, 2);
         assert_eq!(opts.image_jobs, 4);
         assert_eq!(opts.supervisor_config().image_jobs, 4);
@@ -1231,20 +1239,48 @@ mod tests {
         assert_eq!(opts.defense, DefenseMode::Correct);
         assert!(opts.governor);
 
-        let defaults = CampaignOptions::from_args(&args(&["fig3", "--csv"])).unwrap();
+        let (defaults, _) =
+            CampaignOptions::from_args(&args(&["fig3", "--csv"]), &["--csv"]).unwrap();
         assert_eq!(defaults.image_jobs, 0, "absent flag means auto-split");
         assert_eq!(defaults.fault_profile, BusFaultProfile::none());
         assert!(defaults.journal.is_none() && !defaults.resume);
         assert_eq!(defaults.defense, DefenseMode::Off);
         assert!(!defaults.governor);
 
-        assert!(CampaignOptions::from_args(&args(&["--resume"])).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--fault-profile", "bad"])).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--defense", "nope"])).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--max-attempts", "0"])).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--journal"])).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--image-jobs", "x"])).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--image-jobs"])).is_err());
+        let rejects = |v: &[&str]| CampaignOptions::from_args(&args(v), &[]).is_err();
+        assert!(rejects(&["--resume"]));
+        assert!(rejects(&["--fault-profile", "bad"]));
+        assert!(rejects(&["--defense", "nope"]));
+        assert!(rejects(&["--max-attempts", "0"]));
+        assert!(rejects(&["--journal"]));
+        assert!(rejects(&["--image-jobs", "x"]));
+        assert!(rejects(&["--image-jobs"]));
+    }
+
+    #[test]
+    fn unknown_flags_and_experiments_are_rejected_before_any_work() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // `repro`'s command line: its two switches, then experiment names.
+        let repro = |v: &[&str]| {
+            CampaignOptions::from_args(&args(v), &["--quick", "--csv"])
+                .and_then(|(_, names)| select_experiments(names))
+        };
+        assert!(repro(&["--quick", "--bogus", "power-breakdown"]).is_err());
+        assert!(repro(&["--quik", "fig3"]).is_err());
+        assert!(repro(&["--quick=yes", "fig3"]).is_err());
+        assert!(repro(&["--governor=on", "fig3"]).is_err());
+        assert!(repro(&["--quick", "power-breakdown", "nosuch"]).is_err());
+        assert!(repro(&["--quick", "Fig3"]).is_err());
+        assert_eq!(
+            repro(&["--quick", "--jobs", "2", "fig3", "--csv", "table2"]).unwrap(),
+            ["fig3", "table2"]
+        );
+        assert_eq!(repro(&["--quick", "fig3", "all"]).unwrap(), ALL_EXPERIMENTS);
+        assert_eq!(repro(&["--jobs=2"]).unwrap(), ALL_EXPERIMENTS);
+        // `calibrate` reads the campaign flags only.
+        assert!(CampaignOptions::from_args(&args(&["--bogus"]), &[]).is_err());
+        assert!(CampaignOptions::from_args(&args(&["--quick"]), &[]).is_err());
+        assert!(CampaignOptions::from_args(&args(&["--jobs", "3", "--governor"]), &[]).is_ok());
     }
 
     #[test]
@@ -1283,7 +1319,7 @@ mod tests {
             bus_faults: BusFaultProfile::light(),
             ..Settings::tiny()
         };
-        let straight = prefetch_sweeps_with(&s, 2, &SupervisorConfig::default(), None)
+        let straight = prefetch_sweeps(&s, 2, &SupervisorConfig::default(), None, None)
             .unwrap()
             .report
             .to_csv();
@@ -1291,7 +1327,7 @@ mod tests {
         let dir = std::env::temp_dir().join("redvolt-harness-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("prefetch-{}.journal", std::process::id()));
-        let halted = prefetch_sweeps_with(
+        let halted = prefetch_sweeps(
             &s,
             2,
             &SupervisorConfig {
@@ -1299,15 +1335,17 @@ mod tests {
                 ..SupervisorConfig::default()
             },
             Some(&JournalSpec::new(&path, false)),
+            None,
         )
         .unwrap();
         assert!(halted.interrupted);
 
-        let resumed = prefetch_sweeps_with(
+        let resumed = prefetch_sweeps(
             &s,
             2,
             &SupervisorConfig::default(),
             Some(&JournalSpec::new(&path, true)),
+            None,
         )
         .unwrap();
         assert!(!resumed.interrupted);
@@ -1321,9 +1359,9 @@ mod tests {
         for name in ALL_EXPERIMENTS {
             // Only check dispatch for the cheap ones in tests.
             if matches!(name, "table1" | "power-breakdown") {
-                assert!(run_experiment(name, &Settings::tiny()).is_ok());
+                assert!(run_experiment(name, &Settings::tiny()).is_some());
             }
         }
-        assert!(run_experiment("nope", &Settings::tiny()).is_err());
+        assert!(run_experiment("nope", &Settings::tiny()).is_none());
     }
 }

@@ -3,9 +3,9 @@
 //! Each function in [`harness`] reproduces one table or figure of the
 //! DSN-2020 study and returns it as a printable [`redvolt_core::report::Table`].
 //! The `repro` binary prints them (`cargo run --release -p redvolt-bench
-//! --bin repro -- all`); the criterion benches in `benches/` time reduced
-//! versions of the same campaigns; EXPERIMENTS.md records paper-vs-measured
-//! for a full run.
+//! --bin repro -- all`); EXPERIMENTS.md records paper-vs-measured for a
+//! full run. Host-time benchmarking lives in `perfbench/`, which builds
+//! its sweep workload from [`harness::sweep_plan`].
 
 pub mod harness;
 

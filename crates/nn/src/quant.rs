@@ -425,15 +425,10 @@ impl QuantizedGraph {
 
     /// Switches conv/dense layers between the optimized [`kernels`] and
     /// the naive [`reference`] implementations. Output is bit-identical
-    /// either way; the toggle exists so the benchmark binary can measure
-    /// the end-to-end speedup on the same graph.
+    /// either way; the reference path is what `tests/kernels.rs` compares
+    /// whole models against.
     pub fn set_reference_kernels(&mut self, on: bool) {
         self.use_reference = on;
-    }
-
-    /// Whether the naive reference kernels are active.
-    pub fn reference_kernels(&self) -> bool {
-        self.use_reference
     }
 
     /// Operand precision in bits.

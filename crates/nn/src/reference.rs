@@ -5,9 +5,9 @@
 //! rework in [`crate::kernels`]. They are kept — unchanged — as the
 //! *semantic ground truth*: the differential test suite
 //! (`crates/nn/tests/kernels.rs`) asserts the optimized kernels are
-//! bit-identical to these across randomized shapes, and the benchmark
-//! binary (`redvolt-bench --bin kernels`) measures the speedup against
-//! them.
+//! bit-identical to these across randomized shapes, and that whole
+//! quantized models give the same logits on either set
+//! (`QuantizedGraph::set_reference_kernels`).
 //!
 //! Bit-identity is a strong contract for the float kernels: `f32`
 //! addition is not associative, so the optimized implementations must

@@ -6,7 +6,9 @@
 //!   compared on `f32::to_bits`, not approximate equality, because the
 //!   optimized code must replay the reference accumulation order exactly;
 //! * integer kernels produce identical `i32` accumulators (associative
-//!   arithmetic, so any blocking/reordering must still be exact).
+//!   arithmetic, so any blocking/reordering must still be exact);
+//! * a whole quantized model gives bit-identical logits on either set of
+//!   kernels (`QuantizedGraph::set_reference_kernels`).
 //!
 //! Shapes are randomized across strides, padding, channel counts and the
 //! ReLU flag, including the 1×1-kernel fast case and kernels larger than
@@ -15,8 +17,11 @@
 //! zero-fill-based handling).
 
 use proptest::prelude::*;
+use redvolt_nn::dataset::SyntheticDataset;
 use redvolt_nn::graph::ConvParams;
 use redvolt_nn::kernels::{self, Scratch};
+use redvolt_nn::models::{ModelKind, ModelScale};
+use redvolt_nn::quant::QuantizedGraph;
 use redvolt_nn::reference;
 use redvolt_nn::tensor::{QTensor, Tensor};
 
@@ -231,4 +236,33 @@ fn kernel_larger_than_input_matches() {
         reference::conv2d_q(&qin, &p, &wq, &bq),
         kernels::conv2d_q(&qin, &p, &wq, &bq)
     );
+}
+
+/// Every benchmark CNN (plus VGGNet at paper scale), quantized to the
+/// widest and the narrowest precision Fig 7 sweeps, run end to end on
+/// the reference kernels and on the optimized ones.
+#[test]
+fn whole_quantized_models_match_the_reference_kernels() {
+    let cases = ModelKind::ALL
+        .iter()
+        .map(|&kind| (kind, ModelScale::Tiny))
+        .chain([(ModelKind::VggNet, ModelScale::Paper)]);
+    for (kind, scale) in cases {
+        let graph = kind.build(scale).fold_batch_norms();
+        let shape = graph.input_shape();
+        let ds = SyntheticDataset::new(shape.h, shape.w, shape.c, graph.num_classes(), 42);
+        for precision in [8, 4] {
+            let mut optimized = QuantizedGraph::quantize(&graph, precision, &ds.images(4)).unwrap();
+            let mut naive = optimized.clone();
+            naive.set_reference_kernels(true);
+            for i in 4..8 {
+                let image = ds.image(i).0;
+                assert_eq!(
+                    bits(&naive.forward(&image).unwrap()),
+                    bits(&optimized.forward(&image).unwrap()),
+                    "{kind:?} {scale:?} INT{precision} image {i}"
+                );
+            }
+        }
+    }
 }

@@ -10,6 +10,7 @@
 //! `REDVOLT_UPDATE_GOLDEN=1 cargo test -p redvolt-serve --test serve`.
 
 use proptest::prelude::*;
+use redvolt_serve::fleet::CalibConfig;
 use redvolt_serve::report::ServeReport;
 use redvolt_serve::router::RouterPolicy;
 use redvolt_serve::sim::{self, ServeConfig};
@@ -265,20 +266,52 @@ proptest! {
     }
 }
 
-/// Routing policy is live end-to-end: Vmin-aware and round-robin runs of
-/// the same scenario distribute load differently.
+/// Routing policy must change where load goes and, below Vmin, what it
+/// costs: on the smoke scenario and on two loaded sub-Vmin fleets,
+/// round-robin spends at least 1% more modeled energy per completed
+/// request than the Vmin-aware router, neither arm answers silently
+/// corrupt, and the Vmin-aware arm meets its p99 SLO.
 #[test]
 fn router_policy_changes_the_load_distribution() {
-    let vmin = sim::run(&smoke()).unwrap();
-    let rr = sim::run(&ServeConfig {
-        router: RouterPolicy::RoundRobin,
-        ..smoke()
-    })
-    .unwrap();
-    let served = |o: &sim::ServeOutcome| o.boards.iter().map(|b| b.served).collect::<Vec<_>>();
-    assert_ne!(served(&vmin), served(&rr));
-    assert_eq!(
-        vmin.counters.offered, rr.counters.offered,
-        "policies saw different traffic"
-    );
+    let loaded = |boards, requests| ServeConfig {
+        seed: 1909,
+        boards,
+        requests,
+        rps: 30_000.0,
+        calib: CalibConfig {
+            margin_mv: -10.0,
+            ..CalibConfig::default()
+        },
+        slo_p99_cycles: 60_000_000,
+        ..ServeConfig::default()
+    };
+    for vmin_cfg in [smoke(), loaded(4, 160), loaded(6, 400)] {
+        let rr_cfg = ServeConfig {
+            router: RouterPolicy::RoundRobin,
+            ..vmin_cfg
+        };
+        let vmin = ServeReport::build(&vmin_cfg, sim::run(&vmin_cfg).unwrap());
+        let rr = ServeReport::build(&rr_cfg, sim::run(&rr_cfg).unwrap());
+        let served = |r: &ServeReport| {
+            r.outcome
+                .boards
+                .iter()
+                .map(|b| b.served)
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(served(&vmin), served(&rr));
+        assert_eq!(
+            vmin.outcome.counters.offered, rr.outcome.counters.offered,
+            "policies saw different traffic"
+        );
+        let gain = rr.energy_per_completed_j / vmin.energy_per_completed_j;
+        let scenario = format!(
+            "{} boards x {} requests",
+            vmin_cfg.boards, vmin_cfg.requests
+        );
+        assert!(gain >= 1.01, "{scenario}: energy gain x{gain:.3} < x1.01");
+        assert_eq!(vmin.outcome.counters.silently_corrupt, 0, "{scenario}");
+        assert_eq!(rr.outcome.counters.silently_corrupt, 0, "{scenario}");
+        assert!(vmin.slo_ok, "{scenario}: p99 {}", vmin.p99_cycles);
+    }
 }

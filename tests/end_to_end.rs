@@ -6,8 +6,8 @@
 //! this file were wrong tolerances or model bugs. The whole suite failed
 //! to BUILD because `Cargo.toml` pulled `rand`/`serde`/`proptest` from a
 //! registry that is unreachable in the build environment (no lockfile, no
-//! cargo cache). With those dependencies replaced by vendored path crates
-//! (`vendor/proptest`, `vendor/criterion`) the build succeeds offline and
+//! cargo cache). With those dependencies removed or replaced by a
+//! vendored path crate (`vendor/proptest`) the build succeeds offline and
 //! every assertion below passes deterministically, unchanged.
 
 use redvolt::core::bench_suite::BenchmarkId;
