@@ -482,7 +482,7 @@ impl CampaignReport {
     }
 
     /// Per-cell wall-clock report (worker, seconds) plus the campaign
-    /// total — the numbers BENCH_*.json speedup entries track. Kept out of
+    /// total, which `repro` prints on stderr. Kept out of
     /// [`CampaignReport::to_csv`] so timing noise never pollutes the
     /// deterministic payload.
     pub fn timing_table(&self) -> Table {

@@ -13,7 +13,7 @@ use redvolt_dpu::runtime::{DpuRuntime, RunError};
 use redvolt_faults::bus::{BusFaultProfile, PmbusFaultModel};
 use redvolt_fpga::board::{Zcu102Board, SYSCTRL_ADDRESS};
 use redvolt_fpga::calib::F_NOM_MHZ;
-use redvolt_nn::abft::{DefenseMode, DefensePolicy};
+use redvolt_nn::abft::DefenseMode;
 use redvolt_nn::models::ModelScale;
 use redvolt_num::rng::derive_stream_seed;
 use redvolt_num::stats::Summary;
@@ -246,7 +246,7 @@ impl Accelerator {
                 )))
         };
         let mut runtime = DpuRuntime::open(board);
-        runtime.set_defense(DefensePolicy::for_mode(config.defense));
+        runtime.set_defense(config.defense);
         Ok(Accelerator {
             runtime,
             host,
@@ -405,7 +405,7 @@ impl Accelerator {
             let run_start = self.runtime.cycles_run();
             let batch =
                 self.runtime
-                    .run_batch(&mut self.workload.task, eval_images, self.seed_counter, 0);
+                    .run_batch(&self.workload.task, eval_images, self.seed_counter, 0);
             let run_id = self.spans.begin("dpu_run", None, run_start);
             self.spans
                 .attr(run_id, "ok", if batch.is_ok() { "1" } else { "0" });

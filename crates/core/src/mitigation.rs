@@ -75,7 +75,7 @@ pub fn mitigation_study(
             let (runtime, workload) = acc.runtime_and_workload_mut();
             let eval = &workload.eval;
             let r = runtime
-                .run_batch(&mut workload.task, &eval.images[..n], seed, max_retries)
+                .run_batch(&workload.task, &eval.images[..n], seed, max_retries)
                 .map_err(|e| match e {
                     RunError::BoardCrashed => MeasureError::Crashed { vccint_mv: mv },
                     e => MeasureError::Run(e),

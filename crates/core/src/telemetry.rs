@@ -351,15 +351,6 @@ impl CampaignTelemetry {
         export_prometheus(&self.registry.samples())
     }
 
-    /// Writes [`CampaignTelemetry::to_jsonl`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_jsonl(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
     /// Writes [`CampaignTelemetry::to_prometheus`] to `path`.
     ///
     /// # Errors

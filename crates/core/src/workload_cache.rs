@@ -181,11 +181,6 @@ pub fn set_enabled(on: bool) {
     cache().enabled.store(on, Ordering::Relaxed);
 }
 
-/// Whether the cache is currently enabled.
-pub fn is_enabled() -> bool {
-    cache().enabled.load(Ordering::Relaxed)
-}
-
 /// Current hit/miss totals.
 pub fn stats() -> CacheStats {
     let c = cache();

@@ -26,10 +26,10 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let graph = ModelKind::VggNet.build(ModelScale::Tiny).fold_batch_norms();
 //! let data = SyntheticDataset::new(32, 32, 3, 10, 42);
-//! let mut task = DpuTask::create("vgg", &graph, 8, &data.images(4))?;
+//! let task = DpuTask::create("vgg", &graph, 8, &data.images(4))?;
 //!
 //! let mut rt = DpuRuntime::open(Zcu102Board::new(0));
-//! let result = rt.run_batch(&mut task, &data.images(8), 1, 0)?;
+//! let result = rt.run_batch(&task, &data.images(8), 1, 0)?;
 //! assert_eq!(result.predictions.len(), 8);
 //! # Ok(())
 //! # }

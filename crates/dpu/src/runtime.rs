@@ -19,7 +19,7 @@ use redvolt_fpga::board::Zcu102Board;
 use redvolt_fpga::calib::F_NOM_MHZ;
 use redvolt_fpga::ecc::Scrubber;
 use redvolt_fpga::power::LoadProfile;
-use redvolt_nn::abft::{DefenseMode, DefensePolicy, DefenseStats};
+use redvolt_nn::abft::{DefenseMode, DefenseStats};
 use redvolt_nn::graph::{Graph, GraphError};
 use redvolt_nn::quant::{ExecScratch, NoFaults, QuantizedGraph};
 use redvolt_nn::tensor::Tensor;
@@ -223,8 +223,9 @@ impl GoldenMemo {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The `NoFaults` prediction of `image`: remembered, or computed on
-    /// `scratch` and remembered while there is room.
+    /// The `NoFaults` prediction of `image`: remembered, or computed
+    /// undefended on `scratch` and remembered while there is room (a
+    /// fault-free pass cannot mismatch, so every mode predicts the same).
     fn clean_prediction(
         &self,
         graph: &QuantizedGraph,
@@ -237,8 +238,13 @@ impl GoldenMemo {
                 return Ok(*prediction);
             }
         }
-        let prediction =
-            graph.predict_shared(image, &mut NoFaults, scratch, &mut DefenseStats::default())?;
+        let prediction = graph.predict_shared(
+            image,
+            &mut NoFaults,
+            DefenseMode::Off,
+            scratch,
+            &mut DefenseStats::default(),
+        )?;
         let mut entries = self.lock();
         if entries.len() < GOLDEN_MEMO_CAPACITY {
             entries
@@ -325,13 +331,13 @@ fn run_one_image(
         let (outcome, faulted) = if graph.draws_no_faults(&mut stream.clone()) {
             let outcome = task.golden.clean_prediction(graph, &images[index], scratch);
             if outcome.is_ok() {
-                defense.merge(&graph.fault_free_defense_stats());
+                defense.merge(&graph.fault_free_defense_stats(mode));
             }
             (outcome, false)
         } else {
             let mut injector = EccInjector::new(stream, mode);
             let outcome =
-                graph.predict_shared(&images[index], &mut injector, scratch, &mut defense);
+                graph.predict_shared(&images[index], &mut injector, mode, scratch, &mut defense);
             ecc.merge(&injector.stats());
             latent += injector.take_latent();
             let inner = injector.into_inner();
@@ -421,7 +427,7 @@ pub struct DpuRuntime {
     cycles_run: u64,
     cycle_budget: Option<u64>,
     faults_observed: u64,
-    defense: DefensePolicy,
+    defense: DefenseMode,
     scrubber: Scrubber,
     ecc_total: EccStats,
     defense_total: DefenseStats,
@@ -443,7 +449,7 @@ impl DpuRuntime {
             cycles_run: 0,
             cycle_budget: None,
             faults_observed: 0,
-            defense: DefensePolicy::off(),
+            defense: DefenseMode::Off,
             scrubber: Scrubber::default(),
             ecc_total: EccStats::default(),
             defense_total: DefenseStats::default(),
@@ -467,15 +473,15 @@ impl DpuRuntime {
         self.image_jobs
     }
 
-    /// Sets the SDC defense policy for subsequent batches: ECC filtering
-    /// of weight/activation upsets plus ABFT checksums in the executor.
-    /// [`DefensePolicy::off`] restores the exact undefended path.
-    pub fn set_defense(&mut self, policy: DefensePolicy) {
-        self.defense = policy;
+    /// Sets the SDC defense for subsequent batches: ECC filtering of
+    /// weight/activation upsets plus ABFT checksums in the executor.
+    /// [`DefenseMode::Off`] restores the exact undefended path.
+    pub fn set_defense(&mut self, mode: DefenseMode) {
+        self.defense = mode;
     }
 
-    /// The active defense policy.
-    pub fn defense(&self) -> DefensePolicy {
+    /// The active defense mode.
+    pub fn defense(&self) -> DefenseMode {
         self.defense
     }
 
@@ -615,7 +621,7 @@ impl DpuRuntime {
     /// propagates inference errors.
     pub fn run_batch(
         &mut self,
-        task: &mut DpuTask,
+        task: &DpuTask,
         images: &[Tensor],
         seed: u64,
         max_retries: u32,
@@ -639,7 +645,6 @@ impl DpuRuntime {
         // old per-image charge loop), then shard the fitting images.
         let per_image = task.kernel.total_cycles();
         let (executed, budget_err) = self.charge_batch_cycles(per_image, images.len());
-        task.qgraph.set_defense(self.defense);
         let workers = if self.image_jobs == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -647,11 +652,10 @@ impl DpuRuntime {
         } else {
             self.image_jobs
         };
-        let (shared, board, mode) = (&*task, &self.board, self.defense.mode);
+        let (board, mode) = (&self.board, self.defense);
         let runs = run_images(executed, workers, &mut self.scratch_pool, |i, scratch| {
-            run_one_image(shared, board, mode, seed, max_retries, images, i, scratch)
+            run_one_image(task, board, mode, seed, max_retries, images, i, scratch)
         });
-        task.qgraph.set_defense(DefensePolicy::off());
         // Merge in image order, stopping the accounting at the first
         // graph error — exactly what a sequential walk would have seen.
         // Account defense events even when the budget tripped mid-batch.
@@ -738,8 +742,8 @@ mod tests {
 
     #[test]
     fn clean_run_at_nominal() {
-        let (mut rt, mut task, images) = setup();
-        let r = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        let r = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(r.predictions.len(), 12);
         assert_eq!(r.injected_faults, 0);
         assert!((r.on_chip_power_w - 12.59).abs() < 0.1);
@@ -748,11 +752,11 @@ mod tests {
 
     #[test]
     fn guardband_run_is_fault_free_and_cheaper() {
-        let (mut rt, mut task, images) = setup();
-        let nominal = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        let nominal = rt.run_batch(&task, &images, 1, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.570).unwrap();
-        let vmin = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let vmin = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(vmin.injected_faults, 0);
         assert_eq!(vmin.predictions, nominal.predictions);
         assert!(vmin.on_chip_power_w < nominal.on_chip_power_w / 2.0);
@@ -761,35 +765,35 @@ mod tests {
 
     #[test]
     fn critical_region_injects_faults() {
-        let (mut rt, mut task, images) = setup();
+        let (mut rt, task, images) = setup();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let r = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let r = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert!(r.injected_faults > 0, "expected faults at 542 mV");
     }
 
     #[test]
     fn crash_below_vcrash_and_power_cycle_recovers() {
-        let (mut rt, mut task, images) = setup();
+        let (mut rt, task, images) = setup();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.535).unwrap();
         assert!(matches!(
-            rt.run_batch(&mut task, &images, 1, 0),
+            rt.run_batch(&task, &images, 1, 0),
             Err(RunError::BoardCrashed)
         ));
         rt.board_mut().power_cycle();
-        assert!(rt.run_batch(&mut task, &images, 1, 0).is_ok());
+        assert!(rt.run_batch(&task, &images, 1, 0).is_ok());
     }
 
     #[test]
     fn frequency_underscaling_restores_correctness() {
         // Table 2's flow: at 545 mV the 333 MHz run faults; 250 MHz doesn't.
-        let (mut rt, mut task, images) = setup();
-        let clean = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        let clean = rt.run_batch(&task, &images, 1, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.545).unwrap();
         rt.set_clock_mhz(250.0);
-        let r = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let r = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(r.injected_faults, 0);
         assert_eq!(r.predictions, clean.predictions);
         assert!(r.timing.gops < clean.timing.gops);
@@ -797,19 +801,19 @@ mod tests {
 
     #[test]
     fn lower_clock_lowers_power_and_throughput() {
-        let (mut rt, mut task, images) = setup();
-        let fast = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        let fast = rt.run_batch(&task, &images, 1, 0).unwrap();
         rt.set_clock_mhz(200.0);
-        let slow = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let slow = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert!(slow.timing.gops < fast.timing.gops);
         assert!(slow.on_chip_power_w < fast.on_chip_power_w);
     }
 
     #[test]
     fn razor_run_is_clean_at_nominal_with_no_retries() {
-        let (mut rt, mut task, images) = setup();
-        let plain = rt.run_batch(&mut task, &images, 1, 0).unwrap();
-        let r = rt.run_batch(&mut task, &images, 1, 3).unwrap();
+        let (mut rt, task, images) = setup();
+        let plain = rt.run_batch(&task, &images, 1, 0).unwrap();
+        let r = rt.run_batch(&task, &images, 1, 3).unwrap();
         assert_eq!(r.attempts, images.len() as u64);
         assert_eq!(r.unresolved_images, 0);
         assert_eq!(r.predictions, plain.predictions);
@@ -818,11 +822,11 @@ mod tests {
 
     #[test]
     fn razor_run_retries_and_recovers_in_critical_region() {
-        let (mut rt, mut task, images) = setup();
-        let clean = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        let clean = rt.run_batch(&task, &images, 1, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let mitigated = rt.run_batch(&mut task, &images, 1, 8).unwrap();
+        let mitigated = rt.run_batch(&task, &images, 1, 8).unwrap();
         assert!(
             mitigated.attempts > images.len() as u64,
             "retries expected at 542 mV: {mitigated:?}"
@@ -867,36 +871,36 @@ mod tests {
 
     #[test]
     fn cycle_budget_trips_and_accounts() {
-        let (mut rt, mut task, images) = setup();
+        let (mut rt, task, images) = setup();
         assert_eq!(rt.cycles_run(), 0);
-        rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        rt.run_batch(&task, &images, 1, 0).unwrap();
         let after_one = rt.cycles_run();
         assert!(after_one > 0);
         // A budget below one more batch's worth must trip mid-run.
         rt.set_cycle_budget(Some(after_one + task.kernel.total_cycles()));
-        let err = rt.run_batch(&mut task, &images, 1, 0).unwrap_err();
+        let err = rt.run_batch(&task, &images, 1, 0).unwrap_err();
         assert!(
             matches!(err, RunError::CycleBudgetExceeded { .. }),
             "{err:?}"
         );
         // Clearing the budget restores service.
         rt.set_cycle_budget(None);
-        assert!(rt.run_batch(&mut task, &images, 1, 0).is_ok());
+        assert!(rt.run_batch(&task, &images, 1, 0).is_ok());
     }
 
     #[test]
     fn defended_run_counts_events_and_rescues_when_resolved() {
-        let (mut rt, mut task, images) = setup();
-        let clean = rt.run_batch(&mut task, &images, 1, 0).unwrap().predictions;
+        let (mut rt, task, images) = setup();
+        let clean = rt.run_batch(&task, &images, 1, 0).unwrap().predictions;
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let undefended = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let undefended = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert!(undefended.injected_faults > 0, "expected faults at 542 mV");
         assert_eq!(undefended.ecc, EccStats::default());
         assert_eq!(undefended.defense, DefenseStats::default());
 
-        rt.set_defense(DefensePolicy::correct());
-        let defended = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        rt.set_defense(DefenseMode::Correct);
+        let defended = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert!(defended.defense.checks > 0, "ABFT must have run");
         assert!(
             defended.defense.mismatches > 0,
@@ -911,20 +915,20 @@ mod tests {
         // Runtime-cumulative counters fold both batches.
         assert_eq!(rt.defense_stats(), defended.defense);
         assert_eq!(rt.ecc_stats(), defended.ecc);
-        // Back off: the policy does not leak into later undefended runs.
-        rt.set_defense(DefensePolicy::off());
-        let again = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        // Back off: the mode does not leak into later undefended runs.
+        rt.set_defense(DefenseMode::Off);
+        let again = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(again.predictions, undefended.predictions);
         assert_eq!(again.defense, DefenseStats::default());
     }
 
     #[test]
     fn seeded_runs_reproduce() {
-        let (mut rt, mut task, images) = setup();
+        let (mut rt, task, images) = setup();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.545).unwrap();
-        let a = rt.run_batch(&mut task, &images, 9, 0).unwrap();
-        let b = rt.run_batch(&mut task, &images, 9, 0).unwrap();
+        let a = rt.run_batch(&task, &images, 9, 0).unwrap();
+        let b = rt.run_batch(&task, &images, 9, 0).unwrap();
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.injected_faults, b.injected_faults);
     }
@@ -933,11 +937,11 @@ mod tests {
     fn zero_retry_budget_runs_each_image_once() {
         // Deep in the critical region faults hit some images, but with
         // no retry budget none re-executes and throughput is not scaled.
-        let (mut rt, mut task, images) = setup();
-        let nominal = rt.run_batch(&mut task, &images, 7, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        let nominal = rt.run_batch(&task, &images, 7, 0).unwrap();
         let mut host = PmbusAdapter::new();
         host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
-        let plain = rt.run_batch(&mut task, &images, 7, 0).unwrap();
+        let plain = rt.run_batch(&task, &images, 7, 0).unwrap();
         assert!(plain.injected_faults > 0, "expected faults at 542 mV");
         assert_eq!(plain.attempts, images.len() as u64);
         assert!(plain.unresolved_images > 0);
@@ -964,14 +968,14 @@ mod tests {
         for mv in [0.600, 0.542] {
             for retries in [0u32, 6] {
                 let run = |jobs: usize| {
-                    let (mut rt, mut task, images) = setup();
+                    let (mut rt, task, images) = setup();
                     let mut host = PmbusAdapter::new();
                     host.set_vout(rt.board_mut(), 0x13, mv).unwrap();
-                    rt.set_defense(DefensePolicy::correct());
+                    rt.set_defense(DefenseMode::Correct);
                     rt.set_image_jobs(jobs);
-                    let cold = rt.run_batch(&mut task, &images, 11, retries).unwrap();
+                    let cold = rt.run_batch(&task, &images, 11, retries).unwrap();
                     let cold = observe(&rt, cold);
-                    let warm = rt.run_batch(&mut task, &images, 11, retries).unwrap();
+                    let warm = rt.run_batch(&task, &images, 11, retries).unwrap();
                     (images.len() as u64, cold, observe(&rt, warm))
                 };
                 let (images, cold, warm) = run(1);
@@ -997,7 +1001,7 @@ mod tests {
     #[test]
     fn changing_the_model_forgets_remembered_predictions() {
         let (mut rt, mut task, images) = setup();
-        let before = rt.run_batch(&mut task, &images, 1, 0).unwrap().predictions;
+        let before = rt.run_batch(&task, &images, 1, 0).unwrap().predictions;
         assert_eq!(task.golden.lock().len(), images.len());
         // Retrain the readout towards other labels through the task.
         let shuffled: Vec<usize> = before.iter().map(|p| (p + 1) % 10).collect();
@@ -1007,15 +1011,15 @@ mod tests {
         let mut model = task.model_mut().clone();
         let expected: Vec<usize> = images.iter().map(|i| model.predict(i).unwrap()).collect();
         assert_ne!(expected, before, "the refit must change predictions");
-        let after = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let after = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(after.injected_faults, 0);
         assert_eq!(after.predictions, expected);
     }
 
     #[test]
     fn a_cloned_task_starts_with_an_empty_memo() {
-        let (mut rt, mut task, images) = setup();
-        rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let (mut rt, task, images) = setup();
+        rt.run_batch(&task, &images, 1, 0).unwrap();
         let clone = task.clone();
         assert_eq!(task.golden.lock().len(), images.len());
         assert_eq!(clone.golden.lock().len(), 0);
@@ -1025,9 +1029,9 @@ mod tests {
     fn the_memo_is_bounded_and_images_past_it_are_recomputed() {
         let (mut rt, mut task, _) = setup();
         let images = SyntheticDataset::new(32, 32, 3, 10, 7).images(GOLDEN_MEMO_CAPACITY + 8);
-        let batch = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let batch = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(task.golden.lock().len(), GOLDEN_MEMO_CAPACITY);
-        let again = rt.run_batch(&mut task, &images, 1, 0).unwrap();
+        let again = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(again.predictions, batch.predictions);
         let mut model = task.model_mut().clone();
         let clean: Vec<usize> = images.iter().map(|i| model.predict(i).unwrap()).collect();

@@ -5,7 +5,7 @@
 //! when a seeded execution leaves its injector without a fault event, and
 //! such an execution must equal a clean one: same prediction, same final
 //! logits, and the ABFT counters of a fault-free pass under every defense
-//! policy. Covered: every model at tiny scale and INT8, INT4 and 0.5-pruned
+//! mode. Covered: every model at tiny scale and INT8, INT4 and 0.5-pruned
 //! VGGNet, on three board samples in the 5 mV steps from 600 mV (inside
 //! the guardband) down to 540 mV (around Vcrash).
 
@@ -14,7 +14,7 @@ use redvolt_faults::board_injector;
 use redvolt_faults::ecc::EccInjector;
 use redvolt_faults::model::PRUNED_CRASH_SLACK_RATIO;
 use redvolt_fpga::board::Zcu102Board;
-use redvolt_nn::abft::{DefensePolicy, DefenseStats};
+use redvolt_nn::abft::{DefenseMode, DefenseStats};
 use redvolt_nn::dataset::SyntheticDataset;
 use redvolt_nn::graph::Graph;
 use redvolt_nn::models::{ModelKind, ModelScale};
@@ -39,11 +39,12 @@ fn execute(
     graph: &QuantizedGraph,
     image: &Tensor,
     injector: &mut dyn redvolt_nn::quant::FaultInjector,
+    mode: DefenseMode,
     scratch: &mut ExecScratch,
 ) -> Execution {
     let mut defense = DefenseStats::default();
     let prediction = graph
-        .predict_shared(image, injector, scratch, &mut defense)
+        .predict_shared(image, injector, mode, scratch, &mut defense)
         .unwrap();
     Execution {
         prediction,
@@ -68,11 +69,7 @@ fn variants() -> Vec<(ModelKind, Graph, u32, bool)> {
 
 #[test]
 fn dry_run_predicts_the_executor_and_clean_executions_match_no_faults() {
-    let policies = [
-        DefensePolicy::off(),
-        DefensePolicy::detect(),
-        DefensePolicy::correct(),
-    ];
+    let modes = [DefenseMode::Off, DefenseMode::Detect, DefenseMode::Correct];
     for (kind, graph, bits, pruned) in variants() {
         let name = format!("{} int{bits} pruned={pruned}", kind.name());
         let spec = kind.spec();
@@ -83,27 +80,26 @@ fn dry_run_predicts_the_executor_and_clean_executions_match_no_faults() {
             task = task.with_crash_slack_ratio(PRUNED_CRASH_SLACK_RATIO);
         }
         let layers = graph.nodes().iter().filter(|n| n.op.has_weights()).count() as u64;
-        let mut model = task.model_mut().clone();
+        let model = task.model_mut().clone();
         let mut scratch = ExecScratch::new();
-        // Clean reference per (policy, image).
-        let clean: Vec<Vec<Execution>> = policies
+        // Clean reference per (mode, image).
+        let clean: Vec<Vec<Execution>> = modes
             .iter()
-            .map(|&policy| {
-                model.set_defense(policy);
+            .map(|&mode| {
                 images
                     .iter()
-                    .map(|image| execute(&model, image, &mut NoFaults, &mut scratch))
+                    .map(|image| execute(&model, image, &mut NoFaults, mode, &mut scratch))
                     .collect()
             })
             .collect();
-        for (policy, runs) in policies.iter().zip(&clean) {
-            let checks = if policy.is_on() { 2 * layers } else { 0 };
+        for (mode, runs) in modes.iter().zip(&clean) {
+            let checks = if mode.is_on() { 2 * layers } else { 0 };
             for run in runs {
                 let want = DefenseStats {
                     checks,
                     ..DefenseStats::default()
                 };
-                assert_eq!(run.defense, want, "{name}: {policy:?}");
+                assert_eq!(run.defense, want, "{name}: {mode:?}");
             }
         }
         let (mut case_nothing, mut case_drew) = (0u32, 0u32);
@@ -115,7 +111,7 @@ fn dry_run_predicts_the_executor_and_clean_executions_match_no_faults() {
                     .unwrap();
                 // An empty batch publishes the task's load to the board,
                 // exactly as a real batch does before it executes.
-                if rt.run_batch(&mut task, &[], 0, 0).is_err() {
+                if rt.run_batch(&task, &[], 0, 0).is_err() {
                     rt.board_mut().power_cycle();
                     continue;
                 }
@@ -130,16 +126,14 @@ fn dry_run_predicts_the_executor_and_clean_executions_match_no_faults() {
                     } else {
                         case_drew += 1;
                     }
-                    for (p, &policy) in policies.iter().enumerate() {
-                        model.set_defense(policy);
-                        let mut injector =
-                            EccInjector::new(board_injector(rt.board(), seed), policy.mode);
-                        let run = execute(&model, image, &mut injector, &mut scratch);
+                    for (p, &mode) in modes.iter().enumerate() {
+                        let mut injector = EccInjector::new(board_injector(rt.board(), seed), mode);
+                        let run = execute(&model, image, &mut injector, mode, &mut scratch);
                         let events = injector.into_inner().event_count();
-                        assert_eq!(dry, events == 0, "{at} {policy:?}: {events} events");
+                        assert_eq!(dry, events == 0, "{at} {mode:?}: {events} events");
                         if dry {
-                            assert_eq!(run, clean[p][image_index], "{at} {policy:?}");
-                            assert_eq!(run.defense, model.fault_free_defense_stats(), "{at}");
+                            assert_eq!(run, clean[p][image_index], "{at} {mode:?}");
+                            assert_eq!(run.defense, model.fault_free_defense_stats(mode), "{at}");
                         }
                     }
                 }

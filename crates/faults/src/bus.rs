@@ -5,9 +5,8 @@
 //! interesting: near and below `Vcrash`, the board browns out
 //! mid-transaction, the dongle times out, and read data picks up bit
 //! flips. [`PmbusFaultModel`] reproduces those three transient failure
-//! modes against the host adapter's
-//! [`BusFaultInjector`](redvolt_pmbus::adapter::BusFaultInjector) hook,
-//! so the retry/verify policy can be exercised — and campaigns proven
+//! modes against the host adapter's [`BusFaultInjector`] hook, so the
+//! retry/verify policy can be exercised — and campaigns proven
 //! byte-reproducible — under a nonzero fault rate.
 //!
 //! Determinism: the model draws from a [`Xoshiro256StarStar`] stream

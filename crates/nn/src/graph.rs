@@ -643,35 +643,6 @@ impl Graph {
         Ok(outs)
     }
 
-    /// Runs the float path with checksum-channel ABFT verification.
-    ///
-    /// Forwards exactly like [`Graph::forward_all_into`], then — when
-    /// `policy` is on — verifies every conv/dense output against the
-    /// checksums precomputed in `abft` (see [`crate::abft::FloatAbft`])
-    /// and returns the per-pass report. With [`crate::abft::DefenseMode::Off`] the
-    /// verification is skipped entirely and the report is empty, so the
-    /// outputs are bit-identical to the undefended path either way (the
-    /// checksum pass only reads `outs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::BadImage`] if `image` does not match the
-    /// declared input shape.
-    pub fn forward_all_checked(
-        &self,
-        image: &Tensor,
-        outs: &mut Vec<Tensor>,
-        scratch: &mut crate::kernels::Scratch,
-        abft: &mut crate::abft::FloatAbft,
-        policy: &crate::abft::DefensePolicy,
-    ) -> Result<crate::abft::FloatAbftReport, GraphError> {
-        self.forward_all_into(image, outs, scratch)?;
-        if !policy.is_on() {
-            return Ok(crate::abft::FloatAbftReport::default());
-        }
-        Ok(abft.verify(self, outs, scratch))
-    }
-
     /// Runs the float reference path into reusable per-node buffers.
     ///
     /// `outs` is resized to one tensor per node and each tensor's

@@ -9,7 +9,7 @@
 //! * [`kernels`] — the optimized im2col + blocked-GEMM conv/dense
 //!   kernels both executors run on, with a reusable [`kernels::Scratch`]
 //!   arena.
-//! * [`reference`] — the retained naive kernels: the semantic ground
+//! * [`mod@reference`] — the retained naive kernels: the semantic ground
 //!   truth the differential test suite diffs [`kernels`] against.
 //! * [`quant`] — DECENT-style symmetric INT8..INT4 post-training
 //!   quantization and the integer executor with transient-fault hooks
@@ -22,10 +22,10 @@
 //!   accuracy calibration.
 //! * [`prune`] — magnitude and structured-channel pruning (§6.2).
 //! * [`metrics`] — accuracy / top-k / confusion.
-//! * [`abft`] — algorithm-based fault tolerance: checksum-augmented
-//!   GEMM/conv verification (dual integer checksums, Kahan-tolerance f32
-//!   checksum channels) behind a [`abft::DefensePolicy`], the detection
-//!   layer of the undervolt SDC defense.
+//! * [`abft`] — algorithm-based fault tolerance: dual integer checksums
+//!   over the conv/dense accumulators and activations, armed per
+//!   execution by an [`abft::DefenseMode`], the detection layer of the
+//!   undervolt SDC defense.
 //!
 //! # Examples
 //!

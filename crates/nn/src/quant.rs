@@ -12,7 +12,7 @@
 //! transiently (weights are restored afterwards — faults in the paper's
 //! setup are timing errors on reads, not permanent storage corruption).
 
-use crate::abft::{DefenseMode, DefensePolicy, DefenseStats, IntChecksum};
+use crate::abft::{DefenseMode, DefenseStats, IntChecksum};
 use crate::graph::{ConvParams, Graph, GraphError, Op, Shape};
 use crate::kernels;
 use crate::reference;
@@ -172,15 +172,10 @@ pub struct QuantizedGraph {
     num_classes: usize,
     /// Per-inference buffers, reused across calls (see [`ExecScratch`]).
     scratch: ExecScratch,
-    /// When set, conv/dense run the naive [`reference`] kernels instead of
-    /// the optimized ones — the benchmark binary's baseline arm.
+    /// When set, conv/dense run the naive [`mod@reference`] kernels
+    /// instead of the optimized ones, so `tests/kernels.rs` can compare
+    /// whole models on both.
     use_reference: bool,
-    /// ABFT defense policy. [`DefenseMode::Off`] (the default) leaves the
-    /// execution path bit-identical to the undefended kernels.
-    defense: DefensePolicy,
-    /// ABFT event counters accumulated since the last
-    /// [`QuantizedGraph::take_defense_stats`].
-    defense_stats: DefenseStats,
 }
 
 /// The executor's buffer arena: activation tensors, raw accumulators and
@@ -396,35 +391,11 @@ impl QuantizedGraph {
             num_classes: graph.num_classes(),
             scratch: ExecScratch::default(),
             use_reference: false,
-            defense: DefensePolicy::off(),
-            defense_stats: DefenseStats::default(),
         })
     }
 
-    /// Sets the ABFT defense policy for subsequent executions.
-    /// [`DefenseMode::Off`] restores the exact undefended execution path
-    /// (bit-identical outputs and injector draw sequence).
-    pub fn set_defense(&mut self, policy: DefensePolicy) {
-        self.defense = policy;
-    }
-
-    /// The active defense policy.
-    pub fn defense(&self) -> DefensePolicy {
-        self.defense
-    }
-
-    /// Returns and resets the accumulated ABFT counters.
-    pub fn take_defense_stats(&mut self) -> DefenseStats {
-        std::mem::take(&mut self.defense_stats)
-    }
-
-    /// Accumulated ABFT counters since the last take.
-    pub fn defense_stats(&self) -> DefenseStats {
-        self.defense_stats
-    }
-
     /// Switches conv/dense layers between the optimized [`kernels`] and
-    /// the naive [`reference`] implementations. Output is bit-identical
+    /// the naive [`mod@reference`] implementations. Output is bit-identical
     /// either way; the reference path is what `tests/kernels.rs` compares
     /// whole models against.
     pub fn set_reference_kernels(&mut self, on: bool) {
@@ -526,7 +497,8 @@ impl QuantizedGraph {
         self.predict_with(image, &mut NoFaults)
     }
 
-    /// Predicted class with a fault injector.
+    /// Predicted class with a fault injector, undefended (ABFT runs only
+    /// through [`QuantizedGraph::predict_shared`]).
     ///
     /// Runs entirely inside the executor's arena — after the first call,
     /// prediction allocates nothing (the inner loop of every campaign
@@ -556,8 +528,8 @@ impl QuantizedGraph {
         Ok(best)
     }
 
-    /// Runs the quantized path with fault injection, returning float
-    /// logits (dequantized output of the final node).
+    /// Runs the quantized path with fault injection, undefended, returning
+    /// float logits (dequantized output of the final node).
     ///
     /// # Errors
     ///
@@ -702,14 +674,17 @@ impl QuantizedGraph {
         Ok(())
     }
 
-    /// Predicted class with a fault injector, against an external arena.
+    /// Predicted class with a fault injector under the ABFT defense
+    /// `mode`, against an external arena, adding the execution's ABFT
+    /// events to `stats`.
     ///
     /// Unlike [`QuantizedGraph::predict_with`] this takes `&self`: the
     /// graph is never mutated (transient weight faults run on a
     /// copy-on-fault staging buffer inside `scratch`), so one prepared
     /// graph can serve many image-shard workers concurrently, each with
-    /// its own [`ExecScratch`] and [`DefenseStats`] accumulator. Bit-for-
-    /// bit identical to `predict_with` for the same injector state.
+    /// its own [`ExecScratch`] and [`DefenseStats`] accumulator. Under
+    /// [`DefenseMode::Off`] it is bit-for-bit identical to `predict_with`
+    /// for the same injector state: same outputs, same injector draws.
     ///
     /// # Errors
     ///
@@ -722,10 +697,11 @@ impl QuantizedGraph {
         &self,
         image: &Tensor,
         injector: &mut dyn FaultInjector,
+        mode: DefenseMode,
         scratch: &mut ExecScratch,
         stats: &mut DefenseStats,
     ) -> Result<usize, GraphError> {
-        self.run_shared(image, injector, scratch, stats)?;
+        self.run_shared(image, injector, mode, scratch, stats)?;
         let logits = &scratch.final_float;
         assert!(!logits.is_empty(), "argmax of empty tensor");
         let mut best = 0;
@@ -740,18 +716,17 @@ impl QuantizedGraph {
     /// Executes the graph into the owned scratch arena — the `&mut self`
     /// entry point behind [`QuantizedGraph::predict_with`] /
     /// [`QuantizedGraph::forward_with`]. Delegates to
-    /// [`QuantizedGraph::run_shared`] with the graph's own arena and
-    /// defense-stat accumulator.
+    /// [`QuantizedGraph::run_shared`], undefended, with the graph's own
+    /// arena.
     fn run_internal(
         &mut self,
         image: &Tensor,
         injector: &mut dyn FaultInjector,
     ) -> Result<(), GraphError> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut stats = std::mem::take(&mut self.defense_stats);
-        let result = self.run_shared(image, injector, &mut scratch, &mut stats);
+        let mut stats = DefenseStats::default();
+        let result = self.run_shared(image, injector, DefenseMode::Off, &mut scratch, &mut stats);
         self.scratch = scratch;
-        self.defense_stats = stats;
         result
     }
 
@@ -763,6 +738,7 @@ impl QuantizedGraph {
         &self,
         image: &Tensor,
         injector: &mut dyn FaultInjector,
+        mode: DefenseMode,
         scratch: &mut ExecScratch,
         stats: &mut DefenseStats,
     ) -> Result<(), GraphError> {
@@ -783,7 +759,6 @@ impl QuantizedGraph {
         let format = self.format;
         let output_id = self.output;
         let use_reference = self.use_reference;
-        let defense = self.defense;
         let nodes = &self.nodes;
         let ExecScratch {
             kernels: ks,
@@ -805,7 +780,6 @@ impl QuantizedGraph {
             // through `wbuf` — and the activation list splits at `id`;
             // inputs always precede.
             let node = &nodes[id];
-            let name = node.name.as_str();
             let inputs = &node.inputs;
             let shape = node.shape;
             let out_scale = node.out_scale;
@@ -814,166 +788,51 @@ impl QuantizedGraph {
             match &node.op {
                 QOp::Input => quantize_image_into(image, out_scale, format, out),
                 QOp::Conv {
-                    params,
-                    wcodes,
-                    bias_q,
+                    params: ConvParams { relu, .. },
                     rescales,
                     ..
-                } => {
-                    let input = &before[inputs[0]];
-                    let macs_per_out = params.k * params.k * params.in_ch;
-                    let (oh, ow) = params.out_hw(input.h(), input.w());
-                    // Accumulator stage: compute + checksum-verify, with a
-                    // bounded re-execution loop under `Correct`. An `Off`
-                    // policy breaks after one pass having done no checksum
-                    // work and exactly the undefended injector draws.
-                    let mut attempt = 0u32;
-                    loop {
-                        let (weights, weight_faulted) =
-                            faulted_weights(injector, name, wcodes, format, wbuf);
-                        acc.clear();
-                        if use_reference {
-                            acc.extend(reference::conv2d_q(input, params, weights, bias_q));
-                        } else {
-                            acc.resize(oh * ow * params.out_ch, 0);
-                            kernels::conv2d_q_into(input, params, weights, bias_q, ks, acc);
-                        }
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_acc(acc)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in injector.plan_accumulator_faults(name, acc.len(), macs_per_out) {
-                            acc[f.index] ^= 1i32 << (f.bit % 31);
-                        }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if !weight_faulted && IntChecksum::of_acc(acc) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
-                    // Activation stage: requantize + checksum-verify the
-                    // quantized output codes against activation flips.
-                    let mut attempt = 0u32;
-                    loop {
-                        requantize_into(acc, shape, rescales, out_scale, params.relu, format, out);
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_codes(&out.codes)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in
-                            injector.plan_activation_faults(name, out.codes.len(), format.bits())
-                        {
-                            flip_code(&mut out.codes[f.index], f.bit, format);
-                        }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if IntChecksum::of_codes(&out.codes) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
                 }
-                QOp::Dense {
-                    in_len,
-                    out_len,
-                    relu,
-                    wcodes,
-                    bias_q,
-                    rescales,
-                    ..
-                } => {
+                | QOp::Dense { relu, rescales, .. } => {
                     let input = &before[inputs[0]];
-                    let mut attempt = 0u32;
-                    loop {
+                    let sites = self
+                        .fault_sites(node)
+                        .expect("conv and dense layers have fault sites");
+                    // Accumulator stage.
+                    checked_stage(mode, stats, || {
                         let (weights, weight_faulted) =
-                            faulted_weights(injector, name, wcodes, format, wbuf);
-                        acc.clear();
-                        if use_reference {
-                            acc.extend(reference::dense_q(
-                                input, *in_len, *out_len, weights, bias_q,
-                            ));
-                        } else {
-                            acc.resize(*out_len, 0);
-                            kernels::dense_q_into(input, *in_len, *out_len, weights, bias_q, acc);
-                        }
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_acc(acc)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in injector.plan_accumulator_faults(name, acc.len(), *in_len) {
+                            faulted_weights(injector, &sites, format, wbuf);
+                        accumulate(
+                            &node.op,
+                            input,
+                            weights,
+                            use_reference,
+                            ks,
+                            acc,
+                            sites.acc_len,
+                        );
+                        let clean = mode.is_on().then(|| IntChecksum::of(acc));
+                        for f in injector.plan_accumulator_faults(
+                            sites.name,
+                            sites.acc_len,
+                            sites.macs_per_out,
+                        ) {
                             acc[f.index] ^= 1i32 << (f.bit % 31);
                         }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if !weight_faulted && IntChecksum::of_acc(acc) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
-                    let mut attempt = 0u32;
-                    loop {
+                        !weight_faulted && clean.is_some_and(|c| IntChecksum::of(acc) == c)
+                    });
+                    // Activation stage.
+                    checked_stage(mode, stats, || {
                         requantize_into(acc, shape, rescales, out_scale, *relu, format, out);
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_codes(&out.codes)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in
-                            injector.plan_activation_faults(name, out.codes.len(), format.bits())
-                        {
+                        let clean = mode.is_on().then(|| IntChecksum::of(&out.codes));
+                        for f in injector.plan_activation_faults(
+                            sites.name,
+                            sites.out_len,
+                            format.bits(),
+                        ) {
                             flip_code(&mut out.codes[f.index], f.bit, format);
                         }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if IntChecksum::of_codes(&out.codes) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
+                        clean.is_some_and(|c| IntChecksum::of(&out.codes) == c)
+                    });
                 }
                 QOp::MaxPool { k, stride } => max_pool_q_into(&before[inputs[0]], *k, *stride, out),
                 QOp::AvgPool { k, stride } => {
@@ -1039,10 +898,10 @@ impl QuantizedGraph {
     }
 
     /// Replays the fault-plan requests of one execution against
-    /// `injector`, in [`QuantizedGraph::run_shared`]'s order, without
-    /// running a kernel: weights, accumulators, then activations of each
-    /// conv/dense layer. Returns `true` when every plan comes back empty,
-    /// and stops at the first non-empty one.
+    /// `injector`, in the defended stage's order, without running a
+    /// kernel: weights, accumulators, then activations of each conv/dense
+    /// layer, at the sizes `run_shared` asks for. Returns `true` when
+    /// every plan comes back empty, and stops at the first non-empty one.
     ///
     /// Until a plan is non-empty the requests depend only on the static
     /// layer shapes (a defended stage that sees no fault verifies once
@@ -1051,52 +910,150 @@ impl QuantizedGraph {
     /// its ABFT counters are [`QuantizedGraph::fault_free_defense_stats`].
     pub fn draws_no_faults(&self, injector: &mut dyn FaultInjector) -> bool {
         let bits = self.format.bits();
-        self.nodes.iter().all(|node| {
-            let (wcodes, acc_len, macs_per_out) = match &node.op {
-                QOp::Conv { params, wcodes, .. } => {
-                    let input = self.nodes[node.inputs[0]].shape;
-                    let (oh, ow) = params.out_hw(input.h, input.w);
-                    let macs_per_out = params.k * params.k * params.in_ch;
-                    (wcodes, oh * ow * params.out_ch, macs_per_out)
-                }
-                QOp::Dense {
-                    in_len,
-                    out_len,
-                    wcodes,
-                    ..
-                } => (wcodes, *out_len, *in_len),
-                _ => return true,
-            };
-            let name = node.name.as_str();
-            let out_len = node.shape.h * node.shape.w * node.shape.c;
-            injector
-                .plan_weight_faults(name, wcodes.len(), bits)
-                .is_empty()
-                && injector
-                    .plan_accumulator_faults(name, acc_len, macs_per_out)
+        self.nodes
+            .iter()
+            .filter_map(|node| self.fault_sites(node))
+            .all(|s| {
+                injector
+                    .plan_weight_faults(s.name, s.wcodes.len(), bits)
                     .is_empty()
-                && injector
-                    .plan_activation_faults(name, out_len, bits)
-                    .is_empty()
-        })
+                    && injector
+                        .plan_accumulator_faults(s.name, s.acc_len, s.macs_per_out)
+                        .is_empty()
+                    && injector
+                        .plan_activation_faults(s.name, s.out_len, bits)
+                        .is_empty()
+            })
     }
 
-    /// The ABFT counters of one execution that draws no fault under the
-    /// active policy: two checks (accumulator and activation stage) per
-    /// conv/dense layer when armed, nothing when off.
-    pub fn fault_free_defense_stats(&self) -> DefenseStats {
-        if !self.defense.is_on() {
+    /// The ABFT counters of one execution that draws no fault under
+    /// `mode`: two checks (accumulator and activation stage) per conv/dense
+    /// layer when armed, nothing when off.
+    pub fn fault_free_defense_stats(&self, mode: DefenseMode) -> DefenseStats {
+        if !mode.is_on() {
             return DefenseStats::default();
         }
         let layers = self
             .nodes
             .iter()
-            .filter(|n| matches!(n.op, QOp::Conv { .. } | QOp::Dense { .. }))
+            .filter_map(|node| self.fault_sites(node))
             .count();
         DefenseStats {
             checks: 2 * layers as u64,
             ..DefenseStats::default()
         }
+    }
+
+    /// The fault sites of `node`, `None` for a layer without weights.
+    fn fault_sites<'a>(&self, node: &'a QNode) -> Option<FaultSites<'a>> {
+        let (wcodes, acc_len, macs_per_out) = match &node.op {
+            QOp::Conv { params, wcodes, .. } => {
+                let input = self.nodes[node.inputs[0]].shape;
+                let (oh, ow) = params.out_hw(input.h, input.w);
+                let macs_per_out = params.k * params.k * params.in_ch;
+                (wcodes, oh * ow * params.out_ch, macs_per_out)
+            }
+            QOp::Dense {
+                in_len,
+                out_len,
+                wcodes,
+                ..
+            } => (wcodes, *out_len, *in_len),
+            _ => return None,
+        };
+        let shape = node.shape;
+        Some(FaultSites {
+            name: &node.name,
+            wcodes,
+            acc_len,
+            macs_per_out,
+            out_len: shape.h * shape.w * shape.c,
+        })
+    }
+}
+
+/// Where one execution of a conv/dense layer can be faulted: the layer
+/// name and sizes its defended stage asks the injector about. `run_shared`
+/// and `draws_no_faults` both read them from `fault_sites`.
+struct FaultSites<'a> {
+    name: &'a str,
+    /// The weight codes one kernel pass fetches.
+    wcodes: &'a [i8],
+    acc_len: usize,
+    macs_per_out: usize,
+    out_len: usize,
+}
+
+/// Runs one checksum stage of a conv/dense layer under `mode`. `pass`
+/// executes the stage once and says whether its checksum verified; it
+/// skips the checksum when `mode` is off, so an `Off` stage runs once
+/// with no checksum work and exactly the undefended injector draws. A
+/// mismatch re-executes the stage within `mode`'s budget and, under
+/// [`DefenseMode::Correct`], counts as unresolved once the budget is
+/// spent.
+fn checked_stage(mode: DefenseMode, stats: &mut DefenseStats, mut pass: impl FnMut() -> bool) {
+    let mut attempt = 0;
+    loop {
+        let verified = pass();
+        if !mode.is_on() {
+            return;
+        }
+        stats.checks += 1;
+        if verified {
+            return;
+        }
+        stats.mismatches += 1;
+        if attempt >= mode.reexec_budget() {
+            if mode == DefenseMode::Correct {
+                stats.unresolved += 1;
+            }
+            return;
+        }
+        attempt += 1;
+        stats.reexecutions += 1;
+    }
+}
+
+/// Runs a conv or dense layer's kernel on `weights`, leaving its `len`
+/// raw accumulators in `acc`.
+fn accumulate(
+    op: &QOp,
+    input: &QTensor,
+    weights: &[i8],
+    use_reference: bool,
+    ks: &mut kernels::Scratch,
+    acc: &mut Vec<i32>,
+    len: usize,
+) {
+    acc.clear();
+    match op {
+        QOp::Conv { params, bias_q, .. } if use_reference => {
+            acc.extend(reference::conv2d_q(input, params, weights, bias_q));
+        }
+        QOp::Dense {
+            in_len,
+            out_len,
+            bias_q,
+            ..
+        } if use_reference => {
+            acc.extend(reference::dense_q(
+                input, *in_len, *out_len, weights, bias_q,
+            ));
+        }
+        QOp::Conv { params, bias_q, .. } => {
+            acc.resize(len, 0);
+            kernels::conv2d_q_into(input, params, weights, bias_q, ks, acc);
+        }
+        QOp::Dense {
+            in_len,
+            out_len,
+            bias_q,
+            ..
+        } => {
+            acc.resize(len, 0);
+            kernels::dense_q_into(input, *in_len, *out_len, weights, bias_q, acc);
+        }
+        _ => unreachable!("only conv and dense layers accumulate"),
     }
 }
 
@@ -1129,16 +1086,16 @@ fn quantize_image_into(image: &Tensor, scale: f32, format: IntFormat, out: &mut 
 /// the graph: when the injector plans at least one in-range flip, the
 /// layer's codes are copied into `wbuf`, flipped there, and the staged
 /// copy is returned; a clean pass returns the original slice untouched.
-/// The bool mirrors the old in-place path's "weight was faulted" signal
-/// consumed by the ABFT checksum stage.
+/// The bool says whether a weight was faulted, which the ABFT checksum
+/// stage reports as a mismatch.
 fn faulted_weights<'a>(
     injector: &mut dyn FaultInjector,
-    layer: &str,
-    wcodes: &'a [i8],
+    sites: &FaultSites<'a>,
     format: IntFormat,
     wbuf: &'a mut Vec<i8>,
 ) -> (&'a [i8], bool) {
-    let flips = injector.plan_weight_faults(layer, wcodes.len(), format.bits());
+    let wcodes = sites.wcodes;
+    let flips = injector.plan_weight_faults(sites.name, wcodes.len(), format.bits());
     let mut faulted = false;
     for f in flips {
         if f.index < wcodes.len() {
@@ -1315,7 +1272,6 @@ fn concat_q_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abft::DEFAULT_MAX_REEXECUTIONS;
     use crate::graph::GraphBuilder;
 
     fn small_graph() -> Graph {
@@ -1580,9 +1536,10 @@ mod tests {
         }
     }
 
-    /// Faults accumulators of layer `c1` for the first `n` acc plans, then
-    /// goes quiet — a transient upset that a re-execution outruns.
+    /// Faults accumulators of `layer` for the first `remaining` acc plans,
+    /// then goes quiet — a transient upset that a re-execution outruns.
     struct TransientAccFault {
+        layer: &'static str,
         remaining: u32,
     }
 
@@ -1591,7 +1548,7 @@ mod tests {
             Vec::new()
         }
         fn plan_accumulator_faults(&mut self, layer: &str, _: usize, _: usize) -> Vec<BitFlip> {
-            if layer == "c1" && self.remaining > 0 {
+            if layer == self.layer && self.remaining > 0 {
                 self.remaining -= 1;
                 vec![BitFlip { index: 1, bit: 20 }]
             } else {
@@ -1603,80 +1560,105 @@ mod tests {
         }
     }
 
+    /// The ABFT tests script their faults into each defended layer: the
+    /// conv `c1` and the dense `fc`.
+    const DEFENDED_LAYERS: [&str; 2] = ["c1", "fc"];
+
+    /// Runs `image` under `mode` on a fresh arena, returning the output
+    /// logits and the ABFT counters.
+    fn run(
+        q: &QuantizedGraph,
+        image: &Tensor,
+        injector: &mut dyn FaultInjector,
+        mode: DefenseMode,
+    ) -> (Vec<f32>, DefenseStats) {
+        let mut scratch = ExecScratch::new();
+        let mut stats = DefenseStats::default();
+        q.predict_shared(image, injector, mode, &mut scratch, &mut stats)
+            .unwrap();
+        (scratch.final_logits().to_vec(), stats)
+    }
+
     #[test]
     fn defense_off_runs_no_checks_and_keeps_faulty_output() {
         let g = small_graph();
         let imgs = calib_images();
         let mut q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        let faulty = q
-            .forward_with(&imgs[0], &mut TransientAccFault { remaining: 1 })
-            .unwrap();
-        assert_eq!(q.take_defense_stats(), DefenseStats::default());
-        // Round-tripping the policy through on-and-back-off leaves the
-        // undefended path bit-identical.
-        q.set_defense(DefensePolicy::correct());
-        q.set_defense(DefensePolicy::off());
-        let again = q
-            .forward_with(&imgs[0], &mut TransientAccFault { remaining: 1 })
-            .unwrap();
-        assert_eq!(faulty.data(), again.data());
+        for layer in DEFENDED_LAYERS {
+            let fault = || TransientAccFault {
+                layer,
+                remaining: 1,
+            };
+            let (faulty, stats) = run(&q, &imgs[0], &mut fault(), DefenseMode::Off);
+            assert_eq!(stats, DefenseStats::default(), "{layer}");
+            // The `&mut self` entry points are the same undefended path.
+            let undefended = q.forward_with(&imgs[0], &mut fault()).unwrap();
+            assert_eq!(faulty, undefended.data(), "{layer}");
+        }
     }
 
     #[test]
     fn defense_detect_counts_mismatch_without_altering_output() {
         let g = small_graph();
         let imgs = calib_images();
-        let mut q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        let faulty_off = q
-            .forward_with(&imgs[0], &mut TransientAccFault { remaining: 1 })
-            .unwrap();
-        q.set_defense(DefensePolicy::detect());
-        let faulty_detect = q
-            .forward_with(&imgs[0], &mut TransientAccFault { remaining: 1 })
-            .unwrap();
-        let stats = q.take_defense_stats();
-        assert_eq!(faulty_detect.data(), faulty_off.data());
-        assert!(stats.checks > 0);
-        assert_eq!(stats.mismatches, 1);
-        assert_eq!(stats.reexecutions, 0);
-        assert_eq!(stats.unresolved, 0, "detect mode never resolves");
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        for layer in DEFENDED_LAYERS {
+            let fault = || TransientAccFault {
+                layer,
+                remaining: 1,
+            };
+            let (faulty_off, _) = run(&q, &imgs[0], &mut fault(), DefenseMode::Off);
+            let (faulty_detect, stats) = run(&q, &imgs[0], &mut fault(), DefenseMode::Detect);
+            assert_eq!(faulty_detect, faulty_off, "{layer}");
+            assert_eq!(stats.checks, 4, "{layer}: two stages per layer");
+            assert_eq!(stats.mismatches, 1, "{layer}");
+            assert_eq!(stats.reexecutions, 0, "{layer}");
+            assert_eq!(stats.unresolved, 0, "{layer}: detect mode never resolves");
+        }
     }
 
     #[test]
     fn defense_correct_reexecutes_transient_fault_to_clean_output() {
         let g = small_graph();
         let imgs = calib_images();
-        let mut q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        let clean = q.forward(&imgs[0]).unwrap();
-        q.set_defense(DefensePolicy::correct());
-        let defended = q
-            .forward_with(&imgs[0], &mut TransientAccFault { remaining: 1 })
-            .unwrap();
-        let stats = q.take_defense_stats();
-        assert_eq!(defended.data(), clean.data(), "re-execution must rescue");
-        assert_eq!(stats.mismatches, 1);
-        assert_eq!(stats.reexecutions, 1);
-        assert!(stats.clean());
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        let (clean, _) = run(&q, &imgs[0], &mut NoFaults, DefenseMode::Off);
+        for layer in DEFENDED_LAYERS {
+            let mut fault = TransientAccFault {
+                layer,
+                remaining: 1,
+            };
+            let (defended, stats) = run(&q, &imgs[0], &mut fault, DefenseMode::Correct);
+            assert_eq!(defended, clean, "{layer}: re-execution must rescue");
+            assert_eq!(stats.mismatches, 1, "{layer}");
+            assert_eq!(stats.reexecutions, 1, "{layer}");
+            assert!(stats.clean(), "{layer}");
+        }
     }
 
     #[test]
     fn defense_correct_reports_unresolved_after_budget() {
         let g = small_graph();
         let imgs = calib_images();
-        let mut q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        q.set_defense(DefensePolicy::correct());
-        // More consecutive upsets than the retry budget allows.
-        q.forward_with(&imgs[0], &mut TransientAccFault { remaining: 100 })
-            .unwrap();
-        let stats = q.take_defense_stats();
-        assert_eq!(stats.reexecutions, u64::from(DEFAULT_MAX_REEXECUTIONS));
-        assert_eq!(stats.unresolved, 1);
-        assert!(!stats.clean());
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        for layer in DEFENDED_LAYERS {
+            // More consecutive upsets than the retry budget allows.
+            let mut fault = TransientAccFault {
+                layer,
+                remaining: 100,
+            };
+            let (_, stats) = run(&q, &imgs[0], &mut fault, DefenseMode::Correct);
+            let budget = DefenseMode::Correct.reexec_budget();
+            assert_eq!(stats.reexecutions, u64::from(budget), "{layer}");
+            assert_eq!(stats.unresolved, 1, "{layer}");
+            assert!(!stats.clean(), "{layer}");
+        }
     }
 
     #[test]
     fn defense_correct_rescues_activation_flips_too() {
         struct OneActFlip {
+            layer: &'static str,
             remaining: u32,
         }
         impl FaultInjector for OneActFlip {
@@ -1687,7 +1669,7 @@ mod tests {
                 Vec::new()
             }
             fn plan_activation_faults(&mut self, layer: &str, _: usize, bits: u32) -> Vec<BitFlip> {
-                if layer == "c1" && self.remaining > 0 {
+                if layer == self.layer && self.remaining > 0 {
                     self.remaining -= 1;
                     vec![BitFlip {
                         index: 3,
@@ -1700,24 +1682,26 @@ mod tests {
         }
         let g = small_graph();
         let imgs = calib_images();
-        let mut q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        let clean = q.forward(&imgs[0]).unwrap();
-        q.set_defense(DefensePolicy::correct());
-        let defended = q
-            .forward_with(&imgs[0], &mut OneActFlip { remaining: 1 })
-            .unwrap();
-        let stats = q.take_defense_stats();
-        assert_eq!(defended.data(), clean.data());
-        assert_eq!(stats.mismatches, 1);
-        assert_eq!(stats.reexecutions, 1);
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        let (clean, _) = run(&q, &imgs[0], &mut NoFaults, DefenseMode::Off);
+        for layer in DEFENDED_LAYERS {
+            let mut fault = OneActFlip {
+                layer,
+                remaining: 1,
+            };
+            let (defended, stats) = run(&q, &imgs[0], &mut fault, DefenseMode::Correct);
+            assert_eq!(defended, clean, "{layer}");
+            assert_eq!(stats.mismatches, 1, "{layer}");
+            assert_eq!(stats.reexecutions, 1, "{layer}");
+        }
     }
 
     #[test]
     fn defense_correct_flags_persistent_weight_faults() {
-        struct StuckWeight;
+        struct StuckWeight(&'static str);
         impl FaultInjector for StuckWeight {
             fn plan_weight_faults(&mut self, layer: &str, _: usize, bits: u32) -> Vec<BitFlip> {
-                if layer == "c1" {
+                if layer == self.0 {
                     vec![BitFlip {
                         index: 0,
                         bit: bits - 1,
@@ -1735,12 +1719,13 @@ mod tests {
         }
         let g = small_graph();
         let imgs = calib_images();
-        let mut q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        q.set_defense(DefensePolicy::correct());
-        q.forward_with(&imgs[0], &mut StuckWeight).unwrap();
-        let stats = q.take_defense_stats();
-        // The weight-checksum column flags every attempt; the budget runs
-        // out and the corruption is reported, not silently returned.
-        assert_eq!(stats.unresolved, 1);
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        for layer in DEFENDED_LAYERS {
+            let (_, stats) = run(&q, &imgs[0], &mut StuckWeight(layer), DefenseMode::Correct);
+            // The weight-checksum column flags every attempt; the budget
+            // runs out and the corruption is reported, not silently
+            // returned.
+            assert_eq!(stats.unresolved, 1, "{layer}");
+        }
     }
 }

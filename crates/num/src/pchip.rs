@@ -101,16 +101,6 @@ impl Pchip {
         let h11 = t3 - t2;
         h00 * self.ys[i] + h10 * h * self.ds[i] + h01 * self.ys[i + 1] + h11 * h * self.ds[i + 1]
     }
-
-    /// Returns the knot x-coordinates.
-    pub fn knots_x(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Returns the knot y-coordinates.
-    pub fn knots_y(&self) -> &[f64] {
-        &self.ys
-    }
 }
 
 /// Fritsch–Carlson shape-preserving derivative estimates.

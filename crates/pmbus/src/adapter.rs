@@ -318,11 +318,6 @@ impl PmbusAdapter {
         self
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Fault-handling counters.
     pub fn stats(&self) -> BusStats {
         self.stats
@@ -598,19 +593,6 @@ impl PmbusAdapter {
         }
         let word = linear::linear11_encode(percent)?;
         self.write_word(target, address, CommandCode::FanCommand1, word)
-    }
-
-    /// Reads the latched status byte.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the device is absent or hung.
-    pub fn read_status<T: PmbusTarget>(
-        &mut self,
-        target: &mut T,
-        address: u8,
-    ) -> Result<u8, PmbusError> {
-        Ok(self.read_word(target, address, CommandCode::StatusByte)? as u8)
     }
 }
 

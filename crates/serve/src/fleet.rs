@@ -246,7 +246,7 @@ impl FleetBoard {
         let defense = self.acc.config().defense;
         let cycles_before = self.acc.cycles_run();
         let (runtime, workload) = self.acc.runtime_and_workload_mut();
-        let result = runtime.run_batch(&mut workload.task, &images, seed, 0);
+        let result = runtime.run_batch(&workload.task, &images, seed, 0);
         match result {
             Ok(r) => {
                 let dpu_cycles = self.acc.cycles_run() - cycles_before;

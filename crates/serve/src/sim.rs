@@ -461,7 +461,7 @@ fn reference_predictions(acc_cfg: &AcceleratorConfig) -> Result<Vec<usize>, Serv
     let images: Vec<Tensor> = acc.workload().eval.images.clone();
     let seed = derive_stream_seed(acc_cfg.seed, REFERENCE_STREAM);
     let (runtime, workload) = acc.runtime_and_workload_mut();
-    let result = runtime.run_batch(&mut workload.task, &images, seed, 0)?;
+    let result = runtime.run_batch(&workload.task, &images, seed, 0)?;
     Ok(result.predictions)
 }
 
