@@ -25,9 +25,24 @@
 //!   selected by runtime feature detection; integer arithmetic is exact,
 //!   so both code paths produce identical accumulators.
 //!
-//! All `_into` variants write into caller-provided buffers and borrow
-//! their temporaries from a [`Scratch`] arena, so a warmed-up executor
-//! performs no per-inference allocations.
+//! * **Batched float kernels** serve the readout trainer
+//!   ([`crate::train`]), whose fit set stays the same for every epoch.
+//!   [`dense_f32_batch_into`] computes the logits `Z = X·Wᵀ + b` of the
+//!   whole set and [`dense_weight_grad_f32_into`] the weight gradient
+//!   `G = Eᵀ·X`. Both keep the float contract: each logit folds from
+//!   `0.0` over the features and adds the bias last, exactly as
+//!   [`crate::reference::dense_f32`] does, and each gradient element
+//!   folds from `0.0` over the samples in order. Speed comes from
+//!   batching, not reordering: sixteen samples' logits advance as
+//!   independent chains over a feature-major copy of the set, and a
+//!   four-output × eight-feature gradient tile stays in registers for
+//!   the whole pass over the samples. Rust never contracts `a * b + c`
+//!   into a fused multiply-add, so the vectorized folds round exactly
+//!   as the scalar ones.
+//!
+//! All inference `_into` variants write into caller-provided buffers and
+//! borrow their temporaries from a [`Scratch`] arena, so a warmed-up
+//! executor performs no per-inference allocations.
 
 use crate::graph::ConvParams;
 use crate::tensor::{QTensor, Tensor};
@@ -257,6 +272,183 @@ pub fn dense_f32(
     let mut out = vec![0.0f32; out_len];
     dense_f32_into(input.data(), out_len, relu, weights, bias, &mut out);
     Tensor::vector(out)
+}
+
+/// Inputs per lane block of [`dense_f32_batch_into`].
+const LANES: usize = 16;
+
+/// Optimized batched float dense layer (no ReLU) over `batch` inputs
+/// stored feature-major: `inputs_t[i * batch + s]` is feature `i` of
+/// input `s`. Writes output `o` of input `s` to `out[s * out_len + o]`,
+/// where `out_len = bias.len()`.
+///
+/// Row `s` of `out` is bit-identical to [`crate::reference::dense_f32`]
+/// on input `s`: every output folds from `0.0` over the features in
+/// order and adds the bias last. The kernel runs sixteen inputs as
+/// independent chains, so the fold vectorizes across inputs rather than
+/// along one dot product. Transposing the inputs is the caller's job,
+/// done once for a batch that is reused (the trainer's fit set stays
+/// the same for every epoch).
+///
+/// # Panics
+///
+/// Panics if a buffer length does not match.
+pub fn dense_f32_batch_into(
+    inputs_t: &[f32],
+    in_len: usize,
+    batch: usize,
+    weights: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let out_len = bias.len();
+    assert_eq!(inputs_t.len(), in_len * batch, "inputs length");
+    assert_eq!(weights.len(), in_len * out_len, "weights length");
+    assert_eq!(out.len(), batch * out_len, "output buffer length");
+    let mut s0 = 0;
+    while s0 + LANES <= batch {
+        dense_lane_block(
+            &inputs_t[s0..],
+            batch,
+            in_len,
+            weights,
+            bias,
+            &mut out[s0 * out_len..][..LANES * out_len],
+        );
+        s0 += LANES;
+    }
+    if s0 < batch {
+        // Zero-pad the ragged tail into one full lane block; the padded
+        // lanes' outputs are computed and dropped.
+        let rows = batch - s0;
+        let mut panel = vec![0.0f32; in_len * LANES];
+        for (i, lanes) in panel.chunks_exact_mut(LANES).enumerate() {
+            lanes[..rows].copy_from_slice(&inputs_t[i * batch + s0..][..rows]);
+        }
+        dense_lane_block(
+            &panel,
+            LANES,
+            in_len,
+            weights,
+            bias,
+            &mut out[s0 * out_len..],
+        );
+    }
+}
+
+/// One lane block: up to [`LANES`] inputs whose feature `i` sits at
+/// `inputs_t[i * stride..][..LANES]`; writes `out.len() / out_len` rows.
+/// One output at a time: its [`LANES`] chains are enough independent
+/// adds to hide the add latency.
+#[inline(always)]
+fn dense_lane_block(
+    inputs_t: &[f32],
+    stride: usize,
+    in_len: usize,
+    weights: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let out_len = bias.len();
+    for o in 0..out_len {
+        let row = &weights[o * in_len..][..in_len];
+        let mut acc = [0.0f32; LANES];
+        for (i, &w) in row.iter().enumerate() {
+            let xs = &inputs_t[i * stride..][..LANES];
+            for (a, &x) in acc.iter_mut().zip(xs) {
+                *a += x * w;
+            }
+        }
+        for (outs, &a) in out.chunks_exact_mut(out_len).zip(&acc) {
+            outs[o] = bias[o] + a;
+        }
+    }
+}
+
+/// Outputs per register tile of [`dense_weight_grad_f32_into`].
+const GRAD_TILE_OUT: usize = 4;
+
+/// Features per register tile of [`dense_weight_grad_f32_into`].
+const GRAD_TILE_IN: usize = 8;
+
+/// Weight gradient of a batched dense layer:
+/// `grad[o * in_len + i] = Σ_s err[s * out_len + o] · inputs[s * in_len + i]`
+/// over `batch` sample-major inputs and output errors.
+///
+/// Each element folds from `0.0` over the inputs in order, exactly as
+/// accumulating `err · x` one input at a time would. Tiles of four
+/// outputs × eight features keep their accumulators in registers for
+/// the whole pass over the inputs.
+///
+/// # Panics
+///
+/// Panics if a buffer length does not match.
+pub fn dense_weight_grad_f32_into(
+    inputs: &[f32],
+    in_len: usize,
+    err: &[f32],
+    out_len: usize,
+    batch: usize,
+    grad: &mut [f32],
+) {
+    assert_eq!(inputs.len(), batch * in_len, "inputs length");
+    assert_eq!(err.len(), batch * out_len, "error length");
+    assert_eq!(grad.len(), out_len * in_len, "gradient buffer length");
+    let mut o = 0;
+    while o + GRAD_TILE_OUT <= out_len {
+        grad_rows::<GRAD_TILE_OUT>(inputs, in_len, err, out_len, o, grad);
+        o += GRAD_TILE_OUT;
+    }
+    while o < out_len {
+        grad_rows::<1>(inputs, in_len, err, out_len, o, grad);
+        o += 1;
+    }
+}
+
+/// Gradient rows `o..o + C`, tile by tile along the features.
+#[inline(always)]
+fn grad_rows<const C: usize>(
+    inputs: &[f32],
+    in_len: usize,
+    err: &[f32],
+    out_len: usize,
+    o: usize,
+    grad: &mut [f32],
+) {
+    let mut i = 0;
+    while i + GRAD_TILE_IN <= in_len {
+        grad_tile::<C, GRAD_TILE_IN>(inputs, in_len, err, out_len, o, i, grad);
+        i += GRAD_TILE_IN;
+    }
+    while i < in_len {
+        grad_tile::<C, 1>(inputs, in_len, err, out_len, o, i, grad);
+        i += 1;
+    }
+}
+
+/// One `C × F` gradient tile at output `o`, feature `i`.
+#[inline(always)]
+fn grad_tile<const C: usize, const F: usize>(
+    inputs: &[f32],
+    in_len: usize,
+    err: &[f32],
+    out_len: usize,
+    o: usize,
+    i: usize,
+    grad: &mut [f32],
+) {
+    let mut acc = [[0.0f32; F]; C];
+    for (x, e) in inputs.chunks_exact(in_len).zip(err.chunks_exact(out_len)) {
+        let xs = &x[i..][..F];
+        for (row, &e) in acc.iter_mut().zip(&e[o..][..C]) {
+            for (a, &x) in row.iter_mut().zip(xs) {
+                *a += e * x;
+            }
+        }
+    }
+    for (c, row) in acc.iter().enumerate() {
+        grad[(o + c) * in_len + i..][..F].copy_from_slice(row);
+    }
 }
 
 /// Optimized integer convolution writing raw accumulators into `acc`

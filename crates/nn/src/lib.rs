@@ -8,9 +8,12 @@
 //!   executor.
 //! * [`kernels`] — the optimized im2col + blocked-GEMM conv/dense
 //!   kernels both executors run on, with a reusable [`kernels::Scratch`]
-//!   arena.
-//! * [`mod@reference`] — the retained naive kernels: the semantic ground
-//!   truth the differential test suite diffs [`kernels`] against.
+//!   arena, and the two batched float products the readout trainer runs.
+//! * [`train`] — softmax-regression readout training, one pair of
+//!   batched products per epoch.
+//! * [`mod@reference`] — the retained naive kernels and readout trainer:
+//!   the semantic ground truth the differential test suite diffs
+//!   [`kernels`] and [`train`] against.
 //! * [`quant`] — DECENT-style symmetric INT8..INT4 post-training
 //!   quantization and the integer executor with transient-fault hooks
 //!   (this is the datapath the DPU simulator drives, and where

@@ -7,6 +7,17 @@
 //! quantization-aware recalibration: after quantizing the backbone, the
 //! readout is refitted on the *quantized* features, mirroring the DECENT
 //! toolchain's quantize-then-finetune flow (§3.1).
+//!
+//! The fit set stays fixed for every epoch, so an epoch is two batched
+//! products over the whole set, both in [`crate::kernels`]: the logits
+//! `Z = X·Wᵀ + b` ([`kernels::dense_f32_batch_into`]) and the weight
+//! gradient `G = Eᵀ·X` ([`kernels::dense_weight_grad_f32_into`]), with the
+//! per-sample softmax in between. Each logit and each gradient element is
+//! still one left-to-right fold, so the trained parameters are
+//! bit-identical to the per-sample loop kept as
+//! [`crate::reference::fit_softmax_regression`].
+
+use crate::kernels;
 
 /// Trains `weights`/`bias` (row-major `[classes][dim]`) by full-batch
 /// softmax regression with L2 decay.
@@ -37,30 +48,43 @@ pub fn fit_softmax_regression(
     if features.is_empty() {
         return;
     }
-    let n = features.len() as f32;
+    let batch = features.len();
+    let n = batch as f32;
     let decay = 1e-5f32;
+    // The fit set, sample-major for the gradient and feature-major for
+    // the logits, laid out once for every epoch.
+    let x = features.concat();
+    let mut x_t = vec![0.0f32; x.len()];
+    for (s, f) in features.iter().enumerate() {
+        for (i, &v) in f.iter().enumerate() {
+            x_t[i * batch + s] = v;
+        }
+    }
+    let mut logits = vec![0.0f32; batch * classes];
+    let mut err = vec![0.0f32; batch * classes];
+    let mut exps = vec![0.0f32; classes];
+    let mut grad_w = vec![0.0f32; weights.len()];
+    let mut grad_b = vec![0.0f32; classes];
     for _ in 0..epochs {
-        let mut grad_w = vec![0.0f32; weights.len()];
-        let mut grad_b = vec![0.0f32; classes];
-        for (f, &label) in features.iter().zip(labels) {
-            let mut logits = vec![0.0f32; classes];
-            for (k, l) in logits.iter_mut().enumerate() {
-                let row = &weights[k * dim..(k + 1) * dim];
-                *l = bias[k] + f.iter().zip(row).map(|(a, b)| a * b).sum::<f32>();
+        kernels::dense_f32_batch_into(&x_t, dim, batch, weights, bias, &mut logits);
+        grad_b.fill(0.0);
+        for ((z, e), &label) in logits
+            .chunks_exact(classes)
+            .zip(err.chunks_exact_mut(classes))
+            .zip(labels)
+        {
+            let m = z.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            for (ex, &zk) in exps.iter_mut().zip(z) {
+                *ex = (zk - m).exp();
             }
-            let m = logits.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            let exps: Vec<f32> = logits.iter().map(|&z| (z - m).exp()).collect();
             let sum: f32 = exps.iter().sum();
             for k in 0..classes {
                 let p = exps[k] / sum;
-                let err = p - if k == label { 1.0 } else { 0.0 };
-                grad_b[k] += err;
-                let gw = &mut grad_w[k * dim..(k + 1) * dim];
-                for (g, &x) in gw.iter_mut().zip(f) {
-                    *g += err * x;
-                }
+                e[k] = p - if k == label { 1.0 } else { 0.0 };
+                grad_b[k] += e[k];
             }
         }
+        kernels::dense_weight_grad_f32_into(&x, dim, &err, classes, batch, &mut grad_w);
         for (w, g) in weights.iter_mut().zip(&grad_w) {
             *w -= learning_rate * (g / n + decay * *w);
         }
@@ -70,37 +94,10 @@ pub fn fit_softmax_regression(
     }
 }
 
-/// Classification accuracy of a linear readout on features.
-pub fn readout_accuracy(
-    features: &[Vec<f32>],
-    labels: &[usize],
-    dim: usize,
-    classes: usize,
-    weights: &[f32],
-    bias: &[f32],
-) -> f64 {
-    let mut hits = 0usize;
-    for (f, &label) in features.iter().zip(labels) {
-        let mut best = 0usize;
-        let mut best_z = f32::NEG_INFINITY;
-        for k in 0..classes {
-            let row = &weights[k * dim..(k + 1) * dim];
-            let z = bias[k] + f.iter().zip(row).map(|(a, b)| a * b).sum::<f32>();
-            if z > best_z {
-                best_z = z;
-                best = k;
-            }
-        }
-        if best == label {
-            hits += 1;
-        }
-    }
-    hits as f64 / labels.len().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
     use redvolt_num::rng::Xoshiro256StarStar;
 
     fn separable_problem(n: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
@@ -127,7 +124,15 @@ mod tests {
         let mut w = vec![0.0f32; 8 * 3];
         let mut b = vec![0.0f32; 3];
         fit_softmax_regression(&features, &labels, 8, 3, &mut w, &mut b, 200, 0.5);
-        let acc = readout_accuracy(&features, &labels, 8, 3, &w, &b);
+        let hits = features
+            .iter()
+            .zip(&labels)
+            .filter(|&(f, &label)| {
+                let z = kernels::dense_f32(&Tensor::vector(f.clone()), 3, false, &w, &b);
+                z.argmax() == label
+            })
+            .count();
+        let acc = hits as f64 / labels.len() as f64;
         assert!(acc > 0.95, "accuracy {acc}");
     }
 
@@ -148,10 +153,5 @@ mod tests {
         let mut w = vec![0.0f32; 8 * 3];
         let mut b = vec![0.0f32; 3];
         fit_softmax_regression(&[vec![0.0; 8]], &[7], 8, 3, &mut w, &mut b, 1, 0.1);
-    }
-
-    #[test]
-    fn accuracy_of_empty_set_is_zero() {
-        assert_eq!(readout_accuracy(&[], &[], 4, 2, &[0.0; 8], &[0.0; 2]), 0.0);
     }
 }

@@ -8,7 +8,12 @@
 //! * integer kernels produce identical `i32` accumulators (associative
 //!   arithmetic, so any blocking/reordering must still be exact);
 //! * a whole quantized model gives bit-identical logits on either set of
-//!   kernels (`QuantizedGraph::set_reference_kernels`).
+//!   kernels (`QuantizedGraph::set_reference_kernels`);
+//! * the batched readout trainer leaves bit-identical weights and biases
+//!   to `reference::fit_softmax_regression`. Parameters are compared, not
+//!   logits: the reference's `Iterator::sum` folds from `-0.0` and the
+//!   kernels from `+0.0`, which can flip the sign of a zero logit but
+//!   never reaches the parameters.
 //!
 //! Shapes are randomized across strides, padding, channel counts and the
 //! ReLU flag, including the 1×1-kernel fast case and kernels larger than
@@ -24,6 +29,7 @@ use redvolt_nn::models::{ModelKind, ModelScale};
 use redvolt_nn::quant::QuantizedGraph;
 use redvolt_nn::reference;
 use redvolt_nn::tensor::{QTensor, Tensor};
+use redvolt_nn::train;
 
 /// Deterministic pseudo-random f32 in roughly [-0.6, 0.6], with the
 /// occasional exact zero and negative zero so sign-of-zero handling in
@@ -49,7 +55,63 @@ fn i8_at(seed: u64, i: usize) -> i8 {
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|v| v.to_bits()).collect()
+    slice_bits(t.data())
+}
+
+fn slice_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `rows` stored feature-major, the layout `dense_f32_batch_into` reads.
+fn transpose(rows: &[Vec<f32>], in_len: usize) -> Vec<f32> {
+    (0..in_len)
+        .flat_map(|i| rows.iter().map(move |r| r[i]))
+        .collect()
+}
+
+/// Trains the same seeded readout with the batched trainer and the
+/// reference one and asserts bit-identical weights and biases.
+fn assert_trainers_agree(
+    seed: u64,
+    batch: usize,
+    dim: usize,
+    classes: usize,
+    epochs: usize,
+    lr: f32,
+) {
+    let features: Vec<Vec<f32>> = (0..batch)
+        .map(|s| (0..dim).map(|i| f32_at(seed, s * dim + i)).collect())
+        .collect();
+    let labels: Vec<usize> = (0..batch)
+        .map(|s| usize::from(i8_at(seed ^ 0x1abe1, s).unsigned_abs()) % classes)
+        .collect();
+    let w0: Vec<f32> = (0..dim * classes)
+        .map(|i| f32_at(seed ^ 0x3e1, i))
+        .collect();
+    let b0: Vec<f32> = (0..classes).map(|i| f32_at(seed ^ 0xb1a5, i)).collect();
+    let (mut want_w, mut want_b) = (w0.clone(), b0.clone());
+    reference::fit_softmax_regression(
+        &features,
+        &labels,
+        dim,
+        classes,
+        &mut want_w,
+        &mut want_b,
+        epochs,
+        lr,
+    );
+    let (mut w, mut b) = (w0, b0);
+    train::fit_softmax_regression(&features, &labels, dim, classes, &mut w, &mut b, epochs, lr);
+    assert_eq!(
+        slice_bits(&want_w),
+        slice_bits(&w),
+        "weights: seed={seed} batch={batch} dim={dim} classes={classes} epochs={epochs}"
+    );
+    assert_eq!(
+        slice_bits(&want_b),
+        slice_bits(&b),
+        "bias: seed={seed} batch={batch} dim={dim} classes={classes} epochs={epochs}"
+    );
 }
 
 proptest! {
@@ -87,13 +149,40 @@ proptest! {
         n in 1usize..40,
         out_len in 1usize..12,
         relu in any::<bool>(),
+        batch in 1usize..40,
     ) {
-        let input = Tensor::vector((0..n).map(|i| f32_at(seed, i)).collect());
+        let rows: Vec<Vec<f32>> = (0..batch)
+            .map(|s| (0..n).map(|i| f32_at(seed, s * n + i)).collect())
+            .collect();
         let weights: Vec<f32> = (0..n * out_len).map(|i| f32_at(seed ^ 0xdead, i)).collect();
         let bias: Vec<f32> = (0..out_len).map(|i| f32_at(seed ^ 0xb1a5, i)).collect();
-        let want = reference::dense_f32(&input, out_len, relu, &weights, &bias);
-        let got = kernels::dense_f32(&input, out_len, relu, &weights, &bias);
-        prop_assert_eq!(bits(&want), bits(&got));
+        let mut batched = vec![0.0f32; batch * out_len];
+        kernels::dense_f32_batch_into(
+            &transpose(&rows, n), n, batch, &weights, &bias, &mut batched,
+        );
+        for (s, row) in rows.iter().enumerate() {
+            let input = Tensor::vector(row.clone());
+            let want = reference::dense_f32(&input, out_len, relu, &weights, &bias);
+            let got = kernels::dense_f32(&input, out_len, relu, &weights, &bias);
+            prop_assert_eq!(bits(&want), bits(&got));
+            let want = reference::dense_f32(&input, out_len, false, &weights, &bias);
+            prop_assert_eq!(
+                bits(&want),
+                slice_bits(&batched[s * out_len..][..out_len]),
+                "row {} of {}", s, batch
+            );
+        }
+    }
+
+    #[test]
+    fn trainer_bit_identical_to_reference(
+        seed in 0u64..1000,
+        batch in 1usize..40,
+        dim in 1usize..40,
+        classes in 1usize..12,
+        epochs in 1usize..4,
+    ) {
+        assert_trainers_agree(seed, batch, dim, classes, epochs, 0.5);
     }
 
     #[test]
@@ -236,6 +325,47 @@ fn kernel_larger_than_input_matches() {
         reference::conv2d_q(&qin, &p, &wq, &bq),
         kernels::conv2d_q(&qin, &p, &wq, &bq)
     );
+}
+
+/// Every term `-0.0` and a `-0.0` bias: a fold from `+0.0` gives `+0.0`
+/// where `Iterator::sum`, which folds from `-0.0`, would keep the sign.
+/// References and kernels must agree on the `+0.0` start.
+#[test]
+fn all_negative_zero_terms_fold_from_positive_zero() {
+    let row = vec![0.0f32, -0.0];
+    let weights = [-0.5f32, 0.25];
+    let bias = [-0.0f32];
+    let want = reference::dense_f32(&Tensor::vector(row.clone()), 1, false, &weights, &bias);
+    assert_eq!(bits(&want), [0.0f32.to_bits()]);
+    let got = kernels::dense_f32(&Tensor::vector(row.clone()), 1, false, &weights, &bias);
+    assert_eq!(bits(&want), bits(&got));
+    let mut batched = [1.0f32];
+    kernels::dense_f32_batch_into(&row, 2, 1, &weights, &bias, &mut batched);
+    assert_eq!(bits(&want), slice_bits(&batched));
+
+    let p = ConvParams {
+        in_ch: 2,
+        out_ch: 1,
+        k: 1,
+        stride: 1,
+        pad: 0,
+        relu: false,
+    };
+    let input = Tensor::from_vec(1, 1, 2, row);
+    let want = reference::conv2d_f32(&input, &p, &weights, &bias);
+    assert_eq!(bits(&want), [0.0f32.to_bits()]);
+    assert_eq!(
+        bits(&want),
+        bits(&kernels::conv2d_f32(&input, &p, &weights, &bias))
+    );
+}
+
+/// The trainer at Inception's readout shape (200 fit images, 896
+/// features, 50 classes), where every tile edge of the batched products
+/// is ragged except the feature one.
+#[test]
+fn trainer_matches_the_reference_at_inception_shape() {
+    assert_trainers_agree(7, 200, 896, 50, 2, 1.0);
 }
 
 /// Every benchmark CNN (plus VGGNet at paper scale), quantized to the
