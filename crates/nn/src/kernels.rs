@@ -40,12 +40,19 @@
 //!   into a fused multiply-add, so the vectorized folds round exactly
 //!   as the scalar ones.
 //!
+//! * **The rounding pass** [`round_codes_into`] turns every staged
+//!   activation value of the quantized executor into a code,
+//!   `v.round().clamp(lo, hi) as i8`. It is exact by construction: the
+//!   body spells `f32::round`, and like the GEMM it is compiled a second
+//!   time with AVX2, where the rounding vectorizes, and picked at run time.
+//!
 //! All inference `_into` variants write into caller-provided buffers and
 //! borrow their temporaries from a [`Scratch`] arena, so a warmed-up
 //! executor performs no per-inference allocations.
 
 use crate::graph::ConvParams;
 use crate::tensor::{QTensor, Tensor};
+use redvolt_num::fixed::IntFormat;
 
 /// Output-pixel tile width of the integer GEMM: the weight row fetched
 /// for an output channel is reused across this many im2col panel rows
@@ -612,6 +619,52 @@ fn gemm_q_dispatch(
     gemm_q(panel, tile, k2ic, wcodes, out_ch, bias_q, acc)
 }
 
+/// Rounds staged values to activation codes of `format`:
+/// `codes[i] = vals[i].round().clamp(lo, hi) as i8` over the format's
+/// code range `lo..=hi`, with halfway cases away from zero and NaN to 0.
+///
+/// Every activation code of the quantized executor comes from this one
+/// pass. Its body spells `f32::round`, so it is exact by construction
+/// in both builds: on x86-64's SSE2 baseline that is a call to libm
+/// `roundf` per element, while the AVX2 build (chosen by the same
+/// runtime detection as the GEMM) lowers it inline to `vroundps` and
+/// vectorizes the loop.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn round_codes_into(vals: &[f32], format: IntFormat, codes: &mut [i8]) {
+    assert_eq!(vals.len(), codes.len(), "code buffer length");
+    let lo = format.min_value() as f32;
+    let hi = format.max_value() as f32;
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { round_codes_avx2(vals, lo, hi, codes) };
+    }
+    round_codes(vals, lo, hi, codes)
+}
+
+/// The body of [`round_codes_into`], inlined into both builds.
+#[inline(always)]
+fn round_codes(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
+    for (code, &v) in codes.iter_mut().zip(vals) {
+        *code = v.round().clamp(lo, hi) as i8;
+    }
+}
+
+/// [`round_codes`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn round_codes_avx2(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
+    round_codes(vals, lo, hi, codes)
+}
+
 /// Optimized integer convolution returning fresh accumulators.
 pub fn conv2d_q(input: &QTensor, p: &ConvParams, wcodes: &[i8], bias_q: &[i32]) -> Vec<i32> {
     let (oh, ow) = p.out_hw(input.h(), input.w());
@@ -660,6 +713,7 @@ pub fn dense_q(
 mod tests {
     use super::*;
     use crate::reference;
+    use redvolt_num::rng::Xoshiro256StarStar;
 
     fn tensor(h: usize, w: usize, c: usize, seed: f32) -> Tensor {
         Tensor::from_vec(
@@ -768,5 +822,97 @@ mod tests {
             reference::dense_q(&input, 23, 5, &wcodes, &bias_q),
             dense_q(&input, 23, 5, &wcodes, &bias_q)
         );
+    }
+
+    /// Runs each build of the rounding pass the CPU supports over `vals`
+    /// and checks every code against the scalar spelling
+    /// `v.round().clamp(lo, hi) as i8`.
+    fn check_round_codes(vals: &[f32], format: IntFormat) {
+        let (lo, hi) = (format.min_value() as f32, format.max_value() as f32);
+        let want: Vec<i8> = vals.iter().map(|v| v.round().clamp(lo, hi) as i8).collect();
+        let check = |build: &str, codes: &[i8]| {
+            if let Some(i) = (0..vals.len()).find(|&i| codes[i] != want[i]) {
+                panic!(
+                    "{build} build, INT{}: input {:e} (bits {:#010x}) gave {}, want {}",
+                    format.bits(),
+                    vals[i],
+                    vals[i].to_bits(),
+                    codes[i],
+                    want[i]
+                );
+            }
+        };
+        let mut codes = vec![0i8; vals.len()];
+        round_codes(vals, lo, hi, &mut codes);
+        check("plain", &codes);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            codes.fill(0);
+            // SAFETY: AVX2 support was just verified.
+            unsafe { round_codes_avx2(vals, lo, hi, &mut codes) };
+            check("AVX2", &codes);
+        }
+    }
+
+    #[test]
+    fn round_codes_is_exact_at_ties_edges_and_specials() {
+        let mut rng = Xoshiro256StarStar::seed_from(17);
+        let random_bits: Vec<f32> = (0..1 << 16)
+            .map(|_| f32::from_bits(rng.next_u64() as u32))
+            .collect();
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for bits in 4..=8 {
+            let format = IntFormat::new(bits).expect("bits in 1..=8");
+            let mut vals = specials.to_vec();
+            for k in format.min_value() - 2..=format.max_value() + 2 {
+                for half in [k as f32 - 0.5, k as f32 + 0.5] {
+                    vals.extend([half.next_down(), half, half.next_up()]);
+                }
+            }
+            vals.extend(&random_bits);
+            check_round_codes(&vals, format);
+            // One value at a time runs only the loops' scalar tails.
+            for v in &vals[..vals.len() - random_bits.len()] {
+                check_round_codes(std::slice::from_ref(v), format);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 bit patterns; run in release with --ignored"]
+    fn round_codes_is_exact_on_every_f32() {
+        const CHUNK: u64 = 1 << 16;
+        let chunks = (1u64 << 32) / CHUNK;
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+        std::thread::scope(|scope| {
+            for first in 0..threads {
+                scope.spawn(move || {
+                    let mut vals = vec![0.0f32; CHUNK as usize];
+                    for chunk in (first..chunks).step_by(threads as usize) {
+                        for (j, v) in (chunk * CHUNK..).zip(vals.iter_mut()) {
+                            *v = f32::from_bits(j as u32);
+                        }
+                        for bits in [8, 4] {
+                            check_round_codes(&vals, IntFormat::new(bits).expect("valid width"));
+                        }
+                    }
+                });
+            }
+        });
     }
 }

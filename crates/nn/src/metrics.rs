@@ -16,27 +16,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
     hits as f64 / labels.len() as f64
 }
 
-/// Top-k accuracy given per-image score vectors.
-///
-/// # Panics
-///
-/// Panics if lengths mismatch, `k == 0`, or any score vector is shorter
-/// than `k`.
-pub fn top_k_accuracy(scores: &[Vec<f32>], labels: &[usize], k: usize) -> f64 {
-    assert_eq!(scores.len(), labels.len(), "length mismatch");
-    assert!(k > 0 && !labels.is_empty(), "bad arguments");
-    let mut hits = 0usize;
-    for (s, &label) in scores.iter().zip(labels) {
-        assert!(s.len() >= k, "score vector shorter than k");
-        let mut idx: Vec<usize> = (0..s.len()).collect();
-        idx.sort_by(|&a, &b| s[b].partial_cmp(&s[a]).expect("finite scores"));
-        if idx[..k].contains(&label) {
-            hits += 1;
-        }
-    }
-    hits as f64 / labels.len() as f64
-}
-
 /// A confusion matrix over `classes` classes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Confusion {
@@ -106,21 +85,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_validates_lengths() {
         accuracy(&[1], &[1, 2]);
-    }
-
-    #[test]
-    fn top_k_is_monotone_in_k() {
-        let scores = vec![
-            vec![0.1, 0.5, 0.4],
-            vec![0.7, 0.2, 0.1],
-            vec![0.3, 0.3, 0.4],
-        ];
-        let labels = [2, 1, 0];
-        let t1 = top_k_accuracy(&scores, &labels, 1);
-        let t2 = top_k_accuracy(&scores, &labels, 2);
-        let t3 = top_k_accuracy(&scores, &labels, 3);
-        assert!(t1 <= t2 && t2 <= t3);
-        assert_eq!(t3, 1.0);
     }
 
     #[test]

@@ -196,7 +196,9 @@ pub struct ExecScratch {
     /// weight bits in place, so a faulted layer's codes are copied here,
     /// flipped, and the kernel runs on the copy.
     wbuf: Vec<i8>,
-    /// Float staging buffer (softmax input, dequantized logits).
+    /// Float staging buffer: a stage's output values, in output order,
+    /// before [`kernels::round_codes_into`] turns them into codes (and
+    /// the softmax probabilities).
     fbuf: Vec<f32>,
     /// Float logits of the output node, valid after a forward pass.
     final_float: Vec<f32>,
@@ -410,17 +412,6 @@ impl QuantizedGraph {
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
         self.num_classes
-    }
-
-    /// Total quantized weight codes (fault-site count for weight fetches).
-    pub fn weight_code_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match &n.op {
-                QOp::Conv { wcodes, .. } | QOp::Dense { wcodes, .. } => wcodes.len(),
-                _ => 0,
-            })
-            .sum()
     }
 
     /// Root-mean-square error between this graph's dequantized weights
@@ -647,14 +638,17 @@ impl QuantizedGraph {
         }
         // Recalibrate the readout's output activation scale on the new
         // logits (float estimate: features x new weights).
-        let mut max_abs = 0.0f32;
-        for f in &features {
-            for o in 0..classes {
-                let row = &weights[o * dim..(o + 1) * dim];
-                let z = bias[o] + f.iter().zip(row).map(|(a, b)| a * b).sum::<f32>();
-                max_abs = max_abs.max(z.abs());
-            }
-        }
+        let batch = features.len();
+        let mut logits = vec![0.0f32; batch * classes];
+        kernels::dense_f32_batch_into(
+            &crate::train::feature_major(&features),
+            dim,
+            batch,
+            &weights,
+            &bias,
+            &mut logits,
+        );
+        let max_abs = logits.iter().fold(0.0f32, |m, &z| m.max(z.abs()));
         if max_abs > 0.0 {
             self.nodes[readout].out_scale = max_abs / self.format.max_value() as f32;
         }
@@ -786,7 +780,7 @@ impl QuantizedGraph {
             let (before, rest) = acts.split_at_mut(id);
             let out = &mut rest[0];
             match &node.op {
-                QOp::Input => quantize_image_into(image, out_scale, format, out),
+                QOp::Input => quantize_image_into(image, out_scale, format, fbuf, out),
                 QOp::Conv {
                     params: ConvParams { relu, .. },
                     rescales,
@@ -822,7 +816,7 @@ impl QuantizedGraph {
                     });
                     // Activation stage.
                     checked_stage(mode, stats, || {
-                        requantize_into(acc, shape, rescales, out_scale, *relu, format, out);
+                        requantize_into(acc, shape, rescales, out_scale, *relu, format, fbuf, out);
                         let clean = mode.is_on().then(|| IntChecksum::of(&out.codes));
                         for f in injector.plan_activation_faults(
                             sites.name,
@@ -835,11 +829,17 @@ impl QuantizedGraph {
                     });
                 }
                 QOp::MaxPool { k, stride } => max_pool_q_into(&before[inputs[0]], *k, *stride, out),
-                QOp::AvgPool { k, stride } => {
-                    avg_pool_q_into(&before[inputs[0]], *k, *stride, out_scale, format, out)
-                }
+                QOp::AvgPool { k, stride } => avg_pool_q_into(
+                    &before[inputs[0]],
+                    *k,
+                    *stride,
+                    out_scale,
+                    format,
+                    fbuf,
+                    out,
+                ),
                 QOp::GlobalAvgPool => {
-                    global_avg_pool_q_into(&before[inputs[0]], out_scale, format, out)
+                    global_avg_pool_q_into(&before[inputs[0]], out_scale, format, fbuf, out)
                 }
                 QOp::Add { relu } => add_q_into(
                     &before[inputs[0]],
@@ -847,9 +847,10 @@ impl QuantizedGraph {
                     out_scale,
                     *relu,
                     format,
+                    fbuf,
                     out,
                 ),
-                QOp::Concat => concat_q_into(inputs, before, shape, out_scale, format, out),
+                QOp::Concat => concat_q_into(inputs, before, shape, out_scale, format, fbuf, out),
                 QOp::Softmax => {
                     // Dequantize the logits into the float staging buffer
                     // and apply a numerically-stable softmax in place.
@@ -875,12 +876,11 @@ impl QuantizedGraph {
                         };
                     }
                     // Store probabilities quantized on the out scale.
-                    out.reset(1, 1, fbuf.len(), out_scale);
-                    let hi = format.max_value() as f32;
-                    let lo = format.min_value() as f32;
-                    for (code, &v) in out.codes.iter_mut().zip(fbuf.iter()) {
-                        *code = (v / out_scale).round().clamp(lo, hi) as i8;
+                    for v in fbuf.iter_mut() {
+                        *v /= out_scale;
                     }
+                    out.reset(1, 1, fbuf.len(), out_scale);
+                    kernels::round_codes_into(fbuf, format, &mut out.codes);
                 }
             }
         }
@@ -1073,13 +1073,17 @@ fn runtime_scale_of(nodes: &[QNode], mut id: usize) -> f32 {
     }
 }
 
-fn quantize_image_into(image: &Tensor, scale: f32, format: IntFormat, out: &mut QTensor) {
+fn quantize_image_into(
+    image: &Tensor,
+    scale: f32,
+    format: IntFormat,
+    fbuf: &mut Vec<f32>,
+    out: &mut QTensor,
+) {
+    fbuf.clear();
+    fbuf.extend(image.data().iter().map(|&v| v / scale));
     out.reset(image.h(), image.w(), image.c(), scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    for (code, &v) in out.codes.iter_mut().zip(image.data()) {
-        *code = (v / scale).round().clamp(lo, hi) as i8;
-    }
+    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
 /// Stages transient weight faults for one kernel pass without touching
@@ -1121,7 +1125,7 @@ fn flip_code(code: &mut i8, bit: u32, format: IntFormat) {
 }
 
 /// Requantizes accumulators to the output scale with per-channel rescale
-/// factors (HWC layout: channel = index % c).
+/// factors, one pixel (HWC layout: `c` consecutive channels) at a time.
 #[allow(clippy::too_many_arguments)]
 fn requantize_into(
     acc: &[i32],
@@ -1130,20 +1134,24 @@ fn requantize_into(
     out_scale: f32,
     relu: bool,
     format: IntFormat,
+    fbuf: &mut Vec<f32>,
     out: &mut QTensor,
 ) {
     debug_assert_eq!(rescales.len(), shape.c);
-    out.reset(shape.h, shape.w, shape.c, out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
     let c = shape.c;
-    for (i, (code, &a)) in out.codes.iter_mut().zip(acc).enumerate() {
-        let mut v = a as f32 * rescales[i % c];
-        if relu && v < 0.0 {
-            v = 0.0;
-        }
-        *code = v.round().clamp(lo, hi) as i8;
+    fbuf.clear();
+    for pixel in 0..shape.h * shape.w {
+        fbuf.extend(acc[pixel * c..][..c].iter().zip(rescales).map(|(&a, &r)| {
+            let v = a as f32 * r;
+            if relu && v < 0.0 {
+                0.0
+            } else {
+                v
+            }
+        }));
     }
+    out.reset(shape.h, shape.w, shape.c, out_scale);
+    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
 fn max_pool_q_into(input: &QTensor, k: usize, stride: usize, out: &mut QTensor) {
@@ -1177,15 +1185,14 @@ fn avg_pool_q_into(
     stride: usize,
     out_scale: f32,
     format: IntFormat,
+    fbuf: &mut Vec<f32>,
     out: &mut QTensor,
 ) {
     let oh = (input.h() - k) / stride + 1;
     let ow = (input.w() - k) / stride + 1;
     let c = input.c();
     let rescale = input.scale / ((k * k) as f32 * out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    out.reset(oh, ow, c, out_scale);
+    fbuf.clear();
     for oy in 0..oh {
         for ox in 0..ow {
             for ch in 0..c {
@@ -1196,21 +1203,26 @@ fn avg_pool_q_into(
                         s += i32::from(input.codes[idx]);
                     }
                 }
-                out.codes[(oy * ow + ox) * c + ch] =
-                    (s as f32 * rescale).round().clamp(lo, hi) as i8;
+                fbuf.push(s as f32 * rescale);
             }
         }
     }
+    out.reset(oh, ow, c, out_scale);
+    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
 /// Global average pooling; see [`avg_pool_q_into`] for the precision model.
-fn global_avg_pool_q_into(input: &QTensor, out_scale: f32, format: IntFormat, out: &mut QTensor) {
+fn global_avg_pool_q_into(
+    input: &QTensor,
+    out_scale: f32,
+    format: IntFormat,
+    fbuf: &mut Vec<f32>,
+    out: &mut QTensor,
+) {
     let c = input.c();
     let n = (input.h() * input.w()) as f32;
     let rescale = input.scale / (n * out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    out.reset(1, 1, c, out_scale);
+    fbuf.clear();
     for ch in 0..c {
         let mut s = 0i32;
         for y in 0..input.h() {
@@ -1218,8 +1230,10 @@ fn global_avg_pool_q_into(input: &QTensor, out_scale: f32, format: IntFormat, ou
                 s += i32::from(input.codes[(y * input.w() + x) * c + ch]);
             }
         }
-        out.codes[ch] = (s as f32 * rescale).round().clamp(lo, hi) as i8;
+        fbuf.push(s as f32 * rescale);
     }
+    out.reset(1, 1, c, out_scale);
+    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
 fn add_q_into(
@@ -1228,45 +1242,43 @@ fn add_q_into(
     out_scale: f32,
     relu: bool,
     format: IntFormat,
+    fbuf: &mut Vec<f32>,
     out: &mut QTensor,
 ) {
-    out.reset(a.h(), a.w(), a.c(), out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    for i in 0..out.codes.len() {
-        let mut v = (f32::from(a.codes[i]) * a.scale + f32::from(b.codes[i]) * b.scale) / out_scale;
+    fbuf.clear();
+    fbuf.extend(a.codes.iter().zip(&b.codes).map(|(&qa, &qb)| {
+        let v = (f32::from(qa) * a.scale + f32::from(qb) * b.scale) / out_scale;
         if relu && v < 0.0 {
-            v = 0.0;
+            0.0
+        } else {
+            v
         }
-        out.codes[i] = v.round().clamp(lo, hi) as i8;
-    }
+    }));
+    out.reset(a.h(), a.w(), a.c(), out_scale);
+    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
+/// Concatenates along channels: per output pixel, each input's channel
+/// run in input order, rescaled to the output scale.
 fn concat_q_into(
     input_ids: &[usize],
     acts: &[QTensor],
     shape: Shape,
     out_scale: f32,
     format: IntFormat,
+    fbuf: &mut Vec<f32>,
     out: &mut QTensor,
 ) {
-    out.reset(shape.h, shape.w, shape.c, out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    for y in 0..shape.h {
-        for x in 0..shape.w {
-            let mut off = 0;
-            for &ti in input_ids {
-                let t = &acts[ti];
-                for ch in 0..t.c() {
-                    let v = f32::from(t.codes[(y * t.w() + x) * t.c() + ch]) * t.scale / out_scale;
-                    out.codes[(y * shape.w + x) * shape.c + off + ch] =
-                        v.round().clamp(lo, hi) as i8;
-                }
-                off += t.c();
-            }
+    fbuf.clear();
+    for pixel in 0..shape.h * shape.w {
+        for &ti in input_ids {
+            let t = &acts[ti];
+            let run = &t.codes[pixel * t.c()..][..t.c()];
+            fbuf.extend(run.iter().map(|&q| f32::from(q) * t.scale / out_scale));
         }
     }
+    out.reset(shape.h, shape.w, shape.c, out_scale);
+    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
 #[cfg(test)]
@@ -1429,15 +1441,6 @@ mod tests {
         let g = b.finish(y);
         let img = Tensor::vector(vec![0.1, 0.2]);
         assert!(QuantizedGraph::quantize(&g, 8, &[img]).is_err());
-    }
-
-    #[test]
-    fn weight_code_count_matches_params() {
-        let g = small_graph();
-        let imgs = calib_images();
-        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
-        // conv weights 54 + dense weights 48.
-        assert_eq!(q.weight_code_count(), 54 + 48);
     }
 
     #[test]

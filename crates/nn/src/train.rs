@@ -54,12 +54,7 @@ pub fn fit_softmax_regression(
     // The fit set, sample-major for the gradient and feature-major for
     // the logits, laid out once for every epoch.
     let x = features.concat();
-    let mut x_t = vec![0.0f32; x.len()];
-    for (s, f) in features.iter().enumerate() {
-        for (i, &v) in f.iter().enumerate() {
-            x_t[i * batch + s] = v;
-        }
-    }
+    let x_t = feature_major(features);
     let mut logits = vec![0.0f32; batch * classes];
     let mut err = vec![0.0f32; batch * classes];
     let mut exps = vec![0.0f32; classes];
@@ -92,6 +87,20 @@ pub fn fit_softmax_regression(
             *b -= learning_rate * g / n;
         }
     }
+}
+
+/// Lays equal-length feature vectors out feature-major, as
+/// [`kernels::dense_f32_batch_into`] takes them: feature `i` of sample `s`
+/// lands at `i * features.len() + s`.
+pub(crate) fn feature_major(features: &[Vec<f32>]) -> Vec<f32> {
+    let batch = features.len();
+    let mut x_t = vec![0.0f32; features.first().map_or(0, Vec::len) * batch];
+    for (s, f) in features.iter().enumerate() {
+        for (i, &v) in f.iter().enumerate() {
+            x_t[i * batch + s] = v;
+        }
+    }
+    x_t
 }
 
 #[cfg(test)]

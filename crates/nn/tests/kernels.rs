@@ -8,7 +8,11 @@
 //! * integer kernels produce identical `i32` accumulators (associative
 //!   arithmetic, so any blocking/reordering must still be exact);
 //! * a whole quantized model gives bit-identical logits on either set of
-//!   kernels (`QuantizedGraph::set_reference_kernels`);
+//!   kernels (`QuantizedGraph::set_reference_kernels`). The switch swaps
+//!   only the conv and dense accumulators: both sides turn values into
+//!   activation codes with the same rounding pass
+//!   (`kernels::round_codes_into`), so its ground truth is not here but
+//!   in the exactness tests beside it in `redvolt_nn::kernels`;
 //! * the batched readout trainer leaves bit-identical weights and biases
 //!   to `reference::fit_softmax_regression`. Parameters are compared, not
 //!   logits: the reference's `Iterator::sum` folds from `-0.0` and the
