@@ -17,13 +17,24 @@
 //!
 //! * **Integer kernels** accumulate `i8 × i8` products in `i32`, which is
 //!   associative (wrapping arithmetic forms a group), so they are free to
-//!   reorder: a zero-padded im2col panel is built for a tile of output
-//!   pixels and multiplied as a cache-blocked GEMM — four output channels
-//!   advance together so every panel load is reused across four weight
-//!   rows, and the full `k·k·ic` dot product vectorizes cleanly. On
-//!   x86-64 the GEMM microkernel is additionally compiled for AVX2 and
-//!   selected by runtime feature detection; integer arithmetic is exact,
-//!   so both code paths produce identical accumulators.
+//!   reorder. A conv or dense layer's weights are packed once, at quantize
+//!   time, into a [`PackedQ`]: blocks of 16 output channels in which each
+//!   reduction pair `(2p, 2p + 1)` holds the block's 16 channels' two codes
+//!   interleaved, with zeros past `out_ch` and past the reduction length
+//!   K. A tile of output pixels becomes a zero-padded im2col panel of
+//!   sign-extended `i16` codes, K padded to even, and the GEMM microkernel
+//!   vectorizes across output channels rather than along K: per pair it
+//!   broadcasts each panel row's two codes and multiply-adds them against
+//!   a whole block, so even ResNet50's short 1×1 reductions (K = 8) fill
+//!   every lane. There are two builds over the one layout, picked by
+//!   runtime feature detection: AVX2 `std::arch` intrinsics (`vpmovsxbw`,
+//!   `vpbroadcastd`, `vpmaddwd`, `vpaddd`; 4 rows × 16 channels of
+//!   accumulators) and a plain-Rust body elsewhere. Both are exact: a pair
+//!   sum of two sign-extended `i8` products is at most 2·128·128 = 32768
+//!   in magnitude, which fits `i32`, so `vpmaddwd`'s one wrapping case
+//!   (−32768 × −32768 in both halves) cannot occur, and `vpaddd` wraps like
+//!   the release-mode scalar `+`. The accumulators are identical for any
+//!   codes, fault-flipped ones included.
 //!
 //! * **Batched float kernels** serve the readout trainer
 //!   ([`crate::train`]), whose fit set stays the same for every epoch.
@@ -43,8 +54,8 @@
 //! * **The rounding pass** [`round_codes_into`] turns every staged
 //!   activation value of the quantized executor into a code,
 //!   `v.round().clamp(lo, hi) as i8`. It is exact by construction: the
-//!   body spells `f32::round`, and like the GEMM it is compiled a second
-//!   time with AVX2, where the rounding vectorizes, and picked at run time.
+//!   body spells `f32::round`, and it is compiled a second time with AVX2,
+//!   where the rounding vectorizes, and picked at run time like the GEMM.
 //!
 //! All inference `_into` variants write into caller-provided buffers and
 //! borrow their temporaries from a [`Scratch`] arena, so a warmed-up
@@ -54,10 +65,16 @@ use crate::graph::ConvParams;
 use crate::tensor::{QTensor, Tensor};
 use redvolt_num::fixed::IntFormat;
 
-/// Output-pixel tile width of the integer GEMM: the weight row fetched
-/// for an output channel is reused across this many im2col panel rows
-/// while hot in L1.
+/// Output-pixel tile width of the integer GEMM: a block of packed weights
+/// is reused across this many im2col panel rows while hot in L1.
 const QTILE: usize = 8;
+
+/// Output channels per block of [`PackedQ`], the lanes one microkernel
+/// pass fills: two AVX2 vectors of eight `i32` accumulators.
+const OC_BLOCK: usize = 16;
+
+/// Codes per reduction pair of a [`PackedQ`] block: every channel's two.
+const PAIR_CODES: usize = 2 * OC_BLOCK;
 
 /// Reusable kernel workspace (im2col panels and chunk tables). Create
 /// once, thread through every kernel call; buffers grow to the largest
@@ -68,8 +85,9 @@ pub struct Scratch {
     panel_f: Vec<f32>,
     /// Weight-row offsets of the valid chunks in `panel_f`.
     chunk_offs: Vec<usize>,
-    /// i8 im2col panel: `QTILE` zero-padded rows of `k·k·ic` codes.
-    panel_q: Vec<i8>,
+    /// Integer im2col panel: up to `QTILE` rows of `k·k·ic` sign-extended
+    /// codes, zero-padded to the packed weights' even width.
+    panel_q: Vec<i16>,
 }
 
 impl Scratch {
@@ -458,6 +476,122 @@ fn grad_tile<const C: usize, const F: usize>(
     }
 }
 
+/// The integer weights of a conv or dense layer, packed for the GEMM
+/// microkernel.
+///
+/// Logically they are `out_ch` rows of `depth` codes (the reduction
+/// length K), in the natural order `oc · depth + i` of
+/// [`crate::reference::conv2d_q`] and [`crate::reference::dense_q`].
+/// Stored, the rows are grouped into blocks of 16 output channels, and
+/// within a block each reduction pair `(2p, 2p + 1)` holds the 16
+/// channels' two codes interleaved, so one 32-byte load feeds the whole
+/// block for one pair. Codes past `out_ch` and past `depth` are zero.
+/// The layout stays private: callers address codes by natural index.
+#[derive(Debug, Default)]
+pub struct PackedQ {
+    out_ch: usize,
+    depth: usize,
+    codes: Vec<i8>,
+}
+
+impl Clone for PackedQ {
+    fn clone(&self) -> Self {
+        PackedQ {
+            out_ch: self.out_ch,
+            depth: self.depth,
+            codes: self.codes.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer, so staging a faulted copy into a warm
+    /// arena allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.out_ch = source.out_ch;
+        self.depth = source.depth;
+        self.codes.clone_from(&source.codes);
+    }
+}
+
+impl PackedQ {
+    /// Packs `out_ch` rows of `depth` codes given in natural order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != out_ch · depth`.
+    pub fn pack(codes: &[i8], out_ch: usize, depth: usize) -> PackedQ {
+        assert_eq!(codes.len(), out_ch * depth, "weight codes length");
+        let mut packed = PackedQ {
+            out_ch,
+            depth,
+            codes: vec![0; out_ch.div_ceil(OC_BLOCK) * depth.div_ceil(2) * PAIR_CODES],
+        };
+        for (index, &code) in codes.iter().enumerate() {
+            let at = packed.position(index);
+            packed.codes[at] = code;
+        }
+        packed
+    }
+
+    /// Output channels: the rows.
+    pub fn out_ch(&self) -> usize {
+        self.out_ch
+    }
+
+    /// Reduction length K: the codes per row.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Logical code count `out_ch · depth`, the length fault plans index.
+    pub fn len(&self) -> usize {
+        self.out_ch * self.depth
+    }
+
+    /// Whether there are no codes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The code at natural index `oc · depth + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn code_mut(&mut self, index: usize) -> &mut i8 {
+        let at = self.position(index);
+        &mut self.codes[at]
+    }
+
+    /// Every code, in natural order.
+    pub fn unpack(&self) -> Vec<i8> {
+        (0..self.len())
+            .map(|i| self.codes[self.position(i)])
+            .collect()
+    }
+
+    /// Reduction pairs per block: `depth` rounded up to even, halved.
+    fn pairs(&self) -> usize {
+        self.depth.div_ceil(2)
+    }
+
+    /// Codes per row of an im2col panel this layer multiplies: `depth`
+    /// rounded up to even.
+    fn panel_width(&self) -> usize {
+        2 * self.pairs()
+    }
+
+    /// The packed position of natural index `oc · depth + i`.
+    fn position(&self, index: usize) -> usize {
+        assert!(
+            index < self.len(),
+            "weight index {index} out of range for {} codes",
+            self.len()
+        );
+        let (oc, i) = (index / self.depth, index % self.depth);
+        ((oc / OC_BLOCK) * self.pairs() + i / 2) * PAIR_CODES + (oc % OC_BLOCK) * 2 + i % 2
+    }
+}
+
 /// Optimized integer convolution writing raw accumulators into `acc`
 /// (length `oh·ow·out_ch`). Produces values identical to
 /// [`crate::reference::conv2d_q`] — integer accumulation is associative,
@@ -465,35 +599,41 @@ fn grad_tile<const C: usize, const F: usize>(
 ///
 /// # Panics
 ///
-/// Panics if a buffer length does not match.
+/// Panics if a buffer length or the packed weights' shape does not match
+/// the parameters.
 pub fn conv2d_q_into(
     input: &QTensor,
     p: &ConvParams,
-    wcodes: &[i8],
+    weights: &PackedQ,
     bias_q: &[i32],
     scratch: &mut Scratch,
     acc: &mut [i32],
 ) {
     let (ih, iw, ic) = (input.h(), input.w(), input.c());
     let (oh, ow) = p.out_hw(ih, iw);
-    assert_eq!(acc.len(), oh * ow * p.out_ch, "accumulator buffer length");
-    assert_eq!(wcodes.len(), p.weight_count(), "weights length");
-    assert_eq!(bias_q.len(), p.out_ch, "bias length");
     let k2ic = p.k * p.k * ic;
+    assert_eq!(acc.len(), oh * ow * p.out_ch, "accumulator buffer length");
+    assert_eq!(
+        (weights.out_ch, weights.depth),
+        (p.out_ch, k2ic),
+        "packed weights shape"
+    );
+    assert_eq!(bias_q.len(), p.out_ch, "bias length");
+    let width = weights.panel_width();
     let pixels = oh * ow;
-    scratch.panel_q.resize(QTILE * k2ic, 0);
+    scratch.panel_q.resize(QTILE * width, 0);
     let mut tile_start = 0usize;
     while tile_start < pixels {
         let tile = QTILE.min(pixels - tile_start);
-        // Zero-padded im2col: out-of-bounds taps contribute exact zeros
-        // in integer arithmetic, so every panel row has the full k·k·ic
-        // layout of a weight row.
+        // Zero-padded im2col of sign-extended codes: out-of-bounds taps
+        // and the pad that makes K even contribute exact zeros, so every
+        // panel row has the packed weights' layout.
         for row in 0..tile {
             let pixel = tile_start + row;
             let (oy, ox) = (pixel / ow, pixel % ow);
             let base_y = (oy * p.stride) as isize - p.pad as isize;
             let base_x = (ox * p.stride) as isize - p.pad as isize;
-            let prow = &mut scratch.panel_q[row * k2ic..][..k2ic];
+            let prow = &mut scratch.panel_q[row * width..][..width];
             prow.fill(0);
             for ky in 0..p.k {
                 let y = base_y + ky as isize;
@@ -508,17 +648,18 @@ pub fn conv2d_q_into(
                 let in_off = ((y as usize) * iw + (base_x + x_lo as isize) as usize) * ic;
                 let w_off = (ky * p.k + x_lo) * ic;
                 let len = (x_hi - x_lo) * ic;
-                prow[w_off..w_off + len].copy_from_slice(&input.codes[in_off..in_off + len]);
+                for (d, &s) in prow[w_off..][..len]
+                    .iter_mut()
+                    .zip(&input.codes[in_off..][..len])
+                {
+                    *d = i16::from(s);
+                }
             }
         }
-        // Cache-blocked GEMM over the tile: weight rows stay hot in L1
-        // across the tile's panel rows, four output channels per pass.
-        gemm_q_dispatch(
-            &scratch.panel_q[..QTILE * k2ic],
+        gemm_packed_dispatch(
+            &scratch.panel_q[..tile * width],
             tile,
-            k2ic,
-            wcodes,
-            p.out_ch,
+            weights,
             bias_q,
             &mut acc[tile_start * p.out_ch..][..tile * p.out_ch],
         );
@@ -526,97 +667,207 @@ pub fn conv2d_q_into(
     }
 }
 
-/// The integer GEMM microkernel: `tile` panel rows × `out_ch` weight
-/// rows, `acc[row * out_ch + oc] = bias[oc] + panel_row · weight_row`.
+/// Optimized integer convolution returning fresh accumulators, with the
+/// weights in natural order like [`crate::reference::conv2d_q`]; packs
+/// them on every call.
+pub fn conv2d_q(input: &QTensor, p: &ConvParams, wcodes: &[i8], bias_q: &[i32]) -> Vec<i32> {
+    let (oh, ow) = p.out_hw(input.h(), input.w());
+    let weights = PackedQ::pack(wcodes, p.out_ch, p.k * p.k * input.c());
+    let mut acc = vec![0i32; oh * ow * p.out_ch];
+    conv2d_q_into(input, p, &weights, bias_q, &mut Scratch::new(), &mut acc);
+    acc
+}
+
+/// Optimized integer dense layer writing raw accumulators into `acc`.
+/// The input length and output count are the packed weights' `depth`
+/// and `out_ch`. Identical values to [`crate::reference::dense_q`].
 ///
-/// Four output channels advance as interleaved reductions so each panel
-/// element is loaded once per four weight rows; integer accumulation is
-/// associative, so the autovectorizer is free to widen the chains.
+/// # Panics
 ///
-/// `#[inline(always)]` so the body inlines into both the baseline and
-/// the [`gemm_q_avx2`] wrapper and is compiled at each feature level.
-#[inline(always)]
-fn gemm_q(
-    panel: &[i8],
-    tile: usize,
-    k2ic: usize,
-    wcodes: &[i8],
-    out_ch: usize,
+/// Panics if a buffer length does not match the packed weights.
+pub fn dense_q_into(
+    input: &QTensor,
+    weights: &PackedQ,
     bias_q: &[i32],
+    scratch: &mut Scratch,
     acc: &mut [i32],
 ) {
-    for row in 0..tile {
-        let prow = &panel[row * k2ic..][..k2ic];
-        let outs = &mut acc[row * out_ch..][..out_ch];
-        let mut oc = 0;
-        while oc + 4 <= out_ch {
-            let w0 = &wcodes[oc * k2ic..][..k2ic];
-            let w1 = &wcodes[(oc + 1) * k2ic..][..k2ic];
-            let w2 = &wcodes[(oc + 2) * k2ic..][..k2ic];
-            let w3 = &wcodes[(oc + 3) * k2ic..][..k2ic];
-            let (mut s0, mut s1, mut s2, mut s3) = (0i32, 0i32, 0i32, 0i32);
-            for ((((&x, &v0), &v1), &v2), &v3) in prow.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
-                let xw = i32::from(x);
-                s0 += xw * i32::from(v0);
-                s1 += xw * i32::from(v1);
-                s2 += xw * i32::from(v2);
-                s3 += xw * i32::from(v3);
+    assert_eq!(input.codes.len(), weights.depth, "dense input length");
+    assert_eq!(bias_q.len(), weights.out_ch, "bias length");
+    assert_eq!(acc.len(), weights.out_ch, "accumulator buffer length");
+    // A dense layer is a one-row GEMM: the input vector is the panel.
+    scratch.panel_q.clear();
+    scratch
+        .panel_q
+        .extend(input.codes.iter().map(|&c| i16::from(c)));
+    scratch.panel_q.resize(weights.panel_width(), 0);
+    gemm_packed_dispatch(&scratch.panel_q, 1, weights, bias_q, acc);
+}
+
+/// Optimized integer dense layer returning fresh accumulators, with the
+/// weights in natural order like [`crate::reference::dense_q`]; packs
+/// them on every call.
+pub fn dense_q(
+    input: &QTensor,
+    in_len: usize,
+    out_len: usize,
+    wcodes: &[i8],
+    bias_q: &[i32],
+) -> Vec<i32> {
+    let weights = PackedQ::pack(wcodes, out_len, in_len);
+    let mut acc = vec![0i32; out_len];
+    dense_q_into(input, &weights, bias_q, &mut Scratch::new(), &mut acc);
+    acc
+}
+
+/// The integer GEMM microkernel over `rows` panel rows of
+/// `w.panel_width()` sign-extended codes each:
+/// `acc[row · out_ch + oc] = bias_q[oc] + Σᵢ panel[row][i] · w(oc, i)`.
+///
+/// This is the plain-Rust build, for CPUs without AVX2. It walks the
+/// packed layout like [`gemm_packed_avx2`]: per row and block, sixteen
+/// accumulators start from the bias and add each reduction pair's two
+/// products.
+fn gemm_packed(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mut [i32]) {
+    let (out_ch, pairs) = (w.out_ch, w.pairs());
+    let width = w.panel_width();
+    assert_eq!(panel.len(), rows * width, "panel length");
+    assert_eq!(bias_q.len(), out_ch, "bias length");
+    assert_eq!(acc.len(), rows * out_ch, "accumulator buffer length");
+    for row in 0..rows {
+        let prow = &panel[row * width..][..width];
+        for oc0 in (0..out_ch).step_by(OC_BLOCK) {
+            let lanes = OC_BLOCK.min(out_ch - oc0);
+            let block = &w.codes[oc0 / OC_BLOCK * pairs * PAIR_CODES..][..pairs * PAIR_CODES];
+            let mut sums = [0i32; OC_BLOCK];
+            sums[..lanes].copy_from_slice(&bias_q[oc0..][..lanes]);
+            for (pair, x) in block.chunks_exact(PAIR_CODES).zip(prow.chunks_exact(2)) {
+                let (x0, x1) = (i32::from(x[0]), i32::from(x[1]));
+                for (s, wp) in sums.iter_mut().zip(pair.chunks_exact(2)) {
+                    *s += i32::from(wp[0]) * x0 + i32::from(wp[1]) * x1;
+                }
             }
-            outs[oc] = bias_q[oc] + s0;
-            outs[oc + 1] = bias_q[oc + 1] + s1;
-            outs[oc + 2] = bias_q[oc + 2] + s2;
-            outs[oc + 3] = bias_q[oc + 3] + s3;
-            oc += 4;
-        }
-        while oc < out_ch {
-            let ws = &wcodes[oc * k2ic..][..k2ic];
-            let mut sum = 0i32;
-            for (&x, &w) in prow.iter().zip(ws) {
-                sum += i32::from(x) * i32::from(w);
-            }
-            outs[oc] = bias_q[oc] + sum;
-            oc += 1;
+            acc[row * out_ch + oc0..][..lanes].copy_from_slice(&sums[..lanes]);
         }
     }
 }
 
-/// [`gemm_q`] recompiled with AVX2 enabled (256-bit widening multiplies).
+/// The AVX2 build of [`gemm_packed`], in `std::arch` intrinsics over the
+/// same packed layout (LLVM does not find `vpmaddwd` in the plain loop).
 ///
-/// # Safety
-///
-/// The caller must have verified AVX2 support
-/// (`is_x86_feature_detected!("avx2")`).
+/// Per block and reduction pair, `vpmovsxbw` widens the pair's 32 weight
+/// codes into two vectors of 8 channels × 2 codes. Each of up to four
+/// panel rows broadcasts its two codes (`vpbroadcastd`), and `vpmaddwd`
+/// plus `vpaddd` add both products into that row's two accumulators,
+/// which start from the bias. Leftover rows run one at a time, and a
+/// block narrower than 16 channels stores only its valid lanes. A pair
+/// sum is at most 2·128·128 = 32768 in magnitude, so `vpmaddwd` never
+/// wraps, and `vpaddd` wraps like the release-mode `+`: the accumulators
+/// equal [`gemm_packed`]'s for any codes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_q_avx2(
-    panel: &[i8],
-    tile: usize,
-    k2ic: usize,
-    wcodes: &[i8],
-    out_ch: usize,
-    bias_q: &[i32],
-    acc: &mut [i32],
-) {
-    gemm_q(panel, tile, k2ic, wcodes, out_ch, bias_q, acc)
+fn gemm_packed_avx2(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mut [i32]) {
+    use std::arch::x86_64::*;
+    let (out_ch, pairs) = (w.out_ch, w.pairs());
+    let width = w.panel_width();
+    // SAFETY: the raw-pointer reads below rely on these lengths. A panel
+    // read takes codes `row · width + 2p` and `+ 1` with `row < rows` and
+    // `p < pairs`, so below `rows · width`. A weight read takes 32 codes
+    // at `(block · pairs + p) · PAIR_CODES` with `block < out_ch / 16`
+    // rounded up and `p < pairs`, so within the packed codes.
+    assert_eq!(panel.len(), rows * width, "panel length");
+    assert_eq!(
+        w.codes.len(),
+        out_ch.div_ceil(OC_BLOCK) * pairs * PAIR_CODES,
+        "packed weights length"
+    );
+    assert_eq!(bias_q.len(), out_ch, "bias length");
+    assert_eq!(acc.len(), rows * out_ch, "accumulator buffer length");
+    for oc0 in (0..out_ch).step_by(OC_BLOCK) {
+        let lanes = OC_BLOCK.min(out_ch - oc0);
+        let mut edge = [0i32; OC_BLOCK];
+        edge[..lanes].copy_from_slice(&bias_q[oc0..][..lanes]);
+        // SAFETY: `edge` holds 16 `i32`, two 8-lane vectors.
+        let bias = unsafe {
+            [
+                _mm256_loadu_si256(edge.as_ptr().cast()),
+                _mm256_loadu_si256(edge.as_ptr().add(8).cast()),
+            ]
+        };
+        let block = oc0 / OC_BLOCK * pairs * PAIR_CODES;
+        // One register tile: `$rows` panel rows from `$row` against this
+        // block, two accumulators per row.
+        macro_rules! tile {
+            ($row:expr, $rows:literal) => {{
+                let row0 = $row;
+                let mut sums = [bias; $rows];
+                for p in 0..pairs {
+                    // SAFETY: pair `p` of this block is within the packed
+                    // codes (asserted length above).
+                    let (w0, w1) = unsafe {
+                        let at = w.codes.as_ptr().add(block + p * PAIR_CODES);
+                        (
+                            _mm256_cvtepi8_epi16(_mm_loadu_si128(at.cast())),
+                            _mm256_cvtepi8_epi16(_mm_loadu_si128(at.add(16).cast())),
+                        )
+                    };
+                    for (r, s) in sums.iter_mut().enumerate() {
+                        // SAFETY: row `row0 + r < rows` and pair `p` are
+                        // within the panel (asserted length above).
+                        let x = unsafe {
+                            panel
+                                .as_ptr()
+                                .add((row0 + r) * width + 2 * p)
+                                .cast::<i32>()
+                                .read_unaligned()
+                        };
+                        let x = _mm256_set1_epi32(x);
+                        s[0] = _mm256_add_epi32(s[0], _mm256_madd_epi16(w0, x));
+                        s[1] = _mm256_add_epi32(s[1], _mm256_madd_epi16(w1, x));
+                    }
+                }
+                for (r, s) in sums.iter().enumerate() {
+                    let dst = &mut acc[(row0 + r) * out_ch + oc0..][..lanes];
+                    let mut tail = [0i32; OC_BLOCK];
+                    let out = if lanes == OC_BLOCK {
+                        dst.as_mut_ptr()
+                    } else {
+                        tail.as_mut_ptr()
+                    };
+                    // SAFETY: `out` points at 16 `i32`, two 8-lane
+                    // vectors: all of `dst` for a full block, else `tail`.
+                    unsafe {
+                        _mm256_storeu_si256(out.cast(), s[0]);
+                        _mm256_storeu_si256(out.add(8).cast(), s[1]);
+                    }
+                    if lanes < OC_BLOCK {
+                        dst.copy_from_slice(&tail[..lanes]);
+                    }
+                }
+            }};
+        }
+        let mut row = 0;
+        while row + 4 <= rows {
+            tile!(row, 4);
+            row += 4;
+        }
+        while row < rows {
+            tile!(row, 1);
+            row += 1;
+        }
+    }
 }
 
-/// Picks the widest microkernel the CPU supports. The feature probe is a
-/// cached atomic load in `std`, so dispatching per tile is free.
-fn gemm_q_dispatch(
-    panel: &[i8],
-    tile: usize,
-    k2ic: usize,
-    wcodes: &[i8],
-    out_ch: usize,
-    bias_q: &[i32],
-    acc: &mut [i32],
-) {
+/// Runs the widest build of the integer GEMM the CPU supports. The
+/// feature probe is a cached atomic load in `std`, so dispatching per
+/// tile is free.
+fn gemm_packed_dispatch(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mut [i32]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified.
-        return unsafe { gemm_q_avx2(panel, tile, k2ic, wcodes, out_ch, bias_q, acc) };
+        return unsafe { gemm_packed_avx2(panel, rows, w, bias_q, acc) };
     }
-    gemm_q(panel, tile, k2ic, wcodes, out_ch, bias_q, acc)
+    gemm_packed(panel, rows, w, bias_q, acc)
 }
 
 /// Rounds staged values to activation codes of `format`:
@@ -663,50 +914,6 @@ fn round_codes(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
 #[target_feature(enable = "avx2")]
 unsafe fn round_codes_avx2(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
     round_codes(vals, lo, hi, codes)
-}
-
-/// Optimized integer convolution returning fresh accumulators.
-pub fn conv2d_q(input: &QTensor, p: &ConvParams, wcodes: &[i8], bias_q: &[i32]) -> Vec<i32> {
-    let (oh, ow) = p.out_hw(input.h(), input.w());
-    let mut acc = vec![0i32; oh * ow * p.out_ch];
-    let mut scratch = Scratch::new();
-    conv2d_q_into(input, p, wcodes, bias_q, &mut scratch, &mut acc);
-    acc
-}
-
-/// Optimized integer dense layer writing raw accumulators into `acc`.
-/// Identical values to [`crate::reference::dense_q`].
-///
-/// # Panics
-///
-/// Panics if a buffer length does not match.
-pub fn dense_q_into(
-    input: &QTensor,
-    in_len: usize,
-    out_len: usize,
-    wcodes: &[i8],
-    bias_q: &[i32],
-    acc: &mut [i32],
-) {
-    debug_assert_eq!(input.codes.len(), in_len);
-    assert_eq!(wcodes.len(), in_len * out_len, "weights length");
-    assert_eq!(bias_q.len(), out_len, "bias length");
-    assert_eq!(acc.len(), out_len, "accumulator buffer length");
-    // A dense layer is a one-row GEMM: the input vector is the panel.
-    gemm_q_dispatch(&input.codes, 1, in_len, wcodes, out_len, bias_q, acc);
-}
-
-/// Optimized integer dense layer returning fresh accumulators.
-pub fn dense_q(
-    input: &QTensor,
-    in_len: usize,
-    out_len: usize,
-    wcodes: &[i8],
-    bias_q: &[i32],
-) -> Vec<i32> {
-    let mut acc = vec![0i32; out_len];
-    dense_q_into(input, in_len, out_len, wcodes, bias_q, &mut acc);
-    acc
 }
 
 #[cfg(test)]
@@ -822,6 +1029,121 @@ mod tests {
             reference::dense_q(&input, 23, 5, &wcodes, &bias_q),
             dense_q(&input, 23, 5, &wcodes, &bias_q)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "dense input length")]
+    fn dense_q_rejects_an_input_longer_than_the_weights() {
+        let weights = PackedQ::pack(&[1; 8], 2, 4);
+        let mut acc = [0i32; 2];
+        dense_q_into(
+            &qtensor(1, 1, 5, 0),
+            &weights,
+            &[0; 2],
+            &mut Scratch::new(),
+            &mut acc,
+        );
+    }
+
+    #[test]
+    fn packed_weights_read_back_in_natural_order() {
+        for (out_ch, depth) in [(0, 3), (5, 0), (1, 1), (17, 7), (33, 10)] {
+            let natural: Vec<i8> = (0..out_ch * depth).map(|i| (i * 37 % 251) as i8).collect();
+            let mut packed = PackedQ::pack(&natural, out_ch, depth);
+            assert_eq!(packed.len(), natural.len());
+            assert_eq!(packed.unpack(), natural, "out_ch={out_ch} depth={depth}");
+            for i in 0..natural.len() {
+                *packed.code_mut(i) ^= 0x55;
+            }
+            let flipped: Vec<i8> = natural.iter().map(|&c| c ^ 0x55).collect();
+            assert_eq!(packed.unpack(), flipped, "out_ch={out_ch} depth={depth}");
+        }
+    }
+
+    /// Runs each build of the integer GEMM the CPU supports on `rows`
+    /// panel rows of `depth` codes `x(i)` against `out_ch` channels of
+    /// weights `w(i)`, and checks the accumulators against the reference
+    /// 1×1 convolution over the same codes (and, for one row, the
+    /// reference dense layer).
+    fn check_gemm(
+        rows: usize,
+        depth: usize,
+        out_ch: usize,
+        x: impl Fn(usize) -> i8,
+        w: impl Fn(usize) -> i8,
+    ) {
+        let mut input = QTensor::zeros(1, rows, depth, 1.0);
+        for (i, code) in input.codes.iter_mut().enumerate() {
+            *code = x(i);
+        }
+        let wcodes: Vec<i8> = (0..out_ch * depth).map(w).collect();
+        let bias_q: Vec<i32> = (0..out_ch).map(|oc| oc as i32 * 1013 - 7777).collect();
+        let p = ConvParams {
+            in_ch: depth,
+            out_ch,
+            k: 1,
+            stride: 1,
+            pad: 0,
+            relu: false,
+        };
+        let want = reference::conv2d_q(&input, &p, &wcodes, &bias_q);
+        if rows == 1 {
+            assert_eq!(
+                want,
+                reference::dense_q(&input, depth, out_ch, &wcodes, &bias_q)
+            );
+        }
+        let packed = PackedQ::pack(&wcodes, out_ch, depth);
+        let width = packed.panel_width();
+        let mut panel = vec![0i16; rows * width];
+        for (prow, codes) in panel
+            .chunks_mut(width.max(1))
+            .zip(input.codes.chunks(depth.max(1)))
+        {
+            for (d, &c) in prow.iter_mut().zip(codes) {
+                *d = i16::from(c);
+            }
+        }
+        let check = |build: &str, acc: &[i32]| {
+            assert_eq!(
+                acc, want,
+                "{build} build: rows={rows} depth={depth} out_ch={out_ch}"
+            );
+        };
+        let mut acc = vec![0i32; rows * out_ch];
+        gemm_packed(&panel, rows, &packed, &bias_q, &mut acc);
+        check("plain", &acc);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            acc.fill(0);
+            // SAFETY: AVX2 support was just verified.
+            unsafe { gemm_packed_avx2(&panel, rows, &packed, &bias_q, &mut acc) };
+            check("AVX2", &acc);
+        }
+    }
+
+    #[test]
+    fn both_gemm_builds_match_the_reference_kernels() {
+        let mut rng = Xoshiro256StarStar::seed_from(29);
+        let random: Vec<i8> = (0..4099).map(|_| rng.next_u64() as i8).collect();
+        let at = |i: usize| random[i % random.len()];
+        // Every block tail width, full blocks and the zero-channel layer;
+        // odd and even K, including K = 0 and K = 1; every tile height
+        // from one leftover row to two 4-row tiles and a leftover.
+        for out_ch in 0..=40 {
+            for depth in [0, 1, 2, 3, 8, 16, 27] {
+                for rows in 1..=9 {
+                    check_gemm(rows, depth, out_ch, at, |i| at(i * 7 + 1000));
+                }
+            }
+        }
+        // Extreme operands: all −128 × −128 gives the largest pair sums,
+        // and mixed 127 / −128 both signs of the extremes.
+        let mixed = |i: usize| if i.is_multiple_of(3) { 127 } else { -128 };
+        for (rows, depth, out_ch) in [(9, 64, 16), (5, 33, 40), (4, 1, 17), (1, 255, 3)] {
+            check_gemm(rows, depth, out_ch, |_| -128, |_| -128);
+            check_gemm(rows, depth, out_ch, mixed, |i| mixed(i + 1));
+        }
     }
 
     /// Runs each build of the rounding pass the CPU supports over `vals`

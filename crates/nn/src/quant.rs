@@ -79,7 +79,7 @@ enum QOp {
     Input,
     Conv {
         params: ConvParams,
-        wcodes: Vec<i8>,
+        weights: kernels::PackedQ,
         /// Per-output-channel weight scales (DECENT-style per-channel
         /// symmetric quantization, which keeps narrow formats usable).
         wscales: Vec<f32>,
@@ -93,7 +93,7 @@ enum QOp {
         in_len: usize,
         out_len: usize,
         relu: bool,
-        wcodes: Vec<i8>,
+        weights: kernels::PackedQ,
         /// Per-output-unit weight scales.
         wscales: Vec<f32>,
         bias_q: Vec<i32>,
@@ -193,9 +193,9 @@ pub struct ExecScratch {
     acts: Vec<QTensor>,
     acc: Vec<i32>,
     /// Copy-on-fault weight staging: shared-graph execution cannot flip
-    /// weight bits in place, so a faulted layer's codes are copied here,
-    /// flipped, and the kernel runs on the copy.
-    wbuf: Vec<i8>,
+    /// weight bits in place, so a faulted layer's packed codes are copied
+    /// here, flipped, and the kernel runs on the copy.
+    wstage: kernels::PackedQ,
     /// Float staging buffer: a stage's output values, in output order,
     /// before [`kernels::round_codes_into`] turns them into codes (and
     /// the softmax probabilities).
@@ -311,7 +311,7 @@ impl QuantizedGraph {
                         .collect();
                     QOp::Conv {
                         params: *params,
-                        wcodes,
+                        weights: kernels::PackedQ::pack(&wcodes, params.out_ch, k2ic),
                         wscales,
                         bias_q,
                         rescales,
@@ -352,7 +352,7 @@ impl QuantizedGraph {
                         in_len: *in_len,
                         out_len: *out_len,
                         relu: *relu,
-                        wcodes,
+                        weights: kernels::PackedQ::pack(&wcodes, *out_len, *in_len),
                         wscales,
                         bias_q,
                         rescales,
@@ -429,31 +429,20 @@ impl QuantizedGraph {
             match (&qn.op, &rn.op) {
                 (
                     QOp::Conv {
-                        params,
-                        wcodes,
+                        weights: packed,
                         wscales,
                         ..
-                    },
-                    Op::Conv { weights, .. },
-                ) => {
-                    let k2ic = params.k * params.k * params.in_ch;
-                    for (i, &w) in weights.iter().enumerate() {
-                        let deq = f32::from(wcodes[i]) * wscales[i / k2ic];
-                        sum += f64::from((deq - w) * (deq - w));
                     }
-                    count += weights.len();
-                }
-                (
-                    QOp::Dense {
-                        in_len,
-                        wcodes,
+                    | QOp::Dense {
+                        weights: packed,
                         wscales,
                         ..
                     },
-                    Op::Dense { weights, .. },
+                    Op::Conv { weights, .. } | Op::Dense { weights, .. },
                 ) => {
-                    for (i, &w) in weights.iter().enumerate() {
-                        let deq = f32::from(wcodes[i]) * wscales[i / in_len];
+                    let depth = packed.depth();
+                    for (i, (&w, code)) in weights.iter().zip(packed.unpack()).enumerate() {
+                        let deq = f32::from(code) * wscales[i / depth];
                         sum += f64::from((deq - w) * (deq - w));
                     }
                     count += weights.len();
@@ -592,7 +581,7 @@ impl QuantizedGraph {
         let QOp::Dense {
             in_len,
             out_len,
-            wcodes,
+            weights: packed,
             wscales,
             bias_q,
             ..
@@ -602,6 +591,7 @@ impl QuantizedGraph {
         };
         let (dim, classes) = (*in_len, *out_len);
         // Dequantize the current readout into float space.
+        let mut wcodes = packed.unpack();
         let mut weights = vec![0.0f32; wcodes.len()];
         for o in 0..classes {
             for i in 0..dim {
@@ -636,6 +626,7 @@ impl QuantizedGraph {
             wscales[o] = ws;
             bias_q[o] = (bias[o] / (in_scale * ws)).round() as i32;
         }
+        *packed = kernels::PackedQ::pack(&wcodes, classes, dim);
         // Recalibrate the readout's output activation scale on the new
         // logits (float estimate: features x new weights).
         let batch = features.len();
@@ -727,7 +718,7 @@ impl QuantizedGraph {
     /// Executes the graph into `scratch`: `scratch.acts[id]` holds every
     /// node's activation and `scratch.final_float` the output node's
     /// float logits. No allocation once the arena is warm, and no graph
-    /// mutation ever — weight faults stage through `scratch.wbuf`.
+    /// mutation ever — weight faults stage through `scratch.wstage`.
     fn run_shared(
         &self,
         image: &Tensor,
@@ -758,7 +749,7 @@ impl QuantizedGraph {
             kernels: ks,
             acts,
             acc,
-            wbuf,
+            wstage,
             fbuf,
             final_float,
             final_shape,
@@ -771,7 +762,7 @@ impl QuantizedGraph {
         #[allow(clippy::needless_range_loop)]
         for id in 0..nodes.len() {
             // The graph is read-only here — transient weight faults stage
-            // through `wbuf` — and the activation list splits at `id`;
+            // through `wstage` — and the activation list splits at `id`;
             // inputs always precede.
             let node = &nodes[id];
             let inputs = &node.inputs;
@@ -793,14 +784,15 @@ impl QuantizedGraph {
                         .expect("conv and dense layers have fault sites");
                     // Accumulator stage.
                     checked_stage(mode, stats, || {
-                        let (weights, weight_faulted) =
-                            faulted_weights(injector, &sites, format, wbuf);
+                        let flips = weight_flips(injector, &sites, format);
                         accumulate(
                             &node.op,
                             input,
-                            weights,
+                            &flips,
+                            format,
                             use_reference,
                             ks,
+                            wstage,
                             acc,
                             sites.acc_len,
                         );
@@ -808,11 +800,11 @@ impl QuantizedGraph {
                         for f in injector.plan_accumulator_faults(
                             sites.name,
                             sites.acc_len,
-                            sites.macs_per_out,
+                            sites.weights.depth(),
                         ) {
                             acc[f.index] ^= 1i32 << (f.bit % 31);
                         }
-                        !weight_faulted && clean.is_some_and(|c| IntChecksum::of(acc) == c)
+                        flips.is_empty() && clean.is_some_and(|c| IntChecksum::of(acc) == c)
                     });
                     // Activation stage.
                     checked_stage(mode, stats, || {
@@ -915,10 +907,10 @@ impl QuantizedGraph {
             .filter_map(|node| self.fault_sites(node))
             .all(|s| {
                 injector
-                    .plan_weight_faults(s.name, s.wcodes.len(), bits)
+                    .plan_weight_faults(s.name, s.weights.len(), bits)
                     .is_empty()
                     && injector
-                        .plan_accumulator_faults(s.name, s.acc_len, s.macs_per_out)
+                        .plan_accumulator_faults(s.name, s.acc_len, s.weights.depth())
                         .is_empty()
                     && injector
                         .plan_activation_faults(s.name, s.out_len, bits)
@@ -946,27 +938,24 @@ impl QuantizedGraph {
 
     /// The fault sites of `node`, `None` for a layer without weights.
     fn fault_sites<'a>(&self, node: &'a QNode) -> Option<FaultSites<'a>> {
-        let (wcodes, acc_len, macs_per_out) = match &node.op {
-            QOp::Conv { params, wcodes, .. } => {
+        let (weights, acc_len) = match &node.op {
+            QOp::Conv {
+                params, weights, ..
+            } => {
                 let input = self.nodes[node.inputs[0]].shape;
                 let (oh, ow) = params.out_hw(input.h, input.w);
-                let macs_per_out = params.k * params.k * params.in_ch;
-                (wcodes, oh * ow * params.out_ch, macs_per_out)
+                (weights, oh * ow * params.out_ch)
             }
             QOp::Dense {
-                in_len,
-                out_len,
-                wcodes,
-                ..
-            } => (wcodes, *out_len, *in_len),
+                out_len, weights, ..
+            } => (weights, *out_len),
             _ => return None,
         };
         let shape = node.shape;
         Some(FaultSites {
             name: &node.name,
-            wcodes,
+            weights,
             acc_len,
-            macs_per_out,
             out_len: shape.h * shape.w * shape.c,
         })
     }
@@ -977,10 +966,11 @@ impl QuantizedGraph {
 /// and `draws_no_faults` both read them from `fault_sites`.
 struct FaultSites<'a> {
     name: &'a str,
-    /// The weight codes one kernel pass fetches.
-    wcodes: &'a [i8],
+    /// The weight codes one kernel pass fetches; fault plans index them
+    /// in natural order, `weights.len()` of them. Each accumulator takes
+    /// `weights.depth()` MACs.
+    weights: &'a kernels::PackedQ,
     acc_len: usize,
-    macs_per_out: usize,
     out_len: usize,
 }
 
@@ -1014,46 +1004,59 @@ fn checked_stage(mode: DefenseMode, stats: &mut DefenseStats, mut pass: impl FnM
     }
 }
 
-/// Runs a conv or dense layer's kernel on `weights`, leaving its `len`
-/// raw accumulators in `acc`.
+/// Runs a conv or dense layer's kernel with the weight `flips` applied
+/// transiently, leaving its `len` raw accumulators in `acc`. Neither path
+/// touches the graph. The optimized kernels run on a copy of the packed
+/// codes staged in `wstage`, each flip at its natural index's packed
+/// position. The reference kernels flip their own natural-order copy at
+/// the natural index, so the whole-model differential tests check that
+/// every flip reaches the same weight on both sides.
+#[allow(clippy::too_many_arguments)]
 fn accumulate(
     op: &QOp,
     input: &QTensor,
-    weights: &[i8],
+    flips: &[BitFlip],
+    format: IntFormat,
     use_reference: bool,
     ks: &mut kernels::Scratch,
+    wstage: &mut kernels::PackedQ,
     acc: &mut Vec<i32>,
     len: usize,
 ) {
+    let (QOp::Conv {
+        weights, bias_q, ..
+    }
+    | QOp::Dense {
+        weights, bias_q, ..
+    }) = op
+    else {
+        unreachable!("only conv and dense layers accumulate");
+    };
     acc.clear();
+    if use_reference {
+        let mut codes = weights.unpack();
+        for f in flips {
+            flip_code(&mut codes[f.index], f.bit, format);
+        }
+        acc.extend(match op {
+            QOp::Conv { params, .. } => reference::conv2d_q(input, params, &codes, bias_q),
+            _ => reference::dense_q(input, weights.depth(), weights.out_ch(), &codes, bias_q),
+        });
+        return;
+    }
+    let weights = if flips.is_empty() {
+        weights
+    } else {
+        wstage.clone_from(weights);
+        for f in flips {
+            flip_code(wstage.code_mut(f.index), f.bit, format);
+        }
+        wstage
+    };
+    acc.resize(len, 0);
     match op {
-        QOp::Conv { params, bias_q, .. } if use_reference => {
-            acc.extend(reference::conv2d_q(input, params, weights, bias_q));
-        }
-        QOp::Dense {
-            in_len,
-            out_len,
-            bias_q,
-            ..
-        } if use_reference => {
-            acc.extend(reference::dense_q(
-                input, *in_len, *out_len, weights, bias_q,
-            ));
-        }
-        QOp::Conv { params, bias_q, .. } => {
-            acc.resize(len, 0);
-            kernels::conv2d_q_into(input, params, weights, bias_q, ks, acc);
-        }
-        QOp::Dense {
-            in_len,
-            out_len,
-            bias_q,
-            ..
-        } => {
-            acc.resize(len, 0);
-            kernels::dense_q_into(input, *in_len, *out_len, weights, bias_q, acc);
-        }
-        _ => unreachable!("only conv and dense layers accumulate"),
+        QOp::Conv { params, .. } => kernels::conv2d_q_into(input, params, weights, bias_q, ks, acc),
+        _ => kernels::dense_q_into(input, weights, bias_q, ks, acc),
     }
 }
 
@@ -1086,36 +1089,19 @@ fn quantize_image_into(
     kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
-/// Stages transient weight faults for one kernel pass without touching
-/// the graph: when the injector plans at least one in-range flip, the
-/// layer's codes are copied into `wbuf`, flipped there, and the staged
-/// copy is returned; a clean pass returns the original slice untouched.
-/// The bool says whether a weight was faulted, which the ABFT checksum
-/// stage reports as a mismatch.
-fn faulted_weights<'a>(
+/// The weight flips the injector plans for one kernel pass, in natural
+/// indices over the layer's `out_ch·K` codes. Flips past the end are
+/// dropped. A non-empty result means a faulted weight, which the ABFT
+/// checksum stage reports as a mismatch.
+fn weight_flips(
     injector: &mut dyn FaultInjector,
-    sites: &FaultSites<'a>,
+    sites: &FaultSites<'_>,
     format: IntFormat,
-    wbuf: &'a mut Vec<i8>,
-) -> (&'a [i8], bool) {
-    let wcodes = sites.wcodes;
-    let flips = injector.plan_weight_faults(sites.name, wcodes.len(), format.bits());
-    let mut faulted = false;
-    for f in flips {
-        if f.index < wcodes.len() {
-            if !faulted {
-                wbuf.clear();
-                wbuf.extend_from_slice(wcodes);
-                faulted = true;
-            }
-            flip_code(&mut wbuf[f.index], f.bit, format);
-        }
-    }
-    if faulted {
-        (wbuf.as_slice(), true)
-    } else {
-        (wcodes, false)
-    }
+) -> Vec<BitFlip> {
+    let len = sites.weights.len();
+    let mut flips = injector.plan_weight_faults(sites.name, len, format.bits());
+    flips.retain(|f| f.index < len);
+    flips
 }
 
 fn flip_code(code: &mut i8, bit: u32, format: IntFormat) {
@@ -1450,8 +1436,8 @@ mod tests {
         let mut q = QuantizedGraph::quantize(&g, 4, &imgs).unwrap();
         let _ = q.forward(&imgs[0]).unwrap();
         for n in &q.nodes {
-            if let QOp::Conv { wcodes, .. } | QOp::Dense { wcodes, .. } = &n.op {
-                for &c in wcodes {
+            if let QOp::Conv { weights, .. } | QOp::Dense { weights, .. } = &n.op {
+                for c in weights.unpack() {
                     assert!((-8..=7).contains(&i32::from(c)), "INT4 code {c}");
                 }
             }

@@ -8,8 +8,12 @@
 //! * integer kernels produce identical `i32` accumulators (associative
 //!   arithmetic, so any blocking/reordering must still be exact);
 //! * a whole quantized model gives bit-identical logits on either set of
-//!   kernels (`QuantizedGraph::set_reference_kernels`). The switch swaps
-//!   only the conv and dense accumulators: both sides turn values into
+//!   kernels (`QuantizedGraph::set_reference_kernels`), clean and under a
+//!   seeded stream of weight, accumulator and activation flips. The
+//!   switch swaps only the conv and dense accumulators: the reference
+//!   side reads weights in natural order and the optimized side packed
+//!   (`kernels::PackedQ`), so the faulted run checks that every weight
+//!   flip lands on the same weight. Both sides turn values into
 //!   activation codes with the same rounding pass
 //!   (`kernels::round_codes_into`), so its ground truth is not here but
 //!   in the exactness tests beside it in `redvolt_nn::kernels`;
@@ -28,12 +32,13 @@
 use proptest::prelude::*;
 use redvolt_nn::dataset::SyntheticDataset;
 use redvolt_nn::graph::ConvParams;
-use redvolt_nn::kernels::{self, Scratch};
+use redvolt_nn::kernels::{self, PackedQ, Scratch};
 use redvolt_nn::models::{ModelKind, ModelScale};
-use redvolt_nn::quant::QuantizedGraph;
+use redvolt_nn::quant::{BitFlip, FaultInjector, QuantizedGraph};
 use redvolt_nn::reference;
 use redvolt_nn::tensor::{QTensor, Tensor};
 use redvolt_nn::train;
+use redvolt_num::rng::Xoshiro256StarStar;
 
 /// Deterministic pseudo-random f32 in roughly [-0.6, 0.6], with the
 /// occasional exact zero and negative zero so sign-of-zero handling in
@@ -195,7 +200,7 @@ proptest! {
         ih in 1usize..8,
         iw in 1usize..8,
         ic in 1usize..6,
-        out_ch in 1usize..10,
+        out_ch in 1usize..40,
         k in 1usize..6,
         stride in 1usize..4,
         pad in 0usize..3,
@@ -220,7 +225,7 @@ proptest! {
     fn dense_q_exact_across_widths(
         seed in 0u64..1000,
         n in 1usize..60,
-        out_len in 1usize..12,
+        out_len in 1usize..40,
     ) {
         let mut input = QTensor::zeros(1, 1, n, 0.05);
         for (i, code) in input.codes.iter_mut().enumerate() {
@@ -271,8 +276,9 @@ proptest! {
             }
             let wq: Vec<i8> = (0..p.weight_count()).map(|i| i8_at(seed ^ 0x5, i)).collect();
             let bq: Vec<i32> = vec![11; p.out_ch];
+            let packed = PackedQ::pack(&wq, p.out_ch, p.k * p.k * p.in_ch);
             let mut acc = vec![0i32; oh * ow * p.out_ch];
-            kernels::conv2d_q_into(&qin, &p, &wq, &bq, &mut scratch, &mut acc);
+            kernels::conv2d_q_into(&qin, &p, &packed, &bq, &mut scratch, &mut acc);
             prop_assert_eq!(reference::conv2d_q(&qin, &p, &wq, &bq), acc);
         }
     }
@@ -399,4 +405,77 @@ fn whole_quantized_models_match_the_reference_kernels() {
             }
         }
     }
+}
+
+/// A seeded fault stream: each conv/dense layer execution draws 0–3
+/// weight flips, some at indices past the end that the executor must
+/// drop, 0–2 accumulator flips and 0–2 activation flips.
+#[derive(Clone)]
+struct SeededFlips(Xoshiro256StarStar);
+
+impl SeededFlips {
+    /// Up to `max` flips at indices below `bound`, bits below `bits`.
+    fn plan(&mut self, max: usize, bound: usize, bits: u32) -> Vec<BitFlip> {
+        if bound == 0 {
+            return Vec::new();
+        }
+        let n = self.0.next_index(max + 1);
+        (0..n)
+            .map(|_| BitFlip {
+                index: self.0.next_index(bound),
+                bit: self.0.next_bounded_u32(bits),
+            })
+            .collect()
+    }
+}
+
+impl FaultInjector for SeededFlips {
+    fn plan_weight_faults(&mut self, _: &str, len: usize, bits: u32) -> Vec<BitFlip> {
+        self.plan(3, len + len / 4 + 1, bits)
+    }
+
+    fn plan_accumulator_faults(&mut self, _: &str, len: usize, _: usize) -> Vec<BitFlip> {
+        self.plan(2, len, 31)
+    }
+
+    fn plan_activation_faults(&mut self, _: &str, len: usize, bits: u32) -> Vec<BitFlip> {
+        self.plan(2, len, bits)
+    }
+}
+
+/// The whole-model comparison under faults, for every benchmark CNN at
+/// tiny and at paper scale: identically seeded fault streams must give
+/// bit-identical logits on the reference and the optimized kernels.
+#[test]
+fn faulted_quantized_models_match_the_reference_kernels() {
+    let cases = ModelKind::ALL
+        .iter()
+        .flat_map(|&kind| [(kind, ModelScale::Tiny), (kind, ModelScale::Paper)]);
+    let mut perturbed = 0;
+    for (case, (kind, scale)) in cases.enumerate() {
+        let graph = kind.build(scale).fold_batch_norms();
+        let shape = graph.input_shape();
+        let ds = SyntheticDataset::new(shape.h, shape.w, shape.c, graph.num_classes(), 42);
+        for precision in [8, 4] {
+            let mut optimized = QuantizedGraph::quantize(&graph, precision, &ds.images(4)).unwrap();
+            let mut naive = optimized.clone();
+            naive.set_reference_kernels(true);
+            for i in 4..7 {
+                let image = ds.image(i).0;
+                let seed = (case * 100 + precision as usize * 10 + i) as u64;
+                let faults = SeededFlips(Xoshiro256StarStar::seed_from(seed));
+                let got = bits(&optimized.forward_with(&image, &mut faults.clone()).unwrap());
+                assert_eq!(
+                    bits(&naive.forward_with(&image, &mut faults.clone()).unwrap()),
+                    got,
+                    "{kind:?} {scale:?} INT{precision} image {i}"
+                );
+                if got != bits(&optimized.forward(&image).unwrap()) {
+                    perturbed += 1;
+                }
+            }
+        }
+    }
+    // The fault stream must actually reach the logits.
+    assert!(perturbed > 0, "no faulted run changed its logits");
 }
