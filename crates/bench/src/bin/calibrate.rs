@@ -6,38 +6,23 @@
 //! every hard-coded constant can be audited:
 //!
 //! ```text
-//! cargo run --release -p redvolt-bench --bin calibrate -- --jobs 3
+//! cargo run --release -p redvolt-bench --bin calibrate -- --prom-out calib.prom
 //! ```
 //!
-//! `--jobs N` shards the per-board-sample searches across worker threads
-//! (default: available parallelism). The checks are deterministic, so the
-//! report is identical for every N.
-//!
-//! `--journal PATH` write-ahead-journals each per-board Vmin/Vcrash
-//! search as it completes; `--resume` skips the journaled boards on a
-//! rerun. The fits themselves are cheap closed-form checks and always
-//! rerun.
-//!
-//! `--metrics-out PATH` / `--prom-out PATH` export the calibration run's
-//! telemetry (check and miss counters, per-board Vmin/Vcrash gauges);
-//! `--progress SECS` reports the board searches live on stderr.
-//!
-//! The full campaign flag set — including `--defense`, `--governor` and
-//! `--image-jobs` — parses here for parity with `repro`, but those flags
-//! have no effect on this binary: the calibration searches query the
-//! timing and power models directly and never execute kernels, so there
-//! is nothing for ABFT, the governor or image sharding to act on. Any
-//! other argument exits 2 with a usage line before any check runs.
+//! `--metrics-out PATH` / `--prom-out PATH` (or `--metrics-out=PATH`)
+//! export the run's telemetry: check and miss counters and per-board
+//! Vmin/Vcrash gauges. Any other argument exits 2 with a usage line
+//! before any check runs. The whole audit is a few closed-form searches
+//! and fits that finish in milliseconds, so nothing here is sharded,
+//! journaled or reported live.
 
-use redvolt_bench::harness::{CampaignOptions, CAMPAIGN_USAGE};
-use redvolt_core::executor::run_indexed;
-use redvolt_core::journal::{read_journal, JournalEntry, JournalWriter};
 use redvolt_core::telemetry::CampaignTelemetry;
 use redvolt_fpga::calib;
 use redvolt_fpga::power::{LoadProfile, PowerModel};
 use redvolt_fpga::timing::TimingModel;
 use redvolt_fpga::variation::BoardCorner;
 use redvolt_telemetry::{Registry, SpanRing};
+use std::path::PathBuf;
 
 fn check(reg: &Registry, name: &str, got: f64, want: f64, tol: f64) -> bool {
     let ok = (got - want).abs() <= tol;
@@ -52,24 +37,50 @@ fn check(reg: &Registry, name: &str, got: f64, want: f64, tol: f64) -> bool {
     ok
 }
 
-/// Journal header meta for the per-board searches: any change to the
-/// search grid invalidates old journals.
-const JOURNAL_META: &str = "tool=calibrate boards=3 grid=5mv";
+/// Where to write the telemetry exports: `(--metrics-out, --prom-out)`.
+type Exports = (Option<PathBuf>, Option<PathBuf>);
+
+/// Parses the two export flags, each as `--flag PATH` or `--flag=PATH`.
+fn parse_args(args: &[String]) -> Result<Exports, String> {
+    let mut exports: Exports = (None, None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, path)) => (flag, Some(path)),
+            None => (arg.as_str(), None),
+        };
+        let slot = match flag {
+            "--metrics-out" => &mut exports.0,
+            "--prom-out" => &mut exports.1,
+            _ => return Err(format!("unexpected argument {arg}")),
+        };
+        let path = inline.or_else(|| it.next().map(String::as_str));
+        *slot = Some(PathBuf::from(
+            path.ok_or(format!("{flag} needs a file path"))?,
+        ));
+    }
+    Ok(exports)
+}
+
+/// Writes the exports the command line asked for.
+fn export(telem: &CampaignTelemetry, (metrics_out, prom_out): &Exports) -> std::io::Result<()> {
+    if let Some(path) = metrics_out {
+        std::fs::write(path, telem.to_jsonl_with_cache_stats())?;
+    }
+    if let Some(path) = prom_out {
+        telem.write_prometheus(path)?;
+    }
+    Ok(())
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Every argument is checked before any work starts.
-    let opts = CampaignOptions::from_args(&args, &[])
-        .and_then(|(opts, positional)| match positional.first() {
-            None => Ok(opts),
-            Some(arg) => Err(format!("unexpected argument {arg}")),
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            eprintln!("usage: calibrate {CAMPAIGN_USAGE}");
-            std::process::exit(2);
-        });
-    let jobs = opts.jobs;
+    let exports = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: calibrate [--metrics-out PATH] [--prom-out PATH]");
+        std::process::exit(2);
+    });
     let reg = Registry::new();
     let mut all_ok = true;
     println!("== Leakage temperature coefficient ==");
@@ -190,75 +201,8 @@ fn main() {
         .map(|v| v + 5.0)
         .unwrap_or(f64::NAN)
     };
-    // Board samples are independent — shard them across workers exactly
-    // like campaign cells; the merge below restores sample order whether
-    // a value came from the journal or a fresh search.
-    let journaled = match &opts.journal {
-        Some(path) if opts.resume => match read_journal(path, JOURNAL_META) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("error: journal {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        },
-        _ => Default::default(),
-    };
-    let mut writer = opts.journal.as_ref().map(|path| {
-        let opened = if opts.resume && path.exists() {
-            JournalWriter::append_to(path)
-        } else {
-            JournalWriter::create(path, JOURNAL_META)
-        };
-        opened.unwrap_or_else(|e| {
-            eprintln!("error: journal {}: {e}", path.display());
-            std::process::exit(2);
-        })
-    });
-    let pending: Vec<usize> = (0..3).filter(|i| !journaled.contains_key(i)).collect();
-    let progress = opts.progress_reporter(pending.len());
-    let fresh: Vec<(usize, f64, f64)> = run_indexed(pending.len(), jobs, |k, _worker| {
-        let sample = pending[k];
-        let found = (sample, vmin_of(sample as u32), vcrash_of(sample as u32));
-        if let Some(p) = &progress {
-            p.cell_done(false, 0, 0);
-        }
-        found
-    });
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    if let Some(w) = writer.as_mut() {
-        for &(sample, vmin, vcrash) in &fresh {
-            let entry = JournalEntry {
-                index: sample,
-                attempts: 1,
-                payload: format!("vmin={vmin:?} vcrash={vcrash:?}"),
-            };
-            if let Err(e) = w.append(&entry) {
-                eprintln!("error: journal write: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut vmins = vec![f64::NAN; 3];
-    let mut vcrashes = vec![f64::NAN; 3];
-    for (&sample, entry) in journaled.iter().filter(|(&sample, _)| sample < 3) {
-        for field in entry.payload.split_whitespace() {
-            if let Some(v) = field.strip_prefix("vmin=") {
-                vmins[sample] = v.parse().unwrap_or(f64::NAN);
-            } else if let Some(v) = field.strip_prefix("vcrash=") {
-                vcrashes[sample] = v.parse().unwrap_or(f64::NAN);
-            }
-        }
-    }
-    if !journaled.is_empty() {
-        // stderr, so stdout stays byte-comparable with a straight run.
-        eprintln!("# resumed {} journaled board samples", journaled.len());
-    }
-    for (sample, vmin, vcrash) in fresh {
-        vmins[sample] = vmin;
-        vcrashes[sample] = vcrash;
-    }
+    let vmins: Vec<f64> = (0..3).map(vmin_of).collect();
+    let vcrashes: Vec<f64> = (0..3).map(vcrash_of).collect();
     let spread = |v: &[f64]| {
         v.iter().cloned().fold(f64::MIN, f64::max) - v.iter().cloned().fold(f64::MAX, f64::min)
     };
@@ -295,7 +239,7 @@ fn main() {
         registry: reg,
         spans: SpanRing::new(),
     };
-    if let Err(e) = opts.export_telemetry(&telem) {
+    if let Err(e) = export(&telem, &exports) {
         eprintln!("error: telemetry export: {e}");
         std::process::exit(2);
     }
@@ -305,5 +249,41 @@ fn main() {
     } else {
         println!("\nCALIBRATION DRIFT DETECTED — see MISS lines above");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(v: &[&str]) -> Result<Exports, String> {
+        parse_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn only_the_two_export_flags_parse() {
+        assert_eq!(parse(&[]), Ok((None, None)));
+        assert_eq!(
+            parse(&["--metrics-out", "m.jsonl", "--prom-out=c.prom"]),
+            Ok((Some("m.jsonl".into()), Some("c.prom".into())))
+        );
+        for retired in [
+            "--jobs",
+            "--journal",
+            "--resume",
+            "--progress",
+            "--defense",
+            "--governor",
+            "--image-jobs",
+            "--max-attempts",
+            "--fault-profile",
+            "--halt-after-cells",
+        ] {
+            assert!(parse(&[retired, "1"]).is_err(), "{retired}");
+            assert!(parse(&[&format!("{retired}=1")]).is_err(), "{retired}=1");
+        }
+        assert!(parse(&["fig3"]).is_err());
+        assert!(parse(&["--metrics-out"]).is_err());
+        assert!(parse(&["--prom-out=c.prom", "--metrics-out"]).is_err());
     }
 }

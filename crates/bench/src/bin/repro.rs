@@ -12,7 +12,7 @@
 //! 100 images, 10 repetitions — the paper's methodology). `--quick` runs
 //! board 0 with reduced sampling. `--csv` emits CSV instead of aligned
 //! text. `--jobs N` shards the shared sweep campaign across N worker
-//! threads (default: available parallelism); results are byte-identical
+//! threads (0 or absent: available parallelism); results are byte-identical
 //! for every N because each campaign cell derives its seed from the plan,
 //! not the schedule. `--image-jobs M` additionally shards each cell's
 //! image batch across M workers (0 or absent = divide surplus `--jobs`

@@ -9,7 +9,7 @@ use redvolt_core::pruneexp::{pruning_study, PruneStudy};
 use redvolt_core::quantexp::{quantization_study, QuantStudy, FIG7_PRECISIONS};
 use redvolt_core::report::{fmt, norm, pct, Table};
 use redvolt_core::supervisor::{
-    run_supervised_observed, JournalSpec, SupervisedReport, SupervisorConfig, SupervisorError,
+    run_supervised, JournalSpec, SupervisedReport, SupervisorConfig, SupervisorError,
 };
 use redvolt_core::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
 use redvolt_core::telemetry::{CampaignObserver, CampaignTelemetry};
@@ -177,7 +177,7 @@ pub fn prefetch_sweeps(
     observer: Option<&dyn CampaignObserver>,
 ) -> Result<SupervisedReport, SupervisorError> {
     let plan = sweep_plan(s);
-    let sup = run_supervised_observed(&plan, jobs, config, journal, observer)?;
+    let sup = run_supervised(&plan, jobs, config, journal, observer)?;
     let mut cache = sweep_cache().lock().expect("cache lock");
     for r in &sup.report.results {
         if let Some(sweep) = r.outcome.as_sweep() {
@@ -194,26 +194,6 @@ pub fn prefetch_sweeps(
 /// The experiments [`prefetch_sweeps`] accelerates (they consume the
 /// shared sweep cache).
 pub const SWEEP_CACHED_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "table2"];
-
-/// Parses a `--jobs N` / `--jobs=N` argument, defaulting to the machine's
-/// available parallelism when absent and to 1 when malformed.
-pub fn parse_jobs(args: &[String]) -> usize {
-    let mut jobs = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            jobs = it.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = v.parse().ok();
-        }
-    }
-    jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-    .max(1)
-}
 
 /// Flags that consume the following argument (or an inline `=VALUE`).
 const VALUE_FLAGS: [&str; 10] = [
@@ -235,9 +215,9 @@ pub const CAMPAIGN_USAGE: &str = "[--jobs N] [--image-jobs N] [--journal PATH [-
      [--metrics-out PATH] [--prom-out PATH] [--progress SECS] \
      [--defense off|detect|correct] [--governor]";
 
-/// Campaign-level options shared by the `repro` and `calibrate` binaries:
-/// parallelism, the write-ahead journal, the retry budget, the injected
-/// PMBus fault profile and the SDC defense configuration.
+/// The `repro` binary's campaign options: parallelism, the write-ahead
+/// journal, the retry budget, the injected PMBus fault profile, the
+/// telemetry exports and the SDC defense configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOptions {
     /// Worker threads (`--jobs N`, 0 or absent = available parallelism).
@@ -275,7 +255,7 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
-            jobs: parse_jobs(&[]),
+            jobs: 0,
             image_jobs: 0,
             journal: None,
             resume: false,
@@ -303,10 +283,7 @@ impl CampaignOptions {
     /// or malformed value, an unknown fault profile, or `--resume` without
     /// `--journal`.
     pub fn from_args(args: &[String], switches: &[&str]) -> Result<(Self, Vec<String>), String> {
-        let mut opts = CampaignOptions {
-            jobs: parse_jobs(args),
-            ..CampaignOptions::default()
-        };
+        let mut opts = CampaignOptions::default();
         let mut positional = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -326,7 +303,12 @@ impl CampaignOptions {
                 None
             };
             match flag {
-                "--jobs" => {} // read by `parse_jobs` above
+                "--jobs" => {
+                    opts.jobs = value
+                        .as_deref()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or("--jobs needs a worker count (0 = auto)")?;
+                }
                 "--image-jobs" => {
                     opts.image_jobs = value
                         .as_deref()
@@ -993,7 +975,7 @@ pub fn mitigation(s: &Settings) -> Table {
 /// **Extension: voltage governor** (SS9 future work ii) -- a closed loop
 /// that discovers and tracks Vmin at run time.
 pub fn governor(s: &Settings) -> Table {
-    use redvolt_core::governor::{run_governor, GovernorConfig};
+    use redvolt_core::governor::run_governor;
     let mut t = Table::new(
         "Extension (paper SS9.ii): closed-loop minimum-voltage tracking (GoogleNet)",
         &[
@@ -1007,15 +989,7 @@ pub fn governor(s: &Settings) -> Table {
     for temp in [34.0, 52.0] {
         let mut acc = bring_up(&s.config(BenchmarkId::GoogleNet, s.boards[0]));
         acc.board_mut().thermal_mut().force_temperature(temp);
-        let trace = run_governor(
-            &mut acc,
-            &GovernorConfig {
-                batch_images: s.images.min(32),
-                ..GovernorConfig::default()
-            },
-            140,
-        )
-        .expect("governor run");
+        let trace = run_governor(&mut acc, s.images.min(32), 140).expect("governor run");
         t.row(&[
             fmt(temp, 0),
             fmt(trace.settled_mv, 0),
@@ -1194,15 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_jobs_accepts_both_spellings_and_defaults() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(&args(&["--jobs", "3"])), 3);
-        assert_eq!(parse_jobs(&args(&["fig3", "--jobs=7", "--csv"])), 7);
-        assert_eq!(parse_jobs(&args(&["--jobs", "0"])), 1);
-        assert!(parse_jobs(&args(&["all"])) >= 1);
-    }
-
-    #[test]
     fn campaign_options_parse_both_spellings_and_validate() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let (opts, positional) = CampaignOptions::from_args(
@@ -1244,6 +1209,7 @@ mod tests {
 
         let (defaults, _) =
             CampaignOptions::from_args(&args(&["fig3", "--csv"]), &["--csv"]).unwrap();
+        assert_eq!(defaults.jobs, 0, "absent flag means available parallelism");
         assert_eq!(defaults.image_jobs, 0, "absent flag means auto-split");
         assert_eq!(defaults.fault_profile, BusFaultProfile::none());
         assert!(defaults.journal.is_none() && !defaults.resume);
@@ -1258,6 +1224,8 @@ mod tests {
         assert!(rejects(&["--journal"]));
         assert!(rejects(&["--image-jobs", "x"]));
         assert!(rejects(&["--image-jobs"]));
+        assert!(rejects(&["--jobs", "x"]));
+        assert!(rejects(&["--jobs"]));
     }
 
     #[test]
@@ -1280,7 +1248,7 @@ mod tests {
         );
         assert_eq!(repro(&["--quick", "fig3", "all"]).unwrap(), ALL_EXPERIMENTS);
         assert_eq!(repro(&["--jobs=2"]).unwrap(), ALL_EXPERIMENTS);
-        // `calibrate` reads the campaign flags only.
+        // With no switches of its own, a caller accepts the campaign flags only.
         assert!(CampaignOptions::from_args(&args(&["--bogus"]), &[]).is_err());
         assert!(CampaignOptions::from_args(&args(&["--quick"]), &[]).is_err());
         assert!(CampaignOptions::from_args(&args(&["--jobs", "3", "--governor"]), &[]).is_ok());

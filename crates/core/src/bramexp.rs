@@ -33,33 +33,6 @@ pub struct BramStudy {
     pub crashed_at_mv: Option<f64>,
 }
 
-impl BramStudy {
-    /// Lowest BRAM voltage with zero injected faults (the BRAM Vmin).
-    pub fn bram_vmin_mv(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .take_while(|p| p.measurement.injected_faults == 0)
-            .last()
-            .map(|p| p.vccbram_mv)
-    }
-
-    /// Total on-chip power spread across the fault-free points (how much
-    /// power BRAM undervolting actually saves — §4.1 says almost none).
-    pub fn fault_free_power_spread_w(&self) -> f64 {
-        let powers: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.measurement.injected_faults == 0)
-            .map(|p| p.measurement.power_w)
-            .collect();
-        if powers.is_empty() {
-            return 0.0;
-        }
-        powers.iter().cloned().fold(f64::MIN, f64::max)
-            - powers.iter().cloned().fold(f64::MAX, f64::min)
-    }
-}
-
 /// Sweeps `VCCBRAM` downward with `VCCINT` held at nominal.
 ///
 /// # Errors
@@ -118,18 +91,27 @@ mod tests {
     #[test]
     fn bram_rail_alone_saves_almost_no_power() {
         // §4.1: BRAMs draw <0.1% of on-chip power on UltraScale+.
-        let s = study();
-        assert!(
-            s.fault_free_power_spread_w() < 0.2,
-            "spread = {} W",
-            s.fault_free_power_spread_w()
-        );
+        let powers: Vec<f64> = study()
+            .points
+            .iter()
+            .filter(|p| p.measurement.injected_faults == 0)
+            .map(|p| p.measurement.power_w)
+            .collect();
+        assert!(!powers.is_empty());
+        let spread = powers.iter().cloned().fold(f64::MIN, f64::max)
+            - powers.iter().cloned().fold(f64::MAX, f64::min);
+        assert!(spread < 0.2, "spread = {spread} W");
     }
 
     #[test]
     fn bram_faults_appear_far_below_logic_vmin() {
-        let s = study();
-        let vmin = s.bram_vmin_mv().expect("some fault-free points");
+        let vmin = study()
+            .points
+            .iter()
+            .take_while(|p| p.measurement.injected_faults == 0)
+            .last()
+            .map(|p| p.vccbram_mv)
+            .expect("some fault-free points");
         assert!(
             (480.0..=530.0).contains(&vmin),
             "BRAM Vmin = {vmin} (expected ≈520, well below the logic 570)"

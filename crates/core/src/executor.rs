@@ -20,14 +20,11 @@
 //!   pulling from an atomic work queue, and records per-cell wall-clock
 //!   timing so campaign speedups can be tracked in benchmarks.
 //! * [`run_indexed`] — the bare deterministic fork/join primitive the
-//!   executor is built on, reusable for any index-addressed fan-out (the
-//!   `calibrate` binary shards its per-board model fits through it).
+//!   executor and the supervisor are built on.
 
 use crate::bench_suite::{benchmark_index, BenchmarkId};
 use crate::experiment::{Accelerator, AcceleratorConfig, MeasureError, Measurement};
-use crate::governor::{
-    run_adaptive_rescue, run_governor, AdaptiveConfig, GovernorConfig, GovernorTrace, RescueTrace,
-};
+use crate::governor::{run_adaptive_rescue, run_governor, GovernorTrace, RescueTrace};
 use crate::report::Table;
 use crate::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
 use crate::telemetry::CellTelemetry;
@@ -43,8 +40,8 @@ pub enum CellAction {
     Sweep(SweepConfig),
     /// Run the closed-loop voltage governor for a number of batches.
     Governor {
-        /// Governor tuning.
-        config: GovernorConfig,
+        /// Images per batch.
+        batch_images: usize,
         /// Batches to run.
         batches: u32,
     },
@@ -408,9 +405,10 @@ pub(crate) fn execute_cell_with(
     }
     let outcome = match &spec.action {
         CellAction::Sweep(cfg) => voltage_sweep(&mut acc, cfg).map(CellOutcome::Sweep),
-        CellAction::Governor { config, batches } => {
-            run_governor(&mut acc, config, *batches).map(CellOutcome::Governor)
-        }
+        CellAction::Governor {
+            batch_images,
+            batches,
+        } => run_governor(&mut acc, *batch_images, *batches).map(CellOutcome::Governor),
         CellAction::Measure { vccint_mv, images } => {
             let set = match vccint_mv {
                 Some(mv) => acc.set_vccint_mv(*mv),
@@ -418,15 +416,13 @@ pub(crate) fn execute_cell_with(
             };
             set.and_then(|()| {
                 if spec.config.governor {
-                    run_adaptive_rescue(&mut acc, &AdaptiveConfig::default(), *images).map(
-                        |(measurement, trace)| {
-                            if trace.intervened() {
-                                CellOutcome::Degraded { measurement, trace }
-                            } else {
-                                CellOutcome::Measure(measurement)
-                            }
-                        },
-                    )
+                    run_adaptive_rescue(&mut acc, *images).map(|(measurement, trace)| {
+                        if trace.intervened() {
+                            CellOutcome::Degraded { measurement, trace }
+                        } else {
+                            CellOutcome::Measure(measurement)
+                        }
+                    })
                 } else {
                     acc.measure(*images).map(CellOutcome::Measure)
                 }
@@ -715,7 +711,7 @@ mod tests {
                     ..AcceleratorConfig::tiny(BenchmarkId::GoogleNet)
                 },
                 action: CellAction::Governor {
-                    config: GovernorConfig::default(),
+                    batch_images: 32,
                     batches: 40,
                 },
                 force_temp_c: None,

@@ -50,9 +50,6 @@ pub struct AcceleratorConfig {
     pub repetitions: usize,
     /// Master seed.
     pub seed: u64,
-    /// Undervolt `VCCBRAM` together with `VCCINT` (the paper regulates
-    /// both on-chip rails; `VCCINT` dominates the power).
-    pub track_bram_rail: bool,
     /// Transient PMBus fault profile injected into the host adapter. A
     /// non-zero profile also arms the adapter's resilient retry policy, so
     /// measurements converge despite the injected faults. The fault
@@ -81,7 +78,6 @@ impl Default for AcceleratorConfig {
             eval_images: 100,
             repetitions: 10,
             seed: 42,
-            track_bram_rail: true,
             bus_faults: BusFaultProfile::none(),
             defense: DefenseMode::Off,
             governor: false,
@@ -132,10 +128,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Column names matching [`Measurement::csv_row`].
-    pub const CSV_HEADER: &'static str =
-        "vccint_mv,f_mhz,accuracy,power_w,gops,gops_per_w,junction_c,injected_faults,accuracy_std";
-
     /// Canonical CSV serialization. Floats use Rust's shortest round-trip
     /// formatting, so two bit-identical measurements serialize to the same
     /// bytes — the property `tests/determinism.rs` pins across job counts.
@@ -299,7 +291,8 @@ impl Accelerator {
         self.runtime.set_clock_mhz(f_mhz);
     }
 
-    /// Commands `VCCINT` (and, per config, `VCCBRAM`) over PMBus.
+    /// Commands `VCCINT`, and `VCCBRAM` with it, over PMBus (the paper
+    /// regulates both on-chip rails; `VCCINT` dominates the power).
     ///
     /// # Errors
     ///
@@ -308,11 +301,7 @@ impl Accelerator {
     pub fn set_vccint_mv(&mut self, mv: f64) -> Result<(), MeasureError> {
         let result = self.set_vout_mv(VCCINT_ADDR, mv).and_then(|()| {
             self.vccint_mv = mv;
-            if self.config.track_bram_rail {
-                self.set_vout_mv(VCCBRAM_ADDR, mv)
-            } else {
-                Ok(())
-            }
+            self.set_vout_mv(VCCBRAM_ADDR, mv)
         });
         self.record_bus_span("vccint", mv, result.is_ok());
         result

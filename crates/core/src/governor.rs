@@ -5,9 +5,9 @@
 //! every batch it reads the fault-detection counters (Razor-style error
 //! flags — the same observability [`crate::mitigation`] relies on) and
 //!
-//! * steps **down** one notch after `clean_streak` consecutive clean
-//!   batches (still above the configured floor);
-//! * steps **up** one larger notch immediately when faults are detected;
+//! * steps **down** 5 mV after two consecutive clean batches (never below
+//!   520 mV);
+//! * steps **up** 10 mV immediately when faults are detected;
 //! * power-cycles and backs off when it overshoots into a hang.
 //!
 //! Because the fault boundary follows the inverse thermal dependence, the
@@ -86,32 +86,14 @@ impl BoardHealth {
     }
 }
 
-/// Governor tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorConfig {
-    /// Downward step after a clean streak, mV.
-    pub step_down_mv: f64,
-    /// Upward step on detected faults, mV.
-    pub step_up_mv: f64,
-    /// Clean batches required before stepping down.
-    pub clean_streak: u32,
-    /// Lowest voltage the governor may command, mV.
-    pub floor_mv: f64,
-    /// Images per batch.
-    pub batch_images: usize,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig {
-            step_down_mv: 5.0,
-            step_up_mv: 10.0,
-            clean_streak: 2,
-            floor_mv: 520.0,
-            batch_images: 32,
-        }
-    }
-}
+/// [`run_governor`]'s downward step after a clean streak, mV.
+const STEP_DOWN_MV: f64 = 5.0;
+/// [`run_governor`]'s upward step on detected faults, mV.
+const STEP_UP_MV: f64 = 10.0;
+/// Clean batches [`run_governor`] requires before stepping down.
+const CLEAN_STREAK: u32 = 2;
+/// Lowest voltage [`run_governor`] commands, mV.
+const FLOOR_MV: f64 = 520.0;
 
 /// One governor step record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,14 +153,15 @@ impl GovernorTrace {
     }
 }
 
-/// Runs the governor for `batches` batches on an accelerator.
+/// Runs the governor for `batches` batches of `batch_images` images each
+/// on an accelerator.
 ///
 /// # Errors
 ///
 /// Propagates non-crash errors (crashes are handled by backing off).
 pub fn run_governor(
     acc: &mut Accelerator,
-    cfg: &GovernorConfig,
+    batch_images: usize,
     batches: u32,
 ) -> Result<GovernorTrace, MeasureError> {
     let mut steps = Vec::with_capacity(batches as usize);
@@ -188,7 +171,7 @@ pub fn run_governor(
         let commanded = target_mv;
         let result = acc
             .set_vccint_mv(commanded)
-            .and_then(|()| acc.measure(cfg.batch_images));
+            .and_then(|()| acc.measure(batch_images));
         match result {
             Ok(m) => {
                 let faulty = m.injected_faults > 0;
@@ -201,12 +184,12 @@ pub fn run_governor(
                 });
                 if faulty {
                     streak = 0;
-                    target_mv = (commanded + cfg.step_up_mv).min(VNOM_MV);
+                    target_mv = (commanded + STEP_UP_MV).min(VNOM_MV);
                 } else {
                     streak += 1;
-                    if streak >= cfg.clean_streak && commanded - cfg.step_down_mv >= cfg.floor_mv {
+                    if streak >= CLEAN_STREAK && commanded - STEP_DOWN_MV >= FLOOR_MV {
                         streak = 0;
-                        target_mv = commanded - cfg.step_down_mv;
+                        target_mv = commanded - STEP_DOWN_MV;
                     }
                 }
             }
@@ -221,7 +204,7 @@ pub fn run_governor(
                 acc.power_cycle();
                 streak = 0;
                 // Back well off from the hang point.
-                target_mv = (commanded + 3.0 * cfg.step_up_mv).min(VNOM_MV);
+                target_mv = (commanded + 3.0 * STEP_UP_MV).min(VNOM_MV);
             }
             Err(e) => {
                 acc.power_cycle();
@@ -235,40 +218,14 @@ pub fn run_governor(
     })
 }
 
-/// Tuning of the adaptive SDC governor.
-///
-/// Where [`run_governor`] *hunts* for the deepest safe voltage, the
-/// adaptive governor *defends* a commanded operating point: it watches the
-/// per-window SDC/ECC event rate and, while events keep arriving, walks
-/// the point along the [`MitigationLadder`] — frequency underscaling
-/// first, voltage backoff toward the guardband second — until
-/// `clean_windows` consecutive probe windows are event-free (the
-/// hysteresis that keeps a single lucky window from settling the loop).
-/// The streak's last window runs at full batch size and becomes the
-/// returned measurement, so a settled rescue is clean by construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Escalation policy.
-    pub ladder: MitigationLadder,
-    /// Images per probe window.
-    pub probe_images: usize,
-    /// Consecutive clean windows required before settling.
-    pub clean_windows: u32,
-    /// Probe-window budget (a backstop; the ladder is finite, so the loop
-    /// terminates long before this in practice).
-    pub max_windows: u32,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            ladder: MitigationLadder::default(),
-            probe_images: 8,
-            clean_windows: 2,
-            max_windows: 32,
-        }
-    }
-}
+/// Images per [`run_adaptive_rescue`] probe window.
+const PROBE_IMAGES: usize = 8;
+/// Consecutive clean windows [`run_adaptive_rescue`] requires before
+/// settling.
+const CLEAN_WINDOWS: u32 = 2;
+/// [`run_adaptive_rescue`]'s probe-window budget (a backstop; the ladder
+/// is finite, so the loop terminates long before this in practice).
+const MAX_WINDOWS: u32 = 32;
 
 /// One probe window of an adaptive-governor run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -320,18 +277,26 @@ impl RescueTrace {
 /// produces SDC/ECC events, then takes the final measurement over
 /// `images` images at the settled point.
 ///
+/// Where [`run_governor`] *hunts* for the deepest safe voltage, the
+/// adaptive governor *defends* a commanded operating point: it watches the
+/// per-window SDC/ECC event rate and, while events keep arriving, walks
+/// the point along the default [`MitigationLadder`] — frequency
+/// underscaling first, voltage backoff toward the guardband second —
+/// until two consecutive probe windows are event-free (the hysteresis
+/// that keeps a single lucky window from settling the loop).
+///
 /// The event signal ([`Accelerator::measure_events`]) combines the
 /// faults delivered into the datapath with the defense counters, so the
 /// governor escalates even when ECC/ABFT absorbed every corruption —
 /// sustained correction traffic means the margin is gone, which is
 /// exactly the paper's cue to underscale.
 ///
-/// The last of the `clean_windows` hysteresis windows runs over the full
-/// `images` batch and doubles as the returned measurement. Marginal
-/// points fault in rare bursts that a short probe can miss, so settling
-/// on probes alone would hand back a payload the governor never actually
-/// watched; confirming on the full batch means `rescued == true` implies
-/// the returned measurement itself produced zero events.
+/// The last hysteresis window runs over the full `images` batch and
+/// doubles as the returned measurement. Marginal points fault in rare
+/// bursts that a short probe can miss, so settling on probes alone would
+/// hand back a payload the governor never actually watched; confirming
+/// on the full batch means `rescued == true` implies the returned
+/// measurement itself produced zero events.
 ///
 /// # Errors
 ///
@@ -339,16 +304,16 @@ impl RescueTrace {
 /// power-cycle-and-retry).
 pub fn run_adaptive_rescue(
     acc: &mut Accelerator,
-    cfg: &AdaptiveConfig,
     images: usize,
 ) -> Result<(Measurement, RescueTrace), MeasureError> {
+    let ladder = MitigationLadder::default();
     let mut steps = Vec::new();
     let mut clean = 0u32;
-    for window in 0..cfg.max_windows {
+    for window in 0..MAX_WINDOWS {
         // The confirmation window closes the hysteresis streak at full
         // batch size; earlier windows are cheap short probes.
-        let confirm = clean + 1 >= cfg.clean_windows;
-        let n = if confirm { images } else { cfg.probe_images };
+        let confirm = clean + 1 >= CLEAN_WINDOWS;
+        let n = if confirm { images } else { PROBE_IMAGES };
         let (m, events) = acc.measure_events(n)?;
         steps.push(RescueStep {
             window,
@@ -369,7 +334,7 @@ pub fn run_adaptive_rescue(
             clean += 1;
         } else {
             clean = 0;
-            if cfg.ladder.step(acc)? == LadderMove::Exhausted {
+            if ladder.step(acc)? == LadderMove::Exhausted {
                 break;
             }
         }
@@ -424,7 +389,7 @@ mod tests {
     #[test]
     fn governor_descends_into_the_guardband() {
         let mut acc = accelerator();
-        let trace = run_governor(&mut acc, &GovernorConfig::default(), 120).unwrap();
+        let trace = run_governor(&mut acc, 32, 120).unwrap();
         assert!(
             trace.settled_mv < 620.0,
             "should dive deep into the guardband: {}",
@@ -438,7 +403,7 @@ mod tests {
     #[test]
     fn governor_hovers_near_vmin_without_repeated_crashes() {
         let mut acc = accelerator();
-        let trace = run_governor(&mut acc, &GovernorConfig::default(), 160).unwrap();
+        let trace = run_governor(&mut acc, 32, 160).unwrap();
         // Late-phase voltages stay in a tight band around Vmin (570).
         let late: Vec<f64> = trace.steps.iter().skip(120).map(|s| s.vccint_mv).collect();
         let lo = late.iter().cloned().fold(f64::MAX, f64::min);
@@ -467,7 +432,7 @@ mod tests {
             acc.measure(16).unwrap().injected_faults > 0,
             "550 mV at the full clock must fault, or this test probes nothing"
         );
-        let (m, trace) = run_adaptive_rescue(&mut acc, &AdaptiveConfig::default(), 16).unwrap();
+        let (m, trace) = run_adaptive_rescue(&mut acc, 16).unwrap();
         assert!(trace.rescued);
         assert!(trace.intervened());
         assert_eq!(m.injected_faults, 0, "settled point must be clean");
@@ -488,11 +453,10 @@ mod tests {
     fn adaptive_rescue_is_a_no_op_at_clean_points() {
         let mut acc = Accelerator::bring_up(&paper_scale(0)).unwrap();
         acc.set_vccint_mv(600.0).unwrap();
-        let cfg = AdaptiveConfig::default();
-        let (m, trace) = run_adaptive_rescue(&mut acc, &cfg, 16).unwrap();
+        let (m, trace) = run_adaptive_rescue(&mut acc, 16).unwrap();
         assert!(trace.rescued);
         assert!(!trace.intervened());
-        assert_eq!(trace.steps.len(), cfg.clean_windows as usize);
+        assert_eq!(trace.steps.len(), CLEAN_WINDOWS as usize);
         assert_eq!(m.vccint_mv, 600.0);
         assert_eq!(m.f_mhz, 333.0);
         assert_eq!(m.injected_faults, 0);
@@ -516,7 +480,7 @@ mod tests {
             // commanded points; rescuing a hung board is the
             // supervisor's job (power-cycle + retry), not the governor's.
             if acc.set_vccint_mv(mv).is_ok() {
-                match run_adaptive_rescue(&mut acc, &AdaptiveConfig::default(), 16) {
+                match run_adaptive_rescue(&mut acc, 16) {
                     Ok((m, trace)) => {
                         prop_assert!(trace.rescued, "ladder must converge");
                         prop_assert_eq!(m.injected_faults, 0);
@@ -541,7 +505,7 @@ mod tests {
         let settle = |temp: f64| {
             let mut acc = accelerator();
             acc.board_mut().thermal_mut().force_temperature(temp);
-            let trace = run_governor(&mut acc, &GovernorConfig::default(), 160).unwrap();
+            let trace = run_governor(&mut acc, 32, 160).unwrap();
             let late: Vec<f64> = trace.steps.iter().skip(100).map(|s| s.vccint_mv).collect();
             late.iter().sum::<f64>() / late.len() as f64
         };

@@ -50,26 +50,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of a plan: master seed plus every cell's label, derived
-/// seed and debug-formatted spec. Two plans that could produce different
+/// Fingerprint of a plan: master seed plus every cell's derived seed and
+/// whole debug-formatted spec. Two plans that could produce different
 /// results get different fingerprints; a journal never merges across them.
 pub fn plan_fingerprint(plan: &CampaignPlan) -> u64 {
     let mut desc = format!("seed={}", plan.master_seed);
     for (i, cell) in plan.cells().iter().enumerate() {
-        desc.push_str(&format!(
-            ";{}={}:{}:{:?}:{:?}:{:?}:{}",
-            i,
-            cell.label(),
-            plan.cell_seed(i),
-            cell.action,
-            cell.force_temp_c,
-            // Defense and governor change the cell's payload without
-            // changing its label or action, so they must partition
-            // journals: resuming a defended campaign from an undefended
-            // journal would silently mix the two datapaths.
-            cell.config.defense,
-            cell.config.governor,
-        ));
+        desc.push_str(&format!(";{i}={}:{cell:?}", plan.cell_seed(i)));
     }
     fnv1a(desc.as_bytes())
 }
@@ -526,27 +513,72 @@ mod tests {
 
     #[test]
     fn fingerprint_partitions_defense_and_governor() {
+        use redvolt_faults::bus::BusFaultProfile;
         use redvolt_nn::abft::DefenseMode;
-        let mk = |defense: DefenseMode, governor: bool| {
+        use redvolt_nn::models::ModelScale;
+        let fingerprint = |config: AcceleratorConfig| {
             let mut plan = CampaignPlan::new(1);
             plan.push(CellSpec {
-                config: AcceleratorConfig {
-                    defense,
-                    governor,
-                    ..AcceleratorConfig::tiny(BenchmarkId::VggNet)
-                },
+                config,
                 action: CellAction::Measure {
                     vccint_mv: Some(550.0),
                     images: 8,
                 },
                 force_temp_c: None,
             });
-            plan
+            plan_fingerprint(&plan)
         };
-        let off = plan_fingerprint(&mk(DefenseMode::Off, false));
-        assert_ne!(off, plan_fingerprint(&mk(DefenseMode::Detect, false)));
-        assert_ne!(off, plan_fingerprint(&mk(DefenseMode::Correct, false)));
-        assert_ne!(off, plan_fingerprint(&mk(DefenseMode::Off, true)));
+        let base = AcceleratorConfig::tiny(BenchmarkId::VggNet);
+        // One input per config field: a resume must not merge a journal
+        // written under any other value of any of them.
+        let variants = [
+            AcceleratorConfig {
+                board_sample: 1,
+                ..base
+            },
+            AcceleratorConfig {
+                benchmark: BenchmarkId::AlexNet,
+                ..base
+            },
+            AcceleratorConfig { bits: 4, ..base },
+            AcceleratorConfig {
+                scale: ModelScale::Paper,
+                ..base
+            },
+            AcceleratorConfig {
+                prune_fraction: 0.5,
+                ..base
+            },
+            AcceleratorConfig {
+                eval_images: 25,
+                ..base
+            },
+            AcceleratorConfig {
+                repetitions: 3,
+                ..base
+            },
+            AcceleratorConfig { seed: 43, ..base },
+            AcceleratorConfig {
+                bus_faults: BusFaultProfile::light(),
+                ..base
+            },
+            AcceleratorConfig {
+                defense: DefenseMode::Detect,
+                ..base
+            },
+            AcceleratorConfig {
+                defense: DefenseMode::Correct,
+                ..base
+            },
+            AcceleratorConfig {
+                governor: true,
+                ..base
+            },
+        ];
+        let off = fingerprint(base);
+        for config in variants {
+            assert_ne!(off, fingerprint(config), "{config:?}");
+        }
     }
 
     #[test]

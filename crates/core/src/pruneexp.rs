@@ -62,17 +62,6 @@ pub fn pruning_study(
     })
 }
 
-impl PruneArm {
-    /// Work-equivalent GOPs/W series: `(mV, dense-equivalent GOPs/W)`.
-    pub fn equivalent_efficiency_series(&self) -> Vec<(f64, f64)> {
-        self.sweep
-            .points
-            .iter()
-            .map(|m| (m.vccint_mv, m.gops_per_w * self.work_equivalence))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,8 +98,9 @@ mod tests {
         let s = study();
         assert!(s.pruned.work_equivalence > 1.5);
         assert!((s.dense.work_equivalence - 1.0).abs() < 1e-9);
-        let dense_eff = s.dense.equivalent_efficiency_series()[0].1;
-        let pruned_eff = s.pruned.equivalent_efficiency_series()[0].1;
+        let equivalent = |arm: &PruneArm| arm.sweep.nominal().gops_per_w * arm.work_equivalence;
+        let dense_eff = equivalent(&s.dense);
+        let pruned_eff = equivalent(&s.pruned);
         assert!(
             pruned_eff > dense_eff,
             "work-equivalent efficiency: pruned {pruned_eff} vs dense {dense_eff}"

@@ -28,8 +28,7 @@ impl Table {
     /// A mismatched cell count is an emitter bug, so debug builds panic
     /// on it; release builds normalize the row instead — padding with
     /// empty cells or truncating — rather than abort a multi-hour
-    /// campaign at print time. Use [`Table::try_row`] to surface the
-    /// mismatch as a value.
+    /// campaign at print time.
     ///
     /// # Panics
     ///
@@ -41,24 +40,6 @@ impl Table {
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
         self
-    }
-
-    /// Appends a row, rejecting a column-count mismatch instead of
-    /// panicking or padding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RowError`] when the cell count does not match the
-    /// header count; the table is left unchanged.
-    pub fn try_row(&mut self, cells: &[String]) -> Result<&mut Self, RowError> {
-        if cells.len() != self.headers.len() {
-            return Err(RowError {
-                expected: self.headers.len(),
-                got: cells.len(),
-            });
-        }
-        self.rows.push(cells.to_vec());
-        Ok(self)
     }
 
     /// Number of data rows.
@@ -110,27 +91,6 @@ impl Table {
     }
 }
 
-/// A [`Table::try_row`] cell count that does not match the headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowError {
-    /// Header (column) count of the table.
-    pub expected: usize,
-    /// Cell count of the rejected row.
-    pub got: usize,
-}
-
-impl std::fmt::Display for RowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "table row has {} cells, expected {}",
-            self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for RowError {}
-
 /// Formats a float with the given decimals.
 pub fn fmt(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
@@ -179,23 +139,6 @@ mod tests {
     #[should_panic(expected = "column count mismatch")]
     fn row_width_checked_in_debug() {
         Table::new("t", &["a", "b"]).row(&["x".to_string()]);
-    }
-
-    #[test]
-    fn try_row_rejects_mismatch_and_keeps_table_intact() {
-        let mut t = Table::new("t", &["a", "b"]);
-        let err = t.try_row(&["x".to_string()]).unwrap_err();
-        assert_eq!(
-            err,
-            RowError {
-                expected: 2,
-                got: 1
-            }
-        );
-        assert_eq!(err.to_string(), "table row has 1 cells, expected 2");
-        assert!(t.is_empty());
-        t.try_row(&["x".to_string(), "y".to_string()]).unwrap();
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -62,7 +62,7 @@ use redvolt_telemetry::SpanRing;
 use std::fmt;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -350,29 +350,16 @@ fn supervise_cell(
 /// worker count — including runs that were halted and resumed, and runs
 /// with a nonzero injected PMBus fault rate in their cells' configs.
 ///
+/// The `observer`, if any, is called once per freshly executed cell, from
+/// the worker that finished it, in completion order — it sees progress
+/// live but must never feed anything back into the deterministic payload
+/// (see [`CampaignObserver`]).
+///
 /// # Errors
 ///
 /// Only journal I/O fails the call; cell-level failures are recorded as
 /// [`CellOutcome::Aborted`] outcomes inside the report.
 pub fn run_supervised(
-    plan: &CampaignPlan,
-    jobs: usize,
-    config: &SupervisorConfig,
-    journal: Option<&JournalSpec>,
-) -> Result<SupervisedReport, SupervisorError> {
-    run_supervised_observed(plan, jobs, config, journal, None)
-}
-
-/// [`run_supervised`] with a progress observer. The observer is called
-/// once per freshly executed cell, from the worker that finished it, in
-/// completion order — it sees progress live but must never feed anything
-/// back into the deterministic payload (see
-/// [`CampaignObserver`]).
-///
-/// # Errors
-///
-/// See [`run_supervised`].
-pub fn run_supervised_observed(
     plan: &CampaignPlan,
     jobs: usize,
     config: &SupervisorConfig,
@@ -510,19 +497,4 @@ pub fn run_supervised_observed(
         retried_cells,
         interrupted,
     })
-}
-
-/// Convenience: supervised run journaling to `path`, resuming if asked.
-///
-/// # Errors
-///
-/// See [`run_supervised`].
-pub fn run_supervised_journaled(
-    plan: &CampaignPlan,
-    jobs: usize,
-    config: &SupervisorConfig,
-    path: &Path,
-    resume: bool,
-) -> Result<SupervisedReport, SupervisorError> {
-    run_supervised(plan, jobs, config, Some(&JournalSpec::new(path, resume)))
 }

@@ -30,16 +30,6 @@ impl SweepConfig {
         }
     }
 
-    /// A coarse sweep for tests.
-    pub fn coarse(images: usize) -> Self {
-        SweepConfig {
-            start_mv: 850.0,
-            stop_mv: 520.0,
-            step_mv: 20.0,
-            images,
-        }
-    }
-
     /// The voltages this sweep commands, highest first: `start_mv`,
     /// `start_mv - step_mv`, … down to the last value `>= stop_mv` (with a
     /// 1 nV slack so accumulated float error cannot drop the final point).
@@ -66,14 +56,6 @@ impl SweepConfig {
             mv -= self.step_mv;
         }
         voltages
-    }
-
-    /// Number of points [`SweepConfig::voltages_mv`] enumerates.
-    pub fn point_count(&self) -> usize {
-        if self.start_mv < self.stop_mv - 1e-9 {
-            return 0;
-        }
-        ((self.start_mv - self.stop_mv) / self.step_mv + 1e-9) as usize + 1
     }
 }
 
@@ -212,7 +194,6 @@ mod tests {
         let cfg = steps(850.0, 520.0, 5.0);
         let v = cfg.voltages_mv();
         assert_eq!(v.len(), 67);
-        assert_eq!(cfg.point_count(), 67);
         assert_eq!(v[0], 850.0);
         assert_eq!(*v.last().unwrap(), 520.0);
     }
@@ -221,14 +202,12 @@ mod tests {
     fn enumeration_stop_below_start_is_empty() {
         let cfg = steps(520.0, 850.0, 5.0);
         assert!(cfg.voltages_mv().is_empty());
-        assert_eq!(cfg.point_count(), 0);
     }
 
     #[test]
     fn enumeration_single_point_when_start_equals_stop() {
         let cfg = steps(850.0, 850.0, 5.0);
         assert_eq!(cfg.voltages_mv(), vec![850.0]);
-        assert_eq!(cfg.point_count(), 1);
     }
 
     #[test]
@@ -238,7 +217,6 @@ mod tests {
         let cfg = steps(850.0, 520.0, 7.0);
         let v = cfg.voltages_mv();
         assert_eq!(v.len(), 48);
-        assert_eq!(cfg.point_count(), 48);
         assert_eq!(*v.last().unwrap(), 521.0);
         assert!(v.iter().all(|&mv| mv >= 520.0));
     }
@@ -250,7 +228,6 @@ mod tests {
         let cfg = steps(850.0, 520.0, 0.1);
         let v = cfg.voltages_mv();
         assert_eq!(v.len(), 3301);
-        assert_eq!(cfg.point_count(), 3301);
         assert!((v.last().unwrap() - 520.0).abs() < 1e-6);
     }
 
@@ -297,7 +274,16 @@ mod tests {
     #[test]
     fn accelerator_is_restored_after_sweep() {
         let mut acc = Accelerator::bring_up(&AcceleratorConfig::tiny(BenchmarkId::VggNet)).unwrap();
-        voltage_sweep(&mut acc, &SweepConfig::coarse(8)).unwrap();
+        voltage_sweep(
+            &mut acc,
+            &SweepConfig {
+                start_mv: 850.0,
+                stop_mv: 520.0,
+                step_mv: 20.0,
+                images: 8,
+            },
+        )
+        .unwrap();
         assert!(!acc.board().is_crashed());
         assert_eq!(acc.vccint_mv(), 850.0);
     }

@@ -104,11 +104,6 @@ impl FaultRates {
     pub fn is_zero(&self) -> bool {
         self.per_mac == 0.0 && self.per_weight == 0.0 && self.per_activation == 0.0
     }
-
-    /// Expected datapath faults for an inference of `macs` MAC operations.
-    pub fn expected_mac_faults(&self, macs: u64) -> f64 {
-        self.per_mac * macs as f64
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +128,7 @@ mod tests {
     fn calibration_anchor_565mv() {
         // δ(565 mV) = 333/310 − 1 ≈ 0.074: ≈0.1 faults per 5M-MAC inference.
         let r = FaultRates::for_deficit(333.0 / 310.0 - 1.0);
-        let expected = r.expected_mac_faults(5_000_000);
+        let expected = r.per_mac * 5_000_000.0;
         assert!((0.003..0.04).contains(&expected), "expected = {expected}");
     }
 
@@ -142,7 +137,7 @@ mod tests {
         // δ(540 mV) = 333/215 − 1 ≈ 0.549: hundreds of fault events per
         // inference — near-random classification.
         let r = FaultRates::for_deficit(333.0 / 215.0 - 1.0);
-        let expected = r.expected_mac_faults(5_000_000);
+        let expected = r.per_mac * 5_000_000.0;
         assert!((100.0..1500.0).contains(&expected), "expected = {expected}");
     }
 

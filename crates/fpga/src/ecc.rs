@@ -21,10 +21,6 @@
 
 /// Number of data bits per codeword.
 pub const DATA_BITS: u32 = 64;
-/// Number of check bits per codeword (7 Hamming + 1 overall parity).
-pub const CHECK_BITS: u32 = 8;
-/// Total codeword width.
-pub const CODE_BITS: u32 = DATA_BITS + CHECK_BITS;
 
 /// A 72-bit SECDED codeword: 64 data bits plus 8 check bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,7 +243,7 @@ mod tests {
     fn every_single_check_bit_flip_is_corrected() {
         for w in words() {
             let cw = encode(w);
-            for bit in 0..CHECK_BITS {
+            for bit in 0..u8::BITS {
                 let corrupt = Codeword {
                     data: cw.data,
                     check: cw.check ^ (1 << bit),
@@ -285,7 +281,7 @@ mod tests {
     fn mixed_data_check_double_flips_are_detected() {
         let cw = encode(0x0123_4567_89ab_cdef);
         for a in 0..DATA_BITS {
-            for b in 0..CHECK_BITS {
+            for b in 0..u8::BITS {
                 let corrupt = Codeword {
                     data: cw.data ^ (1u64 << a),
                     check: cw.check ^ (1 << b),

@@ -4,8 +4,6 @@
 //! crate replaces them with a physics-based, measurement-calibrated model
 //! so the paper's entire methodology can run in software:
 //!
-//! * [`resources`] — the XCZU9EG programmable-logic inventory and the
-//!   B4096 DPU's utilization of it.
 //! * [`rails`] — the PMBus-addressable voltage-rail tree (`VCCINT` at
 //!   `0x13`, `VCCBRAM` at `0x14`, fixed off-focus rails).
 //! * [`variation`] — per-board process corners reproducing the paper's
@@ -45,7 +43,6 @@ pub mod calib;
 pub mod ecc;
 pub mod power;
 pub mod rails;
-pub mod resources;
 pub mod thermal;
 pub mod timing;
 pub mod variation;

@@ -58,16 +58,6 @@ impl ThermalModel {
         self.forced_c = Some(temp_c);
     }
 
-    /// Returns to physical fan mode.
-    pub fn release_forced(&mut self) {
-        self.forced_c = None;
-    }
-
-    /// Whether the chamber override is active.
-    pub fn is_forced(&self) -> bool {
-        self.forced_c.is_some()
-    }
-
     /// Package thermal resistance at the current duty, °C/W.
     pub fn r_th(&self) -> f64 {
         let t = self.fan_duty_pct / 100.0;
@@ -98,40 +88,6 @@ impl ThermalModel {
             t = next;
         }
         t
-    }
-
-    /// Finds the fan duty that achieves `target_c` at the given operating
-    /// point, or `None` if the target is outside the reachable span.
-    /// This is the paper's fan-based temperature regulation loop.
-    pub fn duty_for_target(
-        &self,
-        power: &PowerModel,
-        target_c: f64,
-        vccint_mv: f64,
-        vccbram_mv: f64,
-        load: &LoadProfile,
-    ) -> Option<f64> {
-        let mut probe = self.clone();
-        probe.set_fan_duty(100.0);
-        let coolest = probe.junction_c(power, vccint_mv, vccbram_mv, load);
-        probe.set_fan_duty(0.0);
-        let hottest = probe.junction_c(power, vccint_mv, vccbram_mv, load);
-        if target_c < coolest - 0.05 || target_c > hottest + 0.05 {
-            return None;
-        }
-        // Bisection on duty (temperature is monotone decreasing in duty).
-        let (mut lo, mut hi) = (0.0f64, 100.0f64);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            probe.set_fan_duty(mid);
-            let t = probe.junction_c(power, vccint_mv, vccbram_mv, load);
-            if t > target_c {
-                lo = mid; // too hot: more fan
-            } else {
-                hi = mid;
-            }
-        }
-        Some(0.5 * (lo + hi))
     }
 }
 
@@ -192,29 +148,11 @@ mod tests {
     #[test]
     fn forced_mode_overrides() {
         let (mut t, p, l) = parts();
+        let physical = t.junction_c(&p, VNOM_MV, VNOM_MV, &l);
         t.force_temperature(47.5);
-        assert!(t.is_forced());
         assert_eq!(t.junction_c(&p, VNOM_MV, VNOM_MV, &l), 47.5);
-        t.release_forced();
-        assert!(!t.is_forced());
-    }
-
-    #[test]
-    fn duty_for_target_hits_setpoint() {
-        let (mut t, p, l) = parts();
-        let duty = t
-            .duty_for_target(&p, 43.0, VNOM_MV, VNOM_MV, &l)
-            .expect("43°C reachable at nominal power");
-        t.set_fan_duty(duty);
-        let j = t.junction_c(&p, VNOM_MV, VNOM_MV, &l);
-        assert!((j - 43.0).abs() < 0.1, "junction = {j} at duty {duty}");
-    }
-
-    #[test]
-    fn unreachable_target_returns_none() {
-        let (t, p, l) = parts();
-        assert!(t.duty_for_target(&p, 90.0, VNOM_MV, VNOM_MV, &l).is_none());
-        assert!(t.duty_for_target(&p, 20.0, VNOM_MV, VNOM_MV, &l).is_none());
+        t.set_fan_duty(100.0);
+        assert_eq!(t.junction_c(&p, VNOM_MV, VNOM_MV, &l), physical);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   Inception).
 //! * [`dataset`] — synthetic class-conditional images with Table-1
 //!   accuracy calibration.
-//! * [`prune`] — magnitude and structured-channel pruning (§6.2).
-//! * [`metrics`] — accuracy / top-k / confusion.
+//! * [`prune`] — structured channel pruning (§6.2).
 //! * [`abft`] — algorithm-based fault tolerance: dual integer checksums
 //!   over the conv/dense accumulators and activations, armed per
 //!   execution by an [`abft::DefenseMode`], the detection layer of the
@@ -57,7 +56,6 @@ pub mod abft;
 pub mod dataset;
 pub mod graph;
 pub mod kernels;
-pub mod metrics;
 pub mod models;
 pub mod prune;
 pub mod quant;

@@ -1,15 +1,10 @@
 //! Model pruning (the paper's §6.2 study, mirroring the DECENT pruner).
 //!
-//! Two flavours:
-//!
-//! * [`unstructured`] — magnitude pruning: zero the smallest weights per
-//!   layer. Reduces the *effective* parameter count but not the dense
-//!   operation count (useful for sparsity statistics).
-//! * [`channel_prune`] — structured channel pruning for sequential models
-//!   (the paper evaluates pruning on VGGNet): removes the lowest-L1 output
-//!   channels of every convolution and rewires downstream consumers, so
-//!   the pruned model genuinely performs *fewer operations* — the paper's
-//!   source of the pruned model's higher power-efficiency (Fig. 8b).
+//! [`channel_prune`] is structured channel pruning for sequential models
+//! (the paper evaluates pruning on VGGNet): it removes the lowest-L1
+//! output channels of every convolution and rewires downstream consumers,
+//! so the pruned model genuinely performs *fewer operations* — the
+//! paper's source of the pruned model's higher power-efficiency (Fig. 8b).
 
 use crate::graph::{ConvParams, Graph, GraphBuilder, Op};
 use std::fmt;
@@ -45,121 +40,6 @@ impl fmt::Display for PruneError {
 }
 
 impl std::error::Error for PruneError {}
-
-/// Fraction of exactly-zero weights across all weight layers.
-pub fn sparsity(graph: &Graph) -> f64 {
-    let mut zeros = 0usize;
-    let mut total = 0usize;
-    for node in graph.nodes() {
-        if let Op::Conv { weights, .. } | Op::Dense { weights, .. } = &node.op {
-            zeros += weights.iter().filter(|w| **w == 0.0).count();
-            total += weights.len();
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        zeros as f64 / total as f64
-    }
-}
-
-/// Magnitude pruning: zeroes the smallest-|w| `fraction` of each weight
-/// layer. Returns a new graph; MAC counts are unchanged (dense execution).
-///
-/// # Panics
-///
-/// Panics if `fraction` is outside `[0, 1]`.
-pub fn unstructured(graph: &Graph, fraction: f64) -> Graph {
-    assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-    let mut b = GraphBuilder::new();
-    let mut id_map = vec![0usize; graph.nodes().len()];
-    for (id, node) in graph.nodes().iter().enumerate() {
-        let new_id = match &node.op {
-            Op::Input { h, w, c } => b.input(*h, *w, *c),
-            Op::Conv {
-                params,
-                weights,
-                bias,
-            } => {
-                let w = zero_smallest(weights, fraction);
-                b.conv(&node.name, id_map[node.inputs[0]], *params, w, bias.clone())
-            }
-            Op::Dense {
-                out_len,
-                relu,
-                weights,
-                bias,
-                ..
-            } => {
-                let w = zero_smallest(weights, fraction);
-                b.dense(
-                    &node.name,
-                    id_map[node.inputs[0]],
-                    *out_len,
-                    *relu,
-                    w,
-                    bias.clone(),
-                )
-            }
-            Op::MaxPool { k, stride } => {
-                b.max_pool(&node.name, id_map[node.inputs[0]], *k, *stride)
-            }
-            Op::AvgPool { k, stride } => {
-                b.avg_pool(&node.name, id_map[node.inputs[0]], *k, *stride)
-            }
-            Op::GlobalAvgPool => b.global_avg_pool(&node.name, id_map[node.inputs[0]]),
-            Op::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                var,
-                ..
-            } => b.batch_norm(
-                &node.name,
-                id_map[node.inputs[0]],
-                gamma.clone(),
-                beta.clone(),
-                mean.clone(),
-                var.clone(),
-            ),
-            Op::Add { relu } => b.add(
-                &node.name,
-                id_map[node.inputs[0]],
-                id_map[node.inputs[1]],
-                *relu,
-            ),
-            Op::Concat => {
-                let ins: Vec<usize> = node.inputs.iter().map(|&i| id_map[i]).collect();
-                b.concat(&node.name, &ins)
-            }
-            Op::Softmax => b.softmax(&node.name, id_map[node.inputs[0]]),
-        };
-        id_map[id] = new_id;
-    }
-    b.finish(id_map[graph.output_id()])
-}
-
-fn zero_smallest(weights: &[f32], fraction: f64) -> Vec<f32> {
-    let mut mags: Vec<f32> = weights.iter().map(|w| w.abs()).collect();
-    mags.sort_by(|a, b| a.partial_cmp(b).expect("finite weights"));
-    let cut = ((weights.len() as f64) * fraction) as usize;
-    if cut == 0 {
-        return weights.to_vec();
-    }
-    let threshold = mags[cut - 1];
-    let mut budget = cut;
-    weights
-        .iter()
-        .map(|&w| {
-            if w.abs() <= threshold && budget > 0 {
-                budget -= 1;
-                0.0
-            } else {
-                w
-            }
-        })
-        .collect()
-}
 
 /// Structured channel pruning of a sequential model: removes the
 /// `fraction` lowest-L1 output channels from every convolution (keeping at
@@ -356,32 +236,6 @@ mod tests {
             3,
             (0..3072).map(|i| ((i as f32) * 0.01).sin()).collect(),
         )
-    }
-
-    #[test]
-    fn unstructured_hits_requested_sparsity() {
-        let g = vgg();
-        assert!(sparsity(&g) < 0.01);
-        let p = unstructured(&g, 0.5);
-        let s = sparsity(&p);
-        assert!((s - 0.5).abs() < 0.02, "sparsity {s}");
-    }
-
-    #[test]
-    fn unstructured_keeps_shapes_and_macs() {
-        let g = vgg();
-        let p = unstructured(&g, 0.5);
-        assert_eq!(g.mac_count(), p.mac_count());
-        assert_eq!(g.param_count(), p.param_count());
-        let out = p.forward(&img()).unwrap();
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn unstructured_zero_fraction_is_identity() {
-        let g = vgg();
-        let p = unstructured(&g, 0.0);
-        assert_eq!(g, p);
     }
 
     #[test]

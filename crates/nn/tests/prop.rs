@@ -80,18 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn unstructured_prune_hits_target_sparsity(
-        seed in 0u64..100,
-        fraction in 0.0f64..0.9,
-    ) {
-        let (g, _) = small_net(seed, true);
-        let p = prune::unstructured(&g, fraction);
-        let s = prune::sparsity(&p);
-        prop_assert!((s - fraction).abs() < 0.05, "sparsity {s} target {fraction}");
-        prop_assert_eq!(g.mac_count(), p.mac_count());
-    }
-
-    #[test]
     fn channel_prune_preserves_classifier_width(
         seed in 0u64..100,
         fraction in 0.0f64..0.7,

@@ -72,20 +72,6 @@ pub fn grid_then_golden(
     golden_section_min(f, a, b, tol)
 }
 
-/// Least-squares fit of `y ≈ a · e^{b·x}` by log-linear regression.
-///
-/// # Panics
-///
-/// Panics if fewer than two points are given, lengths differ, or any `y`
-/// is not strictly positive.
-pub fn fit_exponential(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert!(xs.len() >= 2 && xs.len() == ys.len(), "bad sample");
-    assert!(ys.iter().all(|&y| y > 0.0), "exponential fit needs y > 0");
-    let logs: Vec<f64> = ys.iter().map(|&y| y.ln()).collect();
-    let (slope, intercept) = crate::stats::linear_fit(xs, &logs).expect("n >= 2");
-    (intercept.exp(), slope)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +98,6 @@ mod tests {
         };
         let x = grid_then_golden(f, 0.0, 10.0, 21, 1e-9);
         assert!((x - 8.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn exponential_fit_recovers_parameters() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 3.0 * (1.7 * x).exp()).collect();
-        let (a, b) = fit_exponential(&xs, &ys);
-        assert!((a - 3.0).abs() < 1e-9, "a = {a}");
-        assert!((b - 1.7).abs() < 1e-9, "b = {b}");
     }
 
     #[test]

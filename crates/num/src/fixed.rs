@@ -68,11 +68,6 @@ impl IntFormat {
         1u32 << self.bits
     }
 
-    /// Saturates `v` into the representable range.
-    pub fn saturate(self, v: i32) -> i32 {
-        v.clamp(self.min_value(), self.max_value())
-    }
-
     /// Returns `true` if `v` is representable without saturation.
     pub fn contains(self, v: i32) -> bool {
         v >= self.min_value() && v <= self.max_value()
@@ -136,11 +131,6 @@ impl QuantScale {
     pub fn dequantize(&self, code: i32) -> f64 {
         f64::from(code) * self.scale
     }
-
-    /// Worst-case absolute rounding error of this scale (half a step).
-    pub fn step_error(&self) -> f64 {
-        self.scale / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +151,6 @@ mod tests {
     fn rejects_bad_widths() {
         assert!(IntFormat::new(0).is_err());
         assert!(IntFormat::new(9).is_err());
-    }
-
-    #[test]
-    fn saturate_clamps() {
-        let f4 = IntFormat::new(4).unwrap();
-        assert_eq!(f4.saturate(100), 7);
-        assert_eq!(f4.saturate(-100), -8);
-        assert_eq!(f4.saturate(3), 3);
     }
 
     #[test]
@@ -208,7 +190,7 @@ mod tests {
         let mut x = -1.0;
         while x <= 1.0 {
             let err = (q.dequantize(q.quantize(x)) - x).abs();
-            assert!(err <= q.step_error() + 1e-12, "err {err} at {x}");
+            assert!(err <= q.scale / 2.0 + 1e-12, "err {err} at {x}");
             x += 0.001;
         }
     }
@@ -224,6 +206,6 @@ mod tests {
     fn lower_precision_has_larger_step() {
         let q8 = QuantScale::for_max_abs(1.0, IntFormat::new(8).unwrap());
         let q4 = QuantScale::for_max_abs(1.0, IntFormat::new(4).unwrap());
-        assert!(q4.step_error() > q8.step_error());
+        assert!(q4.scale > q8.scale);
     }
 }

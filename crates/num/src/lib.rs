@@ -9,10 +9,10 @@
 //! * [`pchip`] — monotone piecewise-cubic Hermite interpolation, used to
 //!   anchor calibrated hardware models (power, delay) to the paper's
 //!   published measurement points without introducing spurious oscillation.
-//! * [`stats`] — summary statistics and confidence intervals for repeated
-//!   experiments (the paper averages 10 repetitions per data point).
-//! * [`fit`] — golden-section minimization and exponential fitting, used
-//!   by the calibration audit to re-derive fitted constants.
+//! * [`stats`] — summary statistics for repeated experiments (the paper
+//!   averages 10 repetitions per data point).
+//! * [`fit`] — golden-section minimization, used by the calibration audit
+//!   to re-derive fitted constants.
 //! * [`fixed`] — Q-format fixed-point arithmetic mirroring the INT8..INT4
 //!   quantized datapaths of the DPU.
 //!

@@ -223,11 +223,6 @@ impl Xoshiro256StarStar {
         mean + std * self.next_normal()
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn next_bernoulli(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Returns a Poisson-distributed count with the given `rate`.
     ///
     /// Uses Knuth's product method for small rates and a normal
@@ -406,14 +401,6 @@ mod tests {
         let total: u64 = (0..n).map(|_| rng.next_poisson(100.0)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 100.0).abs() < 1.0, "mean={mean}");
-    }
-
-    #[test]
-    fn bernoulli_probability_estimate() {
-        let mut rng = Xoshiro256StarStar::seed_from(31);
-        let hits = (0..50_000).filter(|_| rng.next_bernoulli(0.3)).count();
-        let p = hits as f64 / 50_000.0;
-        assert!((p - 0.3).abs() < 0.01, "p={p}");
     }
 
     #[test]

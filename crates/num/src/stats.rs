@@ -3,7 +3,7 @@
 //! The paper reports every data point as the average of 10 experiment
 //! repetitions and notes that observed variation was negligible; the
 //! experiment framework in `redvolt-core` does the same and uses these
-//! routines to report mean, spread and confidence intervals.
+//! routines to report mean and spread.
 
 use crate::NumError;
 
@@ -52,25 +52,6 @@ impl Summary {
             max,
         })
     }
-
-    /// Half-width of an approximate 95 % confidence interval on the mean
-    /// (normal approximation, `1.96 · s/√n`).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Coefficient of variation (`s / |mean|`), or 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean.abs()
-        }
-    }
 }
 
 /// Returns the arithmetic mean of `samples`.
@@ -85,89 +66,6 @@ pub fn mean(samples: &[f64]) -> Result<f64, NumError> {
     Ok(samples.iter().sum::<f64>() / samples.len() as f64)
 }
 
-/// Returns the `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between
-/// order statistics.
-///
-/// # Errors
-///
-/// Returns [`NumError::EmptySample`] for an empty slice.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]` or any sample is NaN.
-pub fn quantile(samples: &[f64], q: f64) -> Result<f64, NumError> {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if samples.is_empty() {
-        return Err(NumError::EmptySample);
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Returns the median of `samples`.
-///
-/// # Errors
-///
-/// Returns [`NumError::EmptySample`] for an empty slice.
-pub fn median(samples: &[f64]) -> Result<f64, NumError> {
-    quantile(samples, 0.5)
-}
-
-/// Pearson correlation coefficient of two equal-length samples.
-///
-/// # Errors
-///
-/// Returns [`NumError::EmptySample`] if either slice is empty or the
-/// lengths differ.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, NumError> {
-    if xs.is_empty() || xs.len() != ys.len() {
-        return Err(NumError::EmptySample);
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx).powi(2);
-        vy += (y - my).powi(2);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(cov / (vx.sqrt() * vy.sqrt()))
-}
-
-/// Ordinary least-squares fit `y ≈ slope·x + intercept`.
-///
-/// # Errors
-///
-/// Returns [`NumError::EmptySample`] if fewer than two points are given or
-/// the lengths differ.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), NumError> {
-    if xs.len() < 2 || xs.len() != ys.len() {
-        return Err(NumError::EmptySample);
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        num += (x - mx) * (y - my);
-        den += (x - mx).powi(2);
-    }
-    let slope = if den == 0.0 { 0.0 } else { num / den };
-    Ok((slope, my - slope * mx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +77,6 @@ mod tests {
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.min, 4.0);
         assert_eq!(s.max, 4.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -194,7 +91,6 @@ mod tests {
     fn empty_sample_errors() {
         assert_eq!(Summary::of(&[]), Err(NumError::EmptySample));
         assert_eq!(mean(&[]), Err(NumError::EmptySample));
-        assert_eq!(median(&[]), Err(NumError::EmptySample));
     }
 
     #[test]
@@ -202,42 +98,5 @@ mod tests {
         let s = Summary::of(&[3.5]).unwrap();
         assert_eq!(s.n, 1);
         assert_eq!(s.std_dev, 0.0);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let data = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&data, 0.0).unwrap(), 1.0);
-        assert_eq!(quantile(&data, 1.0).unwrap(), 4.0);
-        assert!((median(&data).unwrap() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_series_is_zero() {
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 2.5 * x - 1.0).collect();
-        let (slope, intercept) = linear_fit(&xs, &ys).unwrap();
-        assert!((slope - 2.5).abs() < 1e-12);
-        assert!((intercept + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_handles_zero_mean() {
-        let s = Summary::of(&[-1.0, 1.0]).unwrap();
-        assert_eq!(s.cv(), 0.0);
     }
 }

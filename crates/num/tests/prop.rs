@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use redvolt_num::fixed::{IntFormat, QuantScale};
 use redvolt_num::pchip::Pchip;
 use redvolt_num::rng::Xoshiro256StarStar;
-use redvolt_num::stats::{self, Summary};
+use redvolt_num::stats::Summary;
 
 fn monotone_knots() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     (3usize..10).prop_flat_map(|n| {
@@ -64,7 +64,7 @@ proptest! {
         let q = QuantScale::for_max_abs(max_abs, IntFormat::new(bits).unwrap());
         let clamped = value.clamp(-max_abs, max_abs);
         let err = (q.dequantize(q.quantize(clamped)) - clamped).abs();
-        prop_assert!(err <= q.step_error() + 1e-12, "err {err} > step {}", q.step_error());
+        prop_assert!(err <= q.scale / 2.0 + 1e-12, "err {err} > half step {}", q.scale / 2.0);
     }
 
     #[test]
@@ -81,14 +81,6 @@ proptest! {
         prop_assert!(s.mean >= s.min - 1e-9);
         prop_assert!(s.mean <= s.max + 1e-9);
         prop_assert!(s.std_dev >= 0.0);
-    }
-
-    #[test]
-    fn quantiles_are_monotone(samples in proptest::collection::vec(-1e3f64..1e3, 1..40)) {
-        let q25 = stats::quantile(&samples, 0.25).unwrap();
-        let q50 = stats::quantile(&samples, 0.50).unwrap();
-        let q75 = stats::quantile(&samples, 0.75).unwrap();
-        prop_assert!(q25 <= q50 && q50 <= q75);
     }
 
     #[test]
@@ -109,14 +101,5 @@ proptest! {
         let _ = b.next_u64();
         let mut a2 = root.substream(1);
         prop_assert_eq!(a2.next_u64(), first);
-    }
-
-    #[test]
-    fn pearson_is_bounded(
-        xs in proptest::collection::vec(-100.0f64..100.0, 3..20),
-    ) {
-        let ys: Vec<f64> = xs.iter().map(|x| x * 0.5 + 1.0).collect();
-        let r = stats::pearson(&xs, &ys).unwrap();
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
     }
 }

@@ -119,17 +119,6 @@ impl TransactionLog {
             .chain(self.entries[..self.head].iter())
     }
 
-    /// The most recent transaction, if any.
-    pub fn latest(&self) -> Option<&Transaction> {
-        self.iter().last()
-    }
-
-    /// Drops all retained transactions (the total counter keeps running).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.head = 0;
-    }
-
     fn push(&mut self, mut t: Transaction) {
         t.seq = self.total;
         self.total += 1;
@@ -326,11 +315,6 @@ impl PmbusAdapter {
     /// The transaction log (bounded ring, chronological iteration).
     pub fn log(&self) -> &TransactionLog {
         &self.log
-    }
-
-    /// Clears the transaction log (counters keep running).
-    pub fn clear_log(&mut self) {
-        self.log.clear();
     }
 
     fn record(&mut self, address: u8, command: CommandCode, dir: Direction, word: u16, ok: bool) {
@@ -671,16 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_log_empties() {
-        let mut reg = SimpleRegulator::new(0x13, 0.85);
-        let mut host = PmbusAdapter::new();
-        host.read_pout(&mut reg, 0x13).unwrap();
-        assert!(!host.log().is_empty());
-        host.clear_log();
-        assert!(host.log().is_empty());
-    }
-
-    #[test]
     fn ring_log_evicts_oldest_and_keeps_total() {
         let mut reg = SimpleRegulator::new(0x13, 0.85);
         let mut host = PmbusAdapter::new().with_log_capacity(4);
@@ -692,7 +666,6 @@ mod tests {
         assert_eq!(host.log().capacity(), 4);
         let seqs: Vec<u64> = host.log().iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4], "oldest entry (seq 0) evicted");
-        assert_eq!(host.log().latest().unwrap().seq, 4);
     }
 
     #[test]

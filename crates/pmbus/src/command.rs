@@ -46,17 +46,6 @@ pub enum CommandCode {
     ReadPin = 0x97,
 }
 
-/// Wire data format of a command's payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DataFormat {
-    /// Single raw byte.
-    Byte,
-    /// LINEAR11-encoded word.
-    Linear11,
-    /// LINEAR16-encoded word (exponent from `VOUT_MODE`).
-    Linear16,
-}
-
 /// Access class of a command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
@@ -98,29 +87,6 @@ impl CommandCode {
         self as u8
     }
 
-    /// Payload format of this command.
-    pub fn data_format(self) -> DataFormat {
-        match self {
-            CommandCode::Page
-            | CommandCode::Operation
-            | CommandCode::VoutMode
-            | CommandCode::FanConfig12
-            | CommandCode::StatusByte => DataFormat::Byte,
-            CommandCode::VoutCommand
-            | CommandCode::VoutOvFaultLimit
-            | CommandCode::VoutUvFaultLimit
-            | CommandCode::ReadVout => DataFormat::Linear16,
-            CommandCode::FanCommand1
-            | CommandCode::ReadVin
-            | CommandCode::ReadIin
-            | CommandCode::ReadIout
-            | CommandCode::ReadTemperature1
-            | CommandCode::ReadFanSpeed1
-            | CommandCode::ReadPout
-            | CommandCode::ReadPin => DataFormat::Linear11,
-        }
-    }
-
     /// Access class of this command.
     pub fn access(self) -> Access {
         match self {
@@ -150,8 +116,6 @@ pub mod status {
     pub const VOUT_OV: u8 = 1 << 5;
     /// Output under-voltage / output fault latched.
     pub const VOUT_UV: u8 = 1 << 4;
-    /// Device is not providing power (off or crashed).
-    pub const OFF: u8 = 1 << 6;
     /// Communication/memory/logic fault (we latch this on board crash).
     pub const CML: u8 = 1 << 1;
 }
@@ -190,12 +154,5 @@ mod tests {
                 assert_eq!(cmd.access(), Access::ReadOnly, "{cmd}");
             }
         }
-    }
-
-    #[test]
-    fn vout_commands_use_linear16() {
-        assert_eq!(CommandCode::VoutCommand.data_format(), DataFormat::Linear16);
-        assert_eq!(CommandCode::ReadVout.data_format(), DataFormat::Linear16);
-        assert_eq!(CommandCode::ReadPout.data_format(), DataFormat::Linear11);
     }
 }

@@ -8,15 +8,16 @@
 //!
 //! * [`linear`] — the LINEAR11 and LINEAR16 floating-point encodings that
 //!   PMBus uses on the wire.
-//! * [`command`] — the command-code registry with per-command data formats.
+//! * [`command`] — the command-code registry with per-command access
+//!   classes.
 //! * [`device`] — the [`device::PmbusTarget`] trait implemented by anything
 //!   addressable on the bus (the board simulator implements it), plus a
 //!   standalone [`device::SimpleRegulator`] reference device.
 //! * [`adapter`] — a typed host-side adapter (mirroring the Maxim PMBus
 //!   dongle + API the paper used) that encodes/decodes values and keeps a
 //!   transaction log.
-//! * [`mux`] — bus composition ([`mux::BusMux`]) and `i2cdetect`-style
-//!   address scanning.
+//! * [`pec`] — the SMBus packet error check (CRC-8) the adapter verifies
+//!   reads with.
 //!
 //! # Examples
 //!
@@ -39,7 +40,6 @@ pub mod adapter;
 pub mod command;
 pub mod device;
 pub mod linear;
-pub mod mux;
 pub mod pec;
 
 use std::error::Error;

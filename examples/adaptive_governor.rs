@@ -8,7 +8,7 @@
 
 use redvolt::core::bench_suite::BenchmarkId;
 use redvolt::core::experiment::{Accelerator, AcceleratorConfig};
-use redvolt::core::governor::{run_governor, GovernorConfig};
+use redvolt::core::governor::run_governor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut acc = Accelerator::bring_up(&AcceleratorConfig {
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..AcceleratorConfig::default()
     })?;
 
-    let trace = run_governor(&mut acc, &GovernorConfig::default(), 140)?;
+    let trace = run_governor(&mut acc, 32, 140)?;
 
     println!("governor trajectory (every 10th batch):");
     println!(

@@ -8,7 +8,6 @@
 use redvolt::core::bench_suite::BenchmarkId;
 use redvolt::core::executor::{CampaignPlan, CellAction, CellOutcome, CellSpec};
 use redvolt::core::experiment::AcceleratorConfig;
-use redvolt::core::governor::GovernorConfig;
 use redvolt::core::sweep::SweepConfig;
 use redvolt_faults::bus::BusFaultProfile;
 use redvolt_nn::abft::DefenseMode;
@@ -38,10 +37,7 @@ fn mixed_plan(master_seed: u64) -> CampaignPlan {
     plan.push(CellSpec {
         config: base,
         action: CellAction::Governor {
-            config: GovernorConfig {
-                batch_images: 8,
-                ..GovernorConfig::default()
-            },
+            batch_images: 8,
             batches: 6,
         },
         force_temp_c: None,
@@ -331,7 +327,7 @@ fn image_sharding_is_payload_invariant_under_heavy_faults() {
 /// are pinned across the whole grid.
 #[test]
 fn image_sharding_is_invisible_in_journal_and_telemetry() {
-    use redvolt::core::supervisor::{run_supervised_journaled, SupervisorConfig};
+    use redvolt::core::supervisor::{run_supervised, JournalSpec, SupervisorConfig};
     use redvolt::core::telemetry::CampaignTelemetry;
 
     let plan = heavy_fault_plan(1907);
@@ -349,7 +345,14 @@ fn image_sharding_is_invisible_in_journal_and_telemetry() {
             image_jobs,
             ..SupervisorConfig::default()
         };
-        let sup = run_supervised_journaled(&plan, jobs, &config, &path, false).unwrap();
+        let sup = run_supervised(
+            &plan,
+            jobs,
+            &config,
+            Some(&JournalSpec::new(&path, false)),
+            None,
+        )
+        .unwrap();
         let journal = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let payload = sup.report.to_csv();

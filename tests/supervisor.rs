@@ -12,10 +12,7 @@
 use redvolt::core::bench_suite::BenchmarkId;
 use redvolt::core::executor::{CampaignPlan, CellAction, CellOutcome, CellSpec};
 use redvolt::core::experiment::AcceleratorConfig;
-use redvolt::core::governor::GovernorConfig;
-use redvolt::core::supervisor::{
-    run_supervised, run_supervised_journaled, SupervisorConfig, SupervisorError,
-};
+use redvolt::core::supervisor::{run_supervised, JournalSpec, SupervisorConfig, SupervisorError};
 use redvolt::core::sweep::SweepConfig;
 use redvolt::faults::bus::BusFaultProfile;
 use std::path::PathBuf;
@@ -80,10 +77,7 @@ fn faulty_plan(master_seed: u64) -> CampaignPlan {
     plan.push(CellSpec {
         config: faulty(BenchmarkId::GoogleNet, 2),
         action: CellAction::Governor {
-            config: GovernorConfig {
-                batch_images: 8,
-                ..GovernorConfig::default()
-            },
+            batch_images: 8,
             batches: 6,
         },
         force_temp_c: None,
@@ -128,7 +122,7 @@ fn panicking_cell_aborts_alone_while_others_complete() {
     plan.push(panicking_cell());
     plan.push(measure_cell(BenchmarkId::GoogleNet, 1, Some(600.0)));
 
-    let sup = run_supervised(&plan, 2, &SupervisorConfig::default(), None).unwrap();
+    let sup = run_supervised(&plan, 2, &SupervisorConfig::default(), None, None).unwrap();
     assert_eq!(sup.report.results.len(), 3);
     assert_eq!(sup.aborted_cells, 1);
     assert!(!sup.interrupted);
@@ -154,7 +148,7 @@ fn panicking_cell_aborts_alone_while_others_complete() {
 fn interrupted_plus_resume_merges_to_uninterrupted_bytes() {
     let plan = faulty_plan(42);
     // The reference: one uninterrupted supervised run, no journal.
-    let straight = run_supervised(&plan, 1, &SupervisorConfig::default(), None)
+    let straight = run_supervised(&plan, 1, &SupervisorConfig::default(), None, None)
         .unwrap()
         .report
         .to_csv();
@@ -164,24 +158,29 @@ fn interrupted_plus_resume_merges_to_uninterrupted_bytes() {
         let path = temp_journal(&format!("resume-j{jobs}"));
 
         // First run: killed after `kill_at` newly journaled cells.
-        let halted = run_supervised_journaled(
+        let halted = run_supervised(
             &plan,
             jobs,
             &SupervisorConfig {
                 halt_after: Some(kill_at),
                 ..SupervisorConfig::default()
             },
-            &path,
-            false,
+            Some(&JournalSpec::new(&path, false)),
+            None,
         )
         .unwrap();
         assert!(halted.interrupted, "jobs={jobs}");
         assert_eq!(halted.report.results.len(), kill_at);
 
         // Second run: --resume skips the journaled prefix and completes.
-        let resumed =
-            run_supervised_journaled(&plan, jobs, &SupervisorConfig::default(), &path, true)
-                .unwrap();
+        let resumed = run_supervised(
+            &plan,
+            jobs,
+            &SupervisorConfig::default(),
+            Some(&JournalSpec::new(&path, true)),
+            None,
+        )
+        .unwrap();
         assert!(!resumed.interrupted);
         assert_eq!(resumed.resumed_cells, kill_at, "jobs={jobs}");
         assert_eq!(
@@ -197,26 +196,40 @@ fn interrupted_plus_resume_merges_to_uninterrupted_bytes() {
 #[test]
 fn resume_refuses_a_different_plans_journal() {
     let path = temp_journal("mismatch");
-    run_supervised_journaled(
+    run_supervised(
         &faulty_plan(1),
         1,
         &SupervisorConfig {
             halt_after: Some(1),
             ..SupervisorConfig::default()
         },
-        &path,
-        false,
+        Some(&JournalSpec::new(&path, false)),
+        None,
     )
     .unwrap();
-    let err = run_supervised_journaled(
-        &faulty_plan(2),
-        1,
-        &SupervisorConfig::default(),
-        &path,
-        true,
-    )
-    .unwrap_err();
-    assert!(matches!(err, SupervisorError::Journal(_)), "{err}");
+    // The same cells without the injected bus faults: same seeds, labels
+    // and actions, different results.
+    let mut fault_free = CampaignPlan::new(1);
+    for cell in faulty_plan(1).cells() {
+        fault_free.push(CellSpec {
+            config: AcceleratorConfig {
+                bus_faults: BusFaultProfile::none(),
+                ..cell.config
+            },
+            ..cell.clone()
+        });
+    }
+    for plan in [faulty_plan(2), fault_free] {
+        let err = run_supervised(
+            &plan,
+            1,
+            &SupervisorConfig::default(),
+            Some(&JournalSpec::new(&path, true)),
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SupervisorError::Journal(_)), "{err}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -233,7 +246,7 @@ fn crashing_cell_is_retried_to_exhaustion_with_attempts_recorded() {
         max_attempts: 3,
         ..SupervisorConfig::default()
     };
-    let sup = run_supervised(&plan, 1, &config, None).unwrap();
+    let sup = run_supervised(&plan, 1, &config, None, None).unwrap();
     let crashed = &sup.report.results[0];
     assert_eq!(crashed.attempts, 3, "retried to the attempt budget");
     match &crashed.outcome {
@@ -261,10 +274,7 @@ fn cycle_budget_reaps_runaway_cells_deterministically() {
     plan.push(CellSpec {
         config: tiny_config(BenchmarkId::VggNet, 0),
         action: CellAction::Governor {
-            config: GovernorConfig {
-                batch_images: 8,
-                ..GovernorConfig::default()
-            },
+            batch_images: 8,
             batches: 50,
         },
         force_temp_c: None,
@@ -276,7 +286,7 @@ fn cycle_budget_reaps_runaway_cells_deterministically() {
         cycle_budget: Some(100_000),
         ..SupervisorConfig::default()
     };
-    let sup = run_supervised(&plan, 2, &config, None).unwrap();
+    let sup = run_supervised(&plan, 2, &config, None, None).unwrap();
     let reaped = &sup.report.results[0];
     assert_eq!(reaped.attempts, 2, "deadline exceeded on both attempts");
     match &reaped.outcome {
@@ -304,7 +314,7 @@ fn wall_clock_watchdog_reaps_hung_cells() {
             ..AcceleratorConfig::tiny(BenchmarkId::GoogleNet)
         },
         action: CellAction::Governor {
-            config: GovernorConfig::default(),
+            batch_images: 32,
             batches: 40,
         },
         force_temp_c: None,
@@ -314,7 +324,7 @@ fn wall_clock_watchdog_reaps_hung_cells() {
         wall_cap: Duration::from_millis(10),
         ..SupervisorConfig::default()
     };
-    let sup = run_supervised(&plan, 1, &config, None).unwrap();
+    let sup = run_supervised(&plan, 1, &config, None, None).unwrap();
     let reaped = &sup.report.results[0];
     assert_eq!(reaped.attempts, 2);
     assert_eq!(
@@ -329,7 +339,7 @@ fn wall_clock_watchdog_reaps_hung_cells() {
 fn empty_plan_supervises_cleanly() {
     let plan = CampaignPlan::new(0);
     for jobs in [0, 1, 4] {
-        let sup = run_supervised(&plan, jobs, &SupervisorConfig::default(), None).unwrap();
+        let sup = run_supervised(&plan, jobs, &SupervisorConfig::default(), None, None).unwrap();
         assert!(sup.report.results.is_empty());
         assert_eq!(sup.report.to_csv(), "");
         assert!(!sup.interrupted);

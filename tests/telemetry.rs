@@ -11,8 +11,7 @@
 use redvolt::core::bench_suite::BenchmarkId;
 use redvolt::core::executor::{CampaignPlan, CellAction, CellSpec};
 use redvolt::core::experiment::AcceleratorConfig;
-use redvolt::core::governor::GovernorConfig;
-use redvolt::core::supervisor::{run_supervised, run_supervised_journaled, SupervisorConfig};
+use redvolt::core::supervisor::{run_supervised, JournalSpec, SupervisorConfig};
 use redvolt::core::sweep::SweepConfig;
 use redvolt::core::telemetry::{bus_stats_table, CampaignTelemetry};
 use redvolt::faults::bus::BusFaultProfile;
@@ -44,10 +43,7 @@ fn heavy_plan(master_seed: u64) -> CampaignPlan {
     plan.push(CellSpec {
         config: heavy(BenchmarkId::GoogleNet, 2),
         action: CellAction::Governor {
-            config: GovernorConfig {
-                batch_images: 8,
-                ..GovernorConfig::default()
-            },
+            batch_images: 8,
             batches: 4,
         },
         force_temp_c: None,
@@ -81,7 +77,7 @@ fn temp_journal(tag: &str) -> PathBuf {
 fn heavy_fault_telemetry_is_jobs_invariant() {
     let plan = heavy_plan(42);
     let reference = {
-        let sup = run_supervised(&plan, 1, &SupervisorConfig::default(), None).unwrap();
+        let sup = run_supervised(&plan, 1, &SupervisorConfig::default(), None, None).unwrap();
         let telem = CampaignTelemetry::collect(&sup.report);
         (telem.to_jsonl(), telem.to_prometheus())
     };
@@ -89,7 +85,7 @@ fn heavy_fault_telemetry_is_jobs_invariant() {
     assert!(reference.1.contains("redvolt_bus_transactions_total"));
 
     for jobs in [2usize, 8] {
-        let sup = run_supervised(&plan, jobs, &SupervisorConfig::default(), None).unwrap();
+        let sup = run_supervised(&plan, jobs, &SupervisorConfig::default(), None, None).unwrap();
         let telem = CampaignTelemetry::collect(&sup.report);
         assert_eq!(
             telem.to_jsonl(),
@@ -107,25 +103,31 @@ fn heavy_fault_telemetry_is_jobs_invariant() {
 #[test]
 fn metrics_export_composes_with_resume() {
     let plan = heavy_plan(7);
-    let straight = run_supervised(&plan, 2, &SupervisorConfig::default(), None).unwrap();
+    let straight = run_supervised(&plan, 2, &SupervisorConfig::default(), None, None).unwrap();
     let straight_telem = CampaignTelemetry::collect(&straight.report);
 
     let path = temp_journal("resume-metrics");
-    let halted = run_supervised_journaled(
+    let halted = run_supervised(
         &plan,
         2,
         &SupervisorConfig {
             halt_after: Some(2),
             ..SupervisorConfig::default()
         },
-        &path,
-        false,
+        Some(&JournalSpec::new(&path, false)),
+        None,
     )
     .unwrap();
     assert!(halted.interrupted);
 
-    let resumed =
-        run_supervised_journaled(&plan, 2, &SupervisorConfig::default(), &path, true).unwrap();
+    let resumed = run_supervised(
+        &plan,
+        2,
+        &SupervisorConfig::default(),
+        Some(&JournalSpec::new(&path, true)),
+        None,
+    )
+    .unwrap();
     assert!(!resumed.interrupted);
     assert_eq!(resumed.resumed_cells, 2);
     let resumed_telem = CampaignTelemetry::collect(&resumed.report);
@@ -160,7 +162,7 @@ fn metrics_export_composes_with_resume() {
 #[test]
 fn heavy_fault_prometheus_reports_bus_health_counters() {
     let plan = heavy_plan(13);
-    let sup = run_supervised(&plan, 2, &SupervisorConfig::default(), None).unwrap();
+    let sup = run_supervised(&plan, 2, &SupervisorConfig::default(), None, None).unwrap();
     let prom = CampaignTelemetry::collect(&sup.report).to_prometheus();
     let value = |name: &str| -> f64 {
         prom.lines()
