@@ -647,8 +647,9 @@ impl Graph {
     ///
     /// `outs` is resized to one tensor per node and each tensor's
     /// allocation is reused across calls; `scratch` holds the kernels'
-    /// im2col panels. After the first call on a given graph, repeated
-    /// forward passes perform no heap allocation — the hot loop of the
+    /// staged inputs and im2col tiles. After the first call on a given
+    /// graph, repeated forward passes perform no heap allocation — the
+    /// hot loop of bias centering, readout feature extraction and the
     /// quantizer's calibration pass.
     ///
     /// # Errors
@@ -728,10 +729,7 @@ impl Graph {
                 Op::Add { relu } => {
                     add_into(&before[node.inputs[0]], &before[node.inputs[1]], *relu, out)
                 }
-                Op::Concat => concat_into(
-                    &node.inputs.iter().map(|&i| &before[i]).collect::<Vec<_>>(),
-                    out,
-                ),
+                Op::Concat => concat_into(&node.inputs, before, out),
                 Op::Softmax => softmax_into(&before[node.inputs[0]], out),
             }
         }
@@ -783,12 +781,14 @@ impl Graph {
             .filter(|(_, n)| matches!(n.op, Op::Dense { .. }))
             .map(|(id, _)| id)
             .collect();
+        let mut outs = Vec::new();
+        let mut scratch = crate::kernels::Scratch::new();
         for id in dense_ids {
             // Mean pre-activation per output unit over the image set.
             let src = self.nodes[id].inputs[0];
             let mut means: Vec<f64> = Vec::new();
             for img in images {
-                let outs = self.forward_all(img)?;
+                self.forward_all_into(img, &mut outs, &mut scratch)?;
                 let x = outs[src].data();
                 let Op::Dense {
                     in_len,
@@ -855,8 +855,10 @@ impl Graph {
         let src = self.nodes[readout].inputs[0];
         // Frozen-backbone features, extracted once.
         let mut features: Vec<Vec<f32>> = Vec::with_capacity(images.len());
+        let mut outs = Vec::new();
+        let mut scratch = crate::kernels::Scratch::new();
         for img in images {
-            let outs = self.forward_all(img)?;
+            self.forward_all_into(img, &mut outs, &mut scratch)?;
             features.push(outs[src].data().to_vec());
         }
         let Op::Dense {
@@ -1038,13 +1040,14 @@ fn add_into(a: &Tensor, b: &Tensor, relu: bool, out: &mut Tensor) {
     }
 }
 
-fn concat_into(inputs: &[&Tensor], out: &mut Tensor) {
-    let h = inputs[0].h();
-    let w = inputs[0].w();
+fn concat_into(input_ids: &[NodeId], acts: &[Tensor], out: &mut Tensor) {
+    let h = acts[input_ids[0]].h();
+    let w = acts[input_ids[0]].w();
     for y in 0..h {
         for x in 0..w {
             let mut off = 0;
-            for t in inputs {
+            for &ti in input_ids {
+                let t = &acts[ti];
                 for ch in 0..t.c() {
                     out.set(y, x, off + ch, t.at(y, x, ch));
                 }
