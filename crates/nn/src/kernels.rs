@@ -5,15 +5,21 @@
 //! * **Float kernels** must be *bit-identical* to
 //!   [`crate::reference::conv2d_f32`] / [`crate::reference::dense_f32`].
 //!   `f32` addition is non-associative, so the optimized code reproduces
-//!   the reference accumulation order exactly — per `(ky, kx)` kernel row
-//!   a partial sum is folded sequentially from `0.0` over the channel
-//!   chunk and then added to the bias-initialized accumulator, with
-//!   out-of-bounds rows skipped (never zero-padded: `-0.0 + 0.0`
-//!   normalizes the sign bit, which a skip does not). Speed comes from
-//!   hoisting bounds checks out of the hot loops, gathering each output
-//!   pixel's valid chunks into a contiguous im2col panel once, and
-//!   running four output channels as independent accumulation chains so
-//!   the sequential floating-point folds overlap in the pipeline.
+//!   the reference accumulation order exactly: per in-bounds `(ky, kx)`
+//!   tap a partial sum is folded sequentially from `+0.0` over the input
+//!   channels and then added to the bias-initialized accumulator. The
+//!   conv therefore never vectorizes along K. It vectorizes across output
+//!   pixels instead: a tile of 16 consecutive pixels, crossing output rows,
+//!   becomes a feature-major im2col tile (per tap and channel, the 16
+//!   pixels' inputs, zero where the tap falls out of bounds) with a lane
+//!   mask per tap, and each lane replays its own pixel's fold while four
+//!   output channels share each load of the tile. A lane whose tap is out
+//!   of bounds keeps its accumulator by a *select*, never by adding its
+//!   zero partial: `-0.0 + 0.0` is `+0.0`, which would flip a `-0.0` bias
+//!   the reference keeps. Taps no lane of a tile reaches are skipped. The
+//!   conv body is compiled twice, plain and with AVX2 (never FMA), and
+//!   runtime detection picks the build. The single-row dense layer runs
+//!   four outputs as independent chains.
 //!
 //! * **Integer kernels** accumulate `i8 × i8` products in `i32`, which is
 //!   associative (wrapping arithmetic forms a group), so they are free to
@@ -45,11 +51,14 @@
 //!   [`crate::reference::dense_f32`] does, and each gradient element
 //!   folds from `0.0` over the samples in order. Speed comes from
 //!   batching, not reordering: sixteen samples' logits advance as
-//!   independent chains over a feature-major copy of the set, and a
-//!   four-output × eight-feature gradient tile stays in registers for
-//!   the whole pass over the samples. Rust never contracts `a * b + c`
-//!   into a fused multiply-add, so the vectorized folds round exactly
-//!   as the scalar ones.
+//!   independent chains over a feature-major copy of the set, four outputs
+//!   sharing each load of it, and a four-output × eight-feature gradient
+//!   tile stays in registers for the whole pass over the samples. Both
+//!   bodies are compiled a second time with AVX2, like the conv.
+//!
+//!   Rust never contracts `a * b + c` into a fused multiply-add, and the
+//!   AVX2 builds enable `avx2` only, not `fma`, so the backend cannot
+//!   either: every vectorized fold rounds exactly as the scalar one.
 //!
 //! * **The rounding pass** [`round_codes_into`] turns every staged
 //!   activation value of the quantized executor into a code,
@@ -76,15 +85,39 @@ const OC_BLOCK: usize = 16;
 /// Codes per reduction pair of a [`PackedQ`] block: every channel's two.
 const PAIR_CODES: usize = 2 * OC_BLOCK;
 
-/// Reusable kernel workspace (im2col panels and chunk tables). Create
-/// once, thread through every kernel call; buffers grow to the largest
-/// layer seen and are then reused allocation-free.
+/// Output pixels per tile of the float convolution: the SIMD lanes that
+/// advance together, two AVX2 vectors of eight `f32`.
+const PIX: usize = 16;
+
+/// Output channels that share one pass over a float conv tile.
+const OC_GROUP: usize = 4;
+
+/// A kernel tap that at least one pixel of a float conv tile reaches.
+#[derive(Debug, Clone, Copy)]
+struct TileTap {
+    /// Tap index `ky · k + kx`.
+    t: usize,
+    /// Per lane: whether the tap falls inside the input for that pixel.
+    inside: [bool; PIX],
+    /// Whether it does for every pixel of the tile.
+    all_inside: bool,
+}
+
+/// Reusable kernel workspace (staged inputs, im2col tiles and panels).
+/// Create once, thread through every kernel call; buffers grow to the
+/// largest layer seen and are then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// f32 im2col panel: the valid input chunks of one output pixel.
-    panel_f: Vec<f32>,
-    /// Weight-row offsets of the valid chunks in `panel_f`.
-    chunk_offs: Vec<usize>,
+    /// Float conv input, channel-major and zero-padded: one
+    /// `(h + 2·pad) × (w + 2·pad)` plane per input channel.
+    planes_f: Vec<f32>,
+    /// Feature-major float im2col tile: for each tap in `taps` and each
+    /// input channel, the [`PIX`] lanes' inputs, zero where the tap falls
+    /// out of bounds or past the last pixel.
+    tile_f: Vec<f32>,
+    /// The taps the current float tile reaches, in `(ky, kx)` order, with
+    /// their lane masks.
+    taps: Vec<TileTap>,
     /// Integer im2col panel: up to `QTILE` rows of `k·k·ic` sign-extended
     /// codes, zero-padded to the packed weights' even width.
     panel_q: Vec<i16>,
@@ -99,7 +132,8 @@ impl Scratch {
 
 /// Optimized float convolution writing into `out` (length `oh·ow·out_ch`).
 ///
-/// Bit-identical to [`crate::reference::conv2d_f32`].
+/// Bit-identical to [`crate::reference::conv2d_f32`]. Runs the AVX2 build
+/// when the CPU has it.
 ///
 /// # Panics
 ///
@@ -112,103 +146,212 @@ pub fn conv2d_f32_into(
     scratch: &mut Scratch,
     out: &mut [f32],
 ) {
-    let (ih, iw, ic) = (input.h(), input.w(), input.c());
-    let (oh, ow) = p.out_hw(ih, iw);
+    let (oh, ow) = p.out_hw(input.h(), input.w());
     assert_eq!(out.len(), oh * ow * p.out_ch, "output buffer length");
     assert_eq!(weights.len(), p.weight_count(), "weights length");
     assert_eq!(bias.len(), p.out_ch, "bias length");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { conv_f32_avx2(input, p, weights, bias, scratch, out) };
+    }
+    conv_f32(input, p, weights, bias, scratch, out)
+}
+
+/// The body of [`conv2d_f32_into`], inlined into both builds.
+///
+/// A tile of [`PIX`] consecutive output pixels, crossing output rows,
+/// advances as independent lanes, each replaying the reference fold for
+/// its pixel: the accumulator starts at the bias, and per in-bounds tap,
+/// in `(ky, kx)` order, a partial sum folds from `+0.0` over the input
+/// channels in order and is then added. A lane whose tap falls out of
+/// bounds keeps its accumulator by a select; adding its zero partial
+/// instead would turn a `-0.0` accumulator into `+0.0`.
+#[inline(always)]
+fn conv_f32(
+    input: &Tensor,
+    p: &ConvParams,
+    weights: &[f32],
+    bias: &[f32],
+    scratch: &mut Scratch,
+    out: &mut [f32],
+) {
+    let (ih, iw, ic) = (input.h(), input.w(), input.c());
+    let (oh, ow) = p.out_hw(ih, iw);
+    let pixels = oh * ow;
+    if pixels == 0 || p.out_ch == 0 {
+        return;
+    }
+    let (k, stride, pad) = (p.k, p.stride, p.pad);
+    // Stage the input channel-major with its zero padding, so each tap of
+    // a run of pixels in one output row reads one strided row segment.
+    let (ph, pw) = (ih + 2 * pad, iw + 2 * pad);
+    let plane = ph * pw;
+    let planes = &mut scratch.planes_f;
+    planes.clear();
+    planes.resize(ic * plane, 0.0);
     let data = input.data();
-    let k2ic = p.k * p.k * ic;
-    scratch.panel_f.resize(k2ic, 0.0);
-    for oy in 0..oh {
-        let base_y = (oy * p.stride) as isize - p.pad as isize;
-        for ox in 0..ow {
-            let base_x = (ox * p.stride) as isize - p.pad as isize;
-            // im2col gather: copy this pixel's in-bounds chunks into one
-            // contiguous panel row, remembering each chunk's offset into
-            // the weight row. Chunks keep the reference's (ky, kx) order.
-            scratch.chunk_offs.clear();
-            let mut filled = 0usize;
-            for ky in 0..p.k {
-                let y = base_y + ky as isize;
-                if y < 0 || y >= ih as isize {
-                    continue;
-                }
-                for kx in 0..p.k {
-                    let x = base_x + kx as isize;
-                    if x < 0 || x >= iw as isize {
-                        continue;
-                    }
-                    let in_off = ((y as usize) * iw + x as usize) * ic;
-                    scratch.panel_f[filled..filled + ic]
-                        .copy_from_slice(&data[in_off..in_off + ic]);
-                    scratch.chunk_offs.push((ky * p.k + kx) * ic);
-                    filled += ic;
-                }
-            }
-            let panel = &scratch.panel_f[..filled];
-            let chunks = &scratch.chunk_offs[..];
-            let outs = &mut out[(oy * ow + ox) * p.out_ch..][..p.out_ch];
-            // Register-blocked GEMV: four output channels advance four
-            // independent accumulation chains over the shared panel, each
-            // chain replaying the reference op sequence exactly.
-            let mut oc = 0;
-            while oc + 4 <= p.out_ch {
-                let w0 = &weights[oc * k2ic..][..k2ic];
-                let w1 = &weights[(oc + 1) * k2ic..][..k2ic];
-                let w2 = &weights[(oc + 2) * k2ic..][..k2ic];
-                let w3 = &weights[(oc + 3) * k2ic..][..k2ic];
-                let (mut a0, mut a1, mut a2, mut a3) =
-                    (bias[oc], bias[oc + 1], bias[oc + 2], bias[oc + 3]);
-                for (ci, &woff) in chunks.iter().enumerate() {
-                    let xs = &panel[ci * ic..][..ic];
-                    let (mut p0, mut p1, mut p2, mut p3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    let ws0 = &w0[woff..][..ic];
-                    let ws1 = &w1[woff..][..ic];
-                    let ws2 = &w2[woff..][..ic];
-                    let ws3 = &w3[woff..][..ic];
-                    for ((((&x, &v0), &v1), &v2), &v3) in
-                        xs.iter().zip(ws0).zip(ws1).zip(ws2).zip(ws3)
-                    {
-                        p0 += x * v0;
-                        p1 += x * v1;
-                        p2 += x * v2;
-                        p3 += x * v3;
-                    }
-                    a0 += p0;
-                    a1 += p1;
-                    a2 += p2;
-                    a3 += p3;
-                }
-                if p.relu {
-                    a0 = a0.max(0.0);
-                    a1 = a1.max(0.0);
-                    a2 = a2.max(0.0);
-                    a3 = a3.max(0.0);
-                }
-                outs[oc] = a0;
-                outs[oc + 1] = a1;
-                outs[oc + 2] = a2;
-                outs[oc + 3] = a3;
-                oc += 4;
-            }
-            while oc < p.out_ch {
-                let w0 = &weights[oc * k2ic..][..k2ic];
-                let mut a0 = bias[oc];
-                for (ci, &woff) in chunks.iter().enumerate() {
-                    let xs = &panel[ci * ic..][..ic];
-                    let ws0 = &w0[woff..][..ic];
-                    let mut p0 = 0.0f32;
-                    for (&x, &v0) in xs.iter().zip(ws0) {
-                        p0 += x * v0;
-                    }
-                    a0 += p0;
-                }
-                outs[oc] = if p.relu { a0.max(0.0) } else { a0 };
-                oc += 1;
+    for y in 0..ih {
+        for x in 0..iw {
+            let at = (y + pad) * pw + x + pad;
+            for (i, &v) in data[(y * iw + x) * ic..][..ic].iter().enumerate() {
+                planes[i * plane + at] = v;
             }
         }
     }
+    let tile = &mut scratch.tile_f;
+    tile.resize(k * k * ic * PIX, 0.0);
+    let taps = &mut scratch.taps;
+    let mut start = 0;
+    while start < pixels {
+        let n = PIX.min(pixels - start);
+        // Each lane's window origin in padded coordinates.
+        let mut origin = [(0usize, 0usize); PIX];
+        for (l, o) in origin[..n].iter_mut().enumerate() {
+            let q = start + l;
+            *o = (q / ow * stride, q % ow * stride);
+        }
+        // The taps some lane reaches, each with its lane mask.
+        taps.clear();
+        for ky in 0..k {
+            for kx in 0..k {
+                let mut inside = [false; PIX];
+                for (m, &(y0, x0)) in inside[..n].iter_mut().zip(&origin[..n]) {
+                    *m = (pad..pad + ih).contains(&(y0 + ky))
+                        && (pad..pad + iw).contains(&(x0 + kx));
+                }
+                if inside.contains(&true) {
+                    taps.push(TileTap {
+                        t: ky * k + kx,
+                        inside,
+                        all_inside: inside[..n].iter().all(|&m| m),
+                    });
+                }
+            }
+        }
+        // Gather the tile run by run: the pixels of one output row read
+        // each tap's row segment of every channel plane. A stride-1 1×1
+        // conv reads consecutive plane positions across rows too, so its
+        // whole tile is one run.
+        let mut l = 0;
+        while l < n {
+            let (oy, ox) = ((start + l) / ow, (start + l) % ow);
+            let len = if k == 1 && stride == 1 {
+                n
+            } else {
+                (ow - ox).min(n - l)
+            };
+            for (j, tap) in taps.iter().enumerate() {
+                let (ky, kx) = (tap.t / k, tap.t % k);
+                let at = (oy * stride + ky) * pw + ox * stride + kx;
+                for (i, src) in planes.chunks_exact(plane).enumerate() {
+                    let dst = &mut tile[(j * ic + i) * PIX + l..][..len];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[at..][..len]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src[at..].iter().step_by(stride)) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
+            l += len;
+        }
+        if n < PIX {
+            for lanes in tile[..taps.len() * ic * PIX].chunks_exact_mut(PIX) {
+                lanes[n..].fill(0.0);
+            }
+        }
+        let tile = &tile[..taps.len() * ic * PIX];
+        let outs = &mut out[start * p.out_ch..][..n * p.out_ch];
+        let mut oc = 0;
+        while oc + OC_GROUP <= p.out_ch {
+            conv_tile::<OC_GROUP>(tile, taps, p, ic, weights, bias, oc, outs);
+            oc += OC_GROUP;
+        }
+        while oc < p.out_ch {
+            conv_tile::<1>(tile, taps, p, ic, weights, bias, oc, outs);
+            oc += 1;
+        }
+        start += n;
+    }
+}
+
+/// Output channels `oc..oc + C` of one float conv tile, written to the
+/// tile's pixel rows `outs` (HWC order, `out_ch` values per pixel).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one tile's whole description
+fn conv_tile<const C: usize>(
+    tile: &[f32],
+    taps: &[TileTap],
+    p: &ConvParams,
+    ic: usize,
+    weights: &[f32],
+    bias: &[f32],
+    oc: usize,
+    outs: &mut [f32],
+) {
+    let k2ic = p.k * p.k * ic;
+    let mut acc = [[0.0f32; PIX]; C];
+    for (a, &b) in acc.iter_mut().zip(&bias[oc..][..C]) {
+        *a = [b; PIX];
+    }
+    for (j, tap) in taps.iter().enumerate() {
+        let xs_tap = &tile[j * ic * PIX..][..ic * PIX];
+        let w: [&[f32]; C] =
+            std::array::from_fn(|c| &weights[(oc + c) * k2ic + tap.t * ic..][..ic]);
+        let mut part = [[0.0f32; PIX]; C];
+        for (i, xs) in xs_tap.chunks_exact(PIX).enumerate() {
+            for (pc, wc) in part.iter_mut().zip(&w) {
+                let wv = wc[i];
+                for (pl, &x) in pc.iter_mut().zip(xs) {
+                    *pl += x * wv;
+                }
+            }
+        }
+        if tap.all_inside {
+            for (a, pc) in acc.iter_mut().zip(&part) {
+                for (al, &pl) in a.iter_mut().zip(pc) {
+                    *al += pl;
+                }
+            }
+        } else {
+            for (a, pc) in acc.iter_mut().zip(&part) {
+                *a = std::array::from_fn(|l| {
+                    let sum = a[l] + pc[l];
+                    if tap.inside[l] {
+                        sum
+                    } else {
+                        a[l]
+                    }
+                });
+            }
+        }
+    }
+    for (l, row) in outs.chunks_exact_mut(p.out_ch).enumerate() {
+        for (o, a) in row[oc..][..C].iter_mut().zip(&acc) {
+            *o = if p.relu { a[l].max(0.0) } else { a[l] };
+        }
+    }
+}
+
+/// [`conv_f32`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv_f32_avx2(
+    input: &Tensor,
+    p: &ConvParams,
+    weights: &[f32],
+    bias: &[f32],
+    scratch: &mut Scratch,
+    out: &mut [f32],
+) {
+    conv_f32(input, p, weights, bias, scratch, out)
 }
 
 /// Optimized float convolution returning a fresh tensor (convenience
@@ -302,6 +445,9 @@ pub fn dense_f32(
 /// Inputs per lane block of [`dense_f32_batch_into`].
 const LANES: usize = 16;
 
+/// Outputs per pass of a [`dense_f32_batch_into`] lane block.
+const OUT_GROUP: usize = 4;
+
 /// Optimized batched float dense layer (no ReLU) over `batch` inputs
 /// stored feature-major: `inputs_t[i * batch + s]` is feature `i` of
 /// input `s`. Writes output `o` of input `s` to `out[s * out_len + o]`,
@@ -311,9 +457,10 @@ const LANES: usize = 16;
 /// on input `s`: every output folds from `0.0` over the features in
 /// order and adds the bias last. The kernel runs sixteen inputs as
 /// independent chains, so the fold vectorizes across inputs rather than
-/// along one dot product. Transposing the inputs is the caller's job,
-/// done once for a batch that is reused (the trainer's fit set stays
-/// the same for every epoch).
+/// along one dot product, and four outputs share each pass over the
+/// features. Transposing the inputs is the caller's job, done once for a
+/// batch that is reused (the trainer's fit set stays the same for every
+/// epoch). Runs the AVX2 build when the CPU has it.
 ///
 /// # Panics
 ///
@@ -330,6 +477,25 @@ pub fn dense_f32_batch_into(
     assert_eq!(inputs_t.len(), in_len * batch, "inputs length");
     assert_eq!(weights.len(), in_len * out_len, "weights length");
     assert_eq!(out.len(), batch * out_len, "output buffer length");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { dense_batch_avx2(inputs_t, in_len, batch, weights, bias, out) };
+    }
+    dense_batch(inputs_t, in_len, batch, weights, bias, out)
+}
+
+/// The body of [`dense_f32_batch_into`], inlined into both builds.
+#[inline(always)]
+fn dense_batch(
+    inputs_t: &[f32],
+    in_len: usize,
+    batch: usize,
+    weights: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let out_len = bias.len();
     let mut s0 = 0;
     while s0 + LANES <= batch {
         dense_lane_block(
@@ -363,8 +529,6 @@ pub fn dense_f32_batch_into(
 
 /// One lane block: up to [`LANES`] inputs whose feature `i` sits at
 /// `inputs_t[i * stride..][..LANES]`; writes `out.len() / out_len` rows.
-/// One output at a time: its [`LANES`] chains are enough independent
-/// adds to hide the add latency.
 #[inline(always)]
 fn dense_lane_block(
     inputs_t: &[f32],
@@ -375,19 +539,65 @@ fn dense_lane_block(
     out: &mut [f32],
 ) {
     let out_len = bias.len();
-    for o in 0..out_len {
-        let row = &weights[o * in_len..][..in_len];
-        let mut acc = [0.0f32; LANES];
-        for (i, &w) in row.iter().enumerate() {
-            let xs = &inputs_t[i * stride..][..LANES];
-            for (a, &x) in acc.iter_mut().zip(xs) {
-                *a += x * w;
+    let mut o = 0;
+    while o + OUT_GROUP <= out_len {
+        dense_lane_outputs::<OUT_GROUP>(inputs_t, stride, in_len, weights, bias, o, out);
+        o += OUT_GROUP;
+    }
+    while o < out_len {
+        dense_lane_outputs::<1>(inputs_t, stride, in_len, weights, bias, o, out);
+        o += 1;
+    }
+}
+
+/// Outputs `o..o + C` of one lane block: each load of a feature's
+/// [`LANES`] inputs feeds `C` outputs' chains.
+#[inline(always)]
+fn dense_lane_outputs<const C: usize>(
+    inputs_t: &[f32],
+    stride: usize,
+    in_len: usize,
+    weights: &[f32],
+    bias: &[f32],
+    o: usize,
+    out: &mut [f32],
+) {
+    let out_len = bias.len();
+    let rows: [&[f32]; C] = std::array::from_fn(|c| &weights[(o + c) * in_len..][..in_len]);
+    let mut acc = [[0.0f32; LANES]; C];
+    for i in 0..in_len {
+        let xs = &inputs_t[i * stride..][..LANES];
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            let w = row[i];
+            for (al, &x) in a.iter_mut().zip(xs) {
+                *al += x * w;
             }
         }
-        for (outs, &a) in out.chunks_exact_mut(out_len).zip(&acc) {
-            outs[o] = bias[o] + a;
+    }
+    for (l, outs) in out.chunks_exact_mut(out_len).enumerate() {
+        for (c, a) in acc.iter().enumerate() {
+            outs[o + c] = bias[o + c] + a[l];
         }
     }
+}
+
+/// [`dense_batch`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dense_batch_avx2(
+    inputs_t: &[f32],
+    in_len: usize,
+    batch: usize,
+    weights: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    dense_batch(inputs_t, in_len, batch, weights, bias, out)
 }
 
 /// Outputs per register tile of [`dense_weight_grad_f32_into`].
@@ -403,7 +613,8 @@ const GRAD_TILE_IN: usize = 8;
 /// Each element folds from `0.0` over the inputs in order, exactly as
 /// accumulating `err · x` one input at a time would. Tiles of four
 /// outputs × eight features keep their accumulators in registers for
-/// the whole pass over the inputs.
+/// the whole pass over the inputs. Runs the AVX2 build when the CPU has
+/// it.
 ///
 /// # Panics
 ///
@@ -419,6 +630,17 @@ pub fn dense_weight_grad_f32_into(
     assert_eq!(inputs.len(), batch * in_len, "inputs length");
     assert_eq!(err.len(), batch * out_len, "error length");
     assert_eq!(grad.len(), out_len * in_len, "gradient buffer length");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { weight_grad_avx2(inputs, in_len, err, out_len, grad) };
+    }
+    weight_grad(inputs, in_len, err, out_len, grad)
+}
+
+/// The body of [`dense_weight_grad_f32_into`], inlined into both builds.
+#[inline(always)]
+fn weight_grad(inputs: &[f32], in_len: usize, err: &[f32], out_len: usize, grad: &mut [f32]) {
     let mut o = 0;
     while o + GRAD_TILE_OUT <= out_len {
         grad_rows::<GRAD_TILE_OUT>(inputs, in_len, err, out_len, o, grad);
@@ -474,6 +696,24 @@ fn grad_tile<const C: usize, const F: usize>(
     for (c, row) in acc.iter().enumerate() {
         grad[(o + c) * in_len + i..][..F].copy_from_slice(row);
     }
+}
+
+/// [`weight_grad`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn weight_grad_avx2(
+    inputs: &[f32],
+    in_len: usize,
+    err: &[f32],
+    out_len: usize,
+    grad: &mut [f32],
+) {
+    weight_grad(inputs, in_len, err, out_len, grad)
 }
 
 /// The integer weights of a conv or dense layer, packed for the GEMM
@@ -986,6 +1226,210 @@ mod tests {
                 want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 got.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A value at `i` in roughly [-0.6, 0.6] from `seed`, with exact `+0.0`
+    /// and `-0.0` mixed in.
+    fn signed_zeros_at(seed: u64, i: usize) -> f32 {
+        let h = (seed ^ 0x9e37_79b9)
+            .wrapping_mul(0x2545_f491_4f6c_dd1d)
+            .wrapping_add(i as u64)
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        match (h >> 33) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            m => (m as f32 / 11.0 - 0.5) * 1.2 + (h % 97) as f32 * 1e-3,
+        }
+    }
+
+    /// Runs each build of the float conv the CPU supports, through one
+    /// scratch, and checks every output's bits against the reference.
+    fn check_conv_f32(input: &Tensor, p: &ConvParams, weights: &[f32], bias: &[f32]) -> Vec<u32> {
+        let want = bits(reference::conv2d_f32(input, p, weights, bias).data());
+        let (oh, ow) = p.out_hw(input.h(), input.w());
+        let shape = format!("{}x{}x{} {p:?}", input.h(), input.w(), input.c());
+        let mut scratch = Scratch::new();
+        let mut out = vec![f32::NAN; oh * ow * p.out_ch];
+        conv_f32(input, p, weights, bias, &mut scratch, &mut out);
+        assert_eq!(bits(&out), want, "plain build: {shape}");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            out.fill(f32::NAN);
+            // SAFETY: AVX2 support was just verified.
+            unsafe { conv_f32_avx2(input, p, weights, bias, &mut scratch, &mut out) };
+            assert_eq!(bits(&out), want, "AVX2 build: {shape}");
+        }
+        want
+    }
+
+    /// A seeded conv case with signed zeros in the input, weights and
+    /// bias.
+    fn conv_case(ih: usize, iw: usize, p: &ConvParams, seed: u64) -> Vec<u32> {
+        let input = Tensor::from_vec(
+            ih,
+            iw,
+            p.in_ch,
+            (0..ih * iw * p.in_ch)
+                .map(|i| signed_zeros_at(seed, i))
+                .collect(),
+        );
+        let weights: Vec<f32> = (0..p.weight_count())
+            .map(|i| signed_zeros_at(seed ^ 0x3e1, i))
+            .collect();
+        let bias: Vec<f32> = (0..p.out_ch)
+            .map(|i| signed_zeros_at(seed ^ 0xb1a5, i))
+            .collect();
+        check_conv_f32(&input, p, &weights, &bias)
+    }
+
+    #[test]
+    fn both_float_conv_builds_match_the_reference() {
+        let conv = |in_ch, out_ch, k, stride, pad, relu| ConvParams {
+            in_ch,
+            out_ch,
+            k,
+            stride,
+            pad,
+            relu,
+        };
+        // Output pixels 1…49 in rows 1…7 wide: ragged last tiles, and
+        // tiles that cross rows.
+        for h in 1..=7 {
+            for w in 1..=7 {
+                for out_ch in [1, 5, 9] {
+                    let relu = (h + w) % 2 == 0;
+                    conv_case(h, w, &conv(3, out_ch, 3, 1, 1, relu), (h * 8 + w) as u64);
+                }
+            }
+        }
+        conv_case(1, 40, &conv(2, 6, 1, 1, 0, true), 1);
+        conv_case(40, 1, &conv(2, 6, 3, 1, 1, false), 2);
+        // Every stride and pad, kernels up to larger than the input, and
+        // every channel-group remainder including no channels at all.
+        for k in 1..=5 {
+            for stride in 1..=3 {
+                for pad in 0..=2 {
+                    for (ih, iw) in [(1, 1), (2, 3), (5, 4), (7, 7)] {
+                        if ih + 2 * pad < k || iw + 2 * pad < k {
+                            continue;
+                        }
+                        for out_ch in 0..=9 {
+                            let seed = (k * 1000 + stride * 100 + pad * 10 + out_ch) as u64;
+                            let p = conv(1 + out_ch % 3, out_ch, k, stride, pad, out_ch % 2 == 0);
+                            conv_case(ih, iw, &p, seed);
+                        }
+                    }
+                }
+            }
+        }
+        // A pixel whose only tap falls out of bounds keeps a `-0.0` bias
+        // (adding its zero partial would give `+0.0`), and ReLU sees that
+        // `-0.0` accumulator.
+        let neg_zero = (-0.0f32).to_bits();
+        for relu in [false, true] {
+            let p = conv(2, 5, 1, 1, 1, relu);
+            let input =
+                Tensor::from_vec(2, 2, 2, vec![0.5, -0.25, 0.0, -0.0, 1.0, 2.0, -3.0, 0.75]);
+            let weights: Vec<f32> = (0..p.weight_count())
+                .map(|i| i as f32 * 0.5 - 1.0)
+                .collect();
+            let out = check_conv_f32(&input, &p, &weights, &[-0.0; 5]);
+            if !relu {
+                assert_eq!(out[..5], [neg_zero; 5], "corner pixel keeps the bias");
+            }
+        }
+    }
+
+    #[test]
+    fn both_batched_dense_builds_match_the_reference() {
+        for in_len in [1, 2, 7, 33] {
+            for out_len in 0..=9 {
+                for batch in 1..=40 {
+                    let seed = (in_len * 10_000 + out_len * 100 + batch) as u64;
+                    let rows: Vec<Vec<f32>> = (0..batch)
+                        .map(|s| {
+                            (0..in_len)
+                                .map(|i| signed_zeros_at(seed, s * in_len + i))
+                                .collect()
+                        })
+                        .collect();
+                    let weights: Vec<f32> = (0..in_len * out_len)
+                        .map(|i| signed_zeros_at(seed ^ 0xdead, i))
+                        .collect();
+                    let bias: Vec<f32> = (0..out_len)
+                        .map(|i| signed_zeros_at(seed ^ 0xb1a5, i))
+                        .collect();
+                    let want: Vec<u32> = rows
+                        .iter()
+                        .flat_map(|r| {
+                            let x = Tensor::vector(r.clone());
+                            bits(reference::dense_f32(&x, out_len, false, &weights, &bias).data())
+                        })
+                        .collect();
+                    let mut inputs_t = vec![0.0f32; in_len * batch];
+                    for (s, r) in rows.iter().enumerate() {
+                        for (i, &v) in r.iter().enumerate() {
+                            inputs_t[i * batch + s] = v;
+                        }
+                    }
+                    let case = format!("in_len={in_len} out_len={out_len} batch={batch}");
+                    let mut out = vec![f32::NAN; batch * out_len];
+                    dense_batch(&inputs_t, in_len, batch, &weights, &bias, &mut out);
+                    assert_eq!(bits(&out), want, "plain build: {case}");
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        out.fill(f32::NAN);
+                        // SAFETY: AVX2 support was just verified.
+                        unsafe {
+                            dense_batch_avx2(&inputs_t, in_len, batch, &weights, &bias, &mut out)
+                        };
+                        assert_eq!(bits(&out), want, "AVX2 build: {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_weight_gradient_builds_match_an_in_order_fold() {
+        for in_len in 1..=20 {
+            for out_len in 0..=9 {
+                for batch in [1, 2, 5] {
+                    let seed = (in_len * 10_000 + out_len * 100 + batch) as u64;
+                    let inputs: Vec<f32> = (0..batch * in_len)
+                        .map(|i| signed_zeros_at(seed, i))
+                        .collect();
+                    let err: Vec<f32> = (0..batch * out_len)
+                        .map(|i| signed_zeros_at(seed ^ 0xe77, i))
+                        .collect();
+                    let mut want = vec![0u32; out_len * in_len];
+                    for o in 0..out_len {
+                        for i in 0..in_len {
+                            let mut g = 0.0f32;
+                            for s in 0..batch {
+                                g += err[s * out_len + o] * inputs[s * in_len + i];
+                            }
+                            want[o * in_len + i] = g.to_bits();
+                        }
+                    }
+                    let case = format!("in_len={in_len} out_len={out_len} batch={batch}");
+                    let mut grad = vec![f32::NAN; out_len * in_len];
+                    weight_grad(&inputs, in_len, &err, out_len, &mut grad);
+                    assert_eq!(bits(&grad), want, "plain build: {case}");
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        grad.fill(f32::NAN);
+                        // SAFETY: AVX2 support was just verified.
+                        unsafe { weight_grad_avx2(&inputs, in_len, &err, out_len, &mut grad) };
+                        assert_eq!(bits(&grad), want, "AVX2 build: {case}");
+                    }
+                }
+            }
         }
     }
 

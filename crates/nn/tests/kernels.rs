@@ -31,7 +31,7 @@
 
 use proptest::prelude::*;
 use redvolt_nn::dataset::SyntheticDataset;
-use redvolt_nn::graph::ConvParams;
+use redvolt_nn::graph::{ConvParams, Op};
 use redvolt_nn::kernels::{self, PackedQ, Scratch};
 use redvolt_nn::models::{ModelKind, ModelScale};
 use redvolt_nn::quant::{BitFlip, FaultInjector, QuantizedGraph};
@@ -127,10 +127,10 @@ proptest! {
     #[test]
     fn conv_f32_bit_identical_across_shapes(
         seed in 0u64..1000,
-        ih in 1usize..8,
-        iw in 1usize..8,
+        ih in 1usize..20,
+        iw in 1usize..20,
         ic in 1usize..6,
-        out_ch in 1usize..10,
+        out_ch in 1usize..40,
         k in 1usize..6,
         stride in 1usize..4,
         pad in 0usize..3,
@@ -368,6 +368,44 @@ fn all_negative_zero_terms_fold_from_positive_zero() {
         bits(&want),
         bits(&kernels::conv2d_f32(&input, &p, &weights, &bias))
     );
+}
+
+/// Every conv layer of every benchmark CNN at paper scale, on the inputs
+/// the float forward pass actually feeds it, against the reference conv.
+/// These shapes include ones no proptest draws, such as ResNet50's 2×2
+/// layers and its stride-2 1×1 projections.
+#[test]
+fn paper_scale_conv_layers_match_the_reference() {
+    for kind in ModelKind::ALL {
+        let graph = kind.build(ModelScale::Paper);
+        let shape = graph.input_shape();
+        let ds = SyntheticDataset::new(shape.h, shape.w, shape.c, graph.num_classes(), 42);
+        let (mut outs, mut scratch) = (Vec::new(), Scratch::new());
+        for i in 0..3 {
+            graph
+                .forward_all_into(&ds.image(i).0, &mut outs, &mut scratch)
+                .unwrap();
+            let mut convs = 0;
+            for (id, node) in graph.nodes().iter().enumerate() {
+                if let Op::Conv {
+                    params,
+                    weights,
+                    bias,
+                } = &node.op
+                {
+                    let want = reference::conv2d_f32(&outs[node.inputs[0]], params, weights, bias);
+                    assert_eq!(
+                        bits(&want),
+                        bits(&outs[id]),
+                        "{kind:?} {} image {i}",
+                        node.name
+                    );
+                    convs += 1;
+                }
+            }
+            assert!(convs > 0, "{kind:?} has conv layers");
+        }
+    }
 }
 
 /// The trainer at Inception's readout shape (200 fit images, 896
