@@ -54,7 +54,8 @@
 //!   independent chains over a feature-major copy of the set, four outputs
 //!   sharing each load of it, and a four-output × eight-feature gradient
 //!   tile stays in registers for the whole pass over the samples. Both
-//!   bodies are compiled a second time with AVX2, like the conv.
+//!   bodies are compiled a second time with AVX2, like the conv, where
+//!   the gradient tile widens to sixteen features.
 //!
 //!   Rust never contracts `a * b + c` into a fused multiply-add, and the
 //!   AVX2 builds enable `avx2` only, not `fma`, so the backend cannot
@@ -158,15 +159,9 @@ pub fn conv2d_f32_into(
     conv_f32(input, p, weights, bias, scratch, out)
 }
 
-/// The body of [`conv2d_f32_into`], inlined into both builds.
-///
-/// A tile of [`PIX`] consecutive output pixels, crossing output rows,
-/// advances as independent lanes, each replaying the reference fold for
-/// its pixel: the accumulator starts at the bias, and per in-bounds tap,
-/// in `(ky, kx)` order, a partial sum folds from `+0.0` over the input
-/// channels in order and is then added. A lane whose tap falls out of
-/// bounds keeps its accumulator by a select; adding its zero partial
-/// instead would turn a `-0.0` accumulator into `+0.0`.
+/// The body of [`conv2d_f32_into`], inlined into both builds: tiles of
+/// [`PIX`] consecutive output pixels, crossing output rows, each lane
+/// replaying the reference fold for its pixel (see the module docs).
 #[inline(always)]
 fn conv_f32(
     input: &Tensor,
@@ -316,6 +311,8 @@ fn conv_tile<const C: usize>(
                 }
             }
         } else {
+            // A lane whose tap is out of bounds keeps its accumulator by a
+            // select: adding its zero partial would turn `-0.0` into `+0.0`.
             for (a, pc) in acc.iter_mut().zip(&part) {
                 *a = std::array::from_fn(|l| {
                     let sum = a[l] + pc[l];
@@ -603,8 +600,15 @@ unsafe fn dense_batch_avx2(
 /// Outputs per register tile of [`dense_weight_grad_f32_into`].
 const GRAD_TILE_OUT: usize = 4;
 
-/// Features per register tile of [`dense_weight_grad_f32_into`].
+/// Features per register tile of [`dense_weight_grad_f32_into`]'s plain
+/// build: two SSE2 vectors per output row, so a four-output tile runs
+/// eight independent chains.
 const GRAD_TILE_IN: usize = 8;
+
+/// Features per register tile of the AVX2 build: two AVX2 vectors per
+/// output row, again eight chains. (The plain build at this width
+/// spills its sixteen accumulators out of SSE2's sixteen registers.)
+const GRAD_TILE_IN_AVX2: usize = 16;
 
 /// Weight gradient of a batched dense layer:
 /// `grad[o * in_len + i] = Σ_s err[s * out_len + o] · inputs[s * in_len + i]`
@@ -612,9 +616,9 @@ const GRAD_TILE_IN: usize = 8;
 ///
 /// Each element folds from `0.0` over the inputs in order, exactly as
 /// accumulating `err · x` one input at a time would. Tiles of four
-/// outputs × eight features keep their accumulators in registers for
-/// the whole pass over the inputs. Runs the AVX2 build when the CPU has
-/// it.
+/// outputs × eight features (sixteen in the AVX2 build) keep their
+/// accumulators in registers for the whole pass over the inputs. Runs
+/// the AVX2 build when the CPU has it.
 ///
 /// # Panics
 ///
@@ -635,26 +639,33 @@ pub fn dense_weight_grad_f32_into(
         // SAFETY: AVX2 support was just verified.
         return unsafe { weight_grad_avx2(inputs, in_len, err, out_len, grad) };
     }
-    weight_grad(inputs, in_len, err, out_len, grad)
+    weight_grad::<GRAD_TILE_IN>(inputs, in_len, err, out_len, grad)
 }
 
-/// The body of [`dense_weight_grad_f32_into`], inlined into both builds.
+/// The body of [`dense_weight_grad_f32_into`], inlined into both builds
+/// with tiles `F` features wide.
 #[inline(always)]
-fn weight_grad(inputs: &[f32], in_len: usize, err: &[f32], out_len: usize, grad: &mut [f32]) {
+fn weight_grad<const F: usize>(
+    inputs: &[f32],
+    in_len: usize,
+    err: &[f32],
+    out_len: usize,
+    grad: &mut [f32],
+) {
     let mut o = 0;
     while o + GRAD_TILE_OUT <= out_len {
-        grad_rows::<GRAD_TILE_OUT>(inputs, in_len, err, out_len, o, grad);
+        grad_rows::<GRAD_TILE_OUT, F>(inputs, in_len, err, out_len, o, grad);
         o += GRAD_TILE_OUT;
     }
     while o < out_len {
-        grad_rows::<1>(inputs, in_len, err, out_len, o, grad);
+        grad_rows::<1, F>(inputs, in_len, err, out_len, o, grad);
         o += 1;
     }
 }
 
 /// Gradient rows `o..o + C`, tile by tile along the features.
 #[inline(always)]
-fn grad_rows<const C: usize>(
+fn grad_rows<const C: usize, const F: usize>(
     inputs: &[f32],
     in_len: usize,
     err: &[f32],
@@ -663,9 +674,9 @@ fn grad_rows<const C: usize>(
     grad: &mut [f32],
 ) {
     let mut i = 0;
-    while i + GRAD_TILE_IN <= in_len {
-        grad_tile::<C, GRAD_TILE_IN>(inputs, in_len, err, out_len, o, i, grad);
-        i += GRAD_TILE_IN;
+    while i + F <= in_len {
+        grad_tile::<C, F>(inputs, in_len, err, out_len, o, i, grad);
+        i += F;
     }
     while i < in_len {
         grad_tile::<C, 1>(inputs, in_len, err, out_len, o, i, grad);
@@ -698,7 +709,7 @@ fn grad_tile<const C: usize, const F: usize>(
     }
 }
 
-/// [`weight_grad`] recompiled with AVX2 enabled.
+/// [`weight_grad`] recompiled with AVX2 enabled, on wider tiles.
 ///
 /// # Safety
 ///
@@ -713,7 +724,7 @@ unsafe fn weight_grad_avx2(
     out_len: usize,
     grad: &mut [f32],
 ) {
-    weight_grad(inputs, in_len, err, out_len, grad)
+    weight_grad::<GRAD_TILE_IN_AVX2>(inputs, in_len, err, out_len, grad)
 }
 
 /// The integer weights of a conv or dense layer, packed for the GEMM
@@ -1397,7 +1408,8 @@ mod tests {
 
     #[test]
     fn both_weight_gradient_builds_match_an_in_order_fold() {
-        for in_len in 1..=20 {
+        // Features past two tiles of either build, with every remainder.
+        for in_len in 1..=40 {
             for out_len in 0..=9 {
                 for batch in [1, 2, 5] {
                     let seed = (in_len * 10_000 + out_len * 100 + batch) as u64;
@@ -1419,7 +1431,7 @@ mod tests {
                     }
                     let case = format!("in_len={in_len} out_len={out_len} batch={batch}");
                     let mut grad = vec![f32::NAN; out_len * in_len];
-                    weight_grad(&inputs, in_len, &err, out_len, &mut grad);
+                    weight_grad::<GRAD_TILE_IN>(&inputs, in_len, &err, out_len, &mut grad);
                     assert_eq!(bits(&grad), want, "plain build: {case}");
                     #[cfg(target_arch = "x86_64")]
                     if std::arch::is_x86_feature_detected!("avx2") {
