@@ -100,8 +100,6 @@ struct TileTap {
     t: usize,
     /// Per lane: whether the tap falls inside the input for that pixel.
     inside: [bool; PIX],
-    /// Whether it does for every pixel of the tile.
-    all_inside: bool,
 }
 
 /// Reusable kernel workspace (staged inputs, im2col tiles and panels).
@@ -219,7 +217,6 @@ fn conv_f32(
                     taps.push(TileTap {
                         t: ky * k + kx,
                         inside,
-                        all_inside: inside[..n].iter().all(|&m| m),
                     });
                 }
             }
@@ -304,25 +301,17 @@ fn conv_tile<const C: usize>(
                 }
             }
         }
-        if tap.all_inside {
-            for (a, pc) in acc.iter_mut().zip(&part) {
-                for (al, &pl) in a.iter_mut().zip(pc) {
-                    *al += pl;
+        // A lane whose tap is out of bounds keeps its accumulator by a
+        // select: adding its zero partial would turn `-0.0` into `+0.0`.
+        for (a, pc) in acc.iter_mut().zip(&part) {
+            *a = std::array::from_fn(|l| {
+                let sum = a[l] + pc[l];
+                if tap.inside[l] {
+                    sum
+                } else {
+                    a[l]
                 }
-            }
-        } else {
-            // A lane whose tap is out of bounds keeps its accumulator by a
-            // select: adding its zero partial would turn `-0.0` into `+0.0`.
-            for (a, pc) in acc.iter_mut().zip(&part) {
-                *a = std::array::from_fn(|l| {
-                    let sum = a[l] + pc[l];
-                    if tap.inside[l] {
-                        sum
-                    } else {
-                        a[l]
-                    }
-                });
-            }
+            });
         }
     }
     for (l, row) in outs.chunks_exact_mut(p.out_ch).enumerate() {
