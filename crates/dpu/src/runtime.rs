@@ -269,22 +269,32 @@ impl fmt::Debug for GoldenMemo {
     }
 }
 
-/// Hash of an image's shape and exact bits (indexes the memo only).
+/// Hash of an image's shape and exact bits (indexes the memo only). The
+/// bits fold in eight independent lanes, so consecutive elements do not
+/// wait on each other's multiply; the lanes, the dims and the tail past
+/// the last whole chunk of eight fold into one value at the end.
 fn image_hash(image: &Tensor) -> u64 {
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let chunks = image.data().chunks_exact(8);
+    let tail = chunks.remainder().iter().map(|v| u64::from(v.to_bits()));
+    let lanes = chunks.fold([0u64; 8], |mut lanes, chunk| {
+        for (h, v) in lanes.iter_mut().zip(chunk) {
+            *h = mix(*h, u64::from(v.to_bits()));
+        }
+        lanes
+    });
     let dims = [image.h(), image.w(), image.c()].map(|d| d as u64);
-    let bits = image.data().iter().map(|v| u64::from(v.to_bits()));
-    dims.into_iter().chain(bits).fold(0, |h, x| {
-        (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
-    })
+    lanes.into_iter().chain(dims).chain(tail).fold(0, mix)
 }
 
-/// Whether two images have the same shape and the same bits.
+/// Whether two images have the same shape and the same bits. Compares
+/// every element without an early exit, so the loop vectorizes.
 fn same_bits(a: &Tensor, b: &Tensor) -> bool {
     (a.h(), a.w(), a.c()) == (b.h(), b.w(), b.c())
         && a.data()
             .iter()
-            .map(|v| v.to_bits())
-            .eq(b.data().iter().map(|v| v.to_bits()))
+            .zip(b.data())
+            .fold(true, |same, (x, y)| same & (x.to_bits() == y.to_bits()))
 }
 
 /// Outcome of one image's isolated execution: its prediction (or graph
@@ -1023,6 +1033,31 @@ mod tests {
         let clone = task.clone();
         assert_eq!(task.golden.lock().len(), images.len());
         assert_eq!(clone.golden.lock().len(), 0);
+    }
+
+    #[test]
+    fn memo_entries_are_told_apart_by_bits_not_float_equality() {
+        // `+0.0 == -0.0` while no NaN equals itself: a float compare
+        // would merge the first pair and never find a NaN image again.
+        let (_, task, images) = setup();
+        let with = |v: f32| {
+            let mut image = images[0].clone();
+            image.data_mut()[5] = v;
+            image
+        };
+        let (pos, neg) = (with(0.0), with(-0.0));
+        let nan_a = with(f32::from_bits(0x7fc0_0001));
+        let nan_b = with(f32::from_bits(0x7fc0_0002));
+        assert!(!same_bits(&pos, &neg));
+        assert!(!same_bits(&nan_a, &nan_b));
+        assert!(same_bits(&nan_a, &nan_a.clone()));
+        let mut scratch = ExecScratch::new();
+        for image in [&pos, &neg, &nan_a, &nan_b, &neg, &nan_a] {
+            task.golden
+                .clean_prediction(&task.qgraph, image, &mut scratch)
+                .unwrap();
+        }
+        assert_eq!(task.golden.lock().len(), 4, "one entry per bit pattern");
     }
 
     #[test]

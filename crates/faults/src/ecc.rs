@@ -22,7 +22,7 @@
 
 use redvolt_fpga::ecc::{self, Decode};
 use redvolt_nn::abft::DefenseMode;
-use redvolt_nn::quant::{BitFlip, FaultInjector};
+use redvolt_nn::quant::{BitFlip, FaultInjector, FlipRun};
 
 /// Quantized weight/activation codes stored per 64-bit ECC word.
 pub const CODES_PER_WORD: usize = 8;
@@ -158,8 +158,8 @@ impl<I: FaultInjector> FaultInjector for EccInjector<I> {
         self.filter(flips)
     }
 
-    fn plan_accumulator_faults(&mut self, layer: &str, len: usize, macs: usize) -> Vec<BitFlip> {
-        // DSP accumulators carry no ECC.
+    fn plan_accumulator_faults(&mut self, layer: &str, len: usize, macs: usize) -> Vec<FlipRun> {
+        // DSP accumulators carry no ECC: their runs pass through.
         self.inner.plan_accumulator_faults(layer, len, macs)
     }
 
@@ -187,8 +187,19 @@ mod tests {
                 self.weight.remove(0)
             }
         }
-        fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
-            vec![BitFlip { index: 9, bit: 20 }]
+        fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<FlipRun> {
+            vec![
+                FlipRun {
+                    start: 9,
+                    len: 3,
+                    bit: 20,
+                },
+                FlipRun {
+                    start: 0,
+                    len: 5,
+                    bit: 20,
+                },
+            ]
         }
         fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
             if self.activation.is_empty() {
@@ -304,11 +315,25 @@ mod tests {
             },
             DefenseMode::Correct,
         );
+        // A multi-element run in one word would be uncorrectable, and
+        // runs in different words corrected, if they went through ECC.
         assert_eq!(
             ecc.plan_accumulator_faults("l", 64, 9),
-            vec![BitFlip { index: 9, bit: 20 }]
+            vec![
+                FlipRun {
+                    start: 9,
+                    len: 3,
+                    bit: 20,
+                },
+                FlipRun {
+                    start: 0,
+                    len: 5,
+                    bit: 20,
+                },
+            ]
         );
         assert_eq!(ecc.stats(), EccStats::default());
+        assert_eq!(ecc.take_latent(), 0);
     }
 
     #[test]

@@ -13,10 +13,18 @@
 //! undervolting faults are so damaging to CNN accuracy (§4.4) compared to
 //! random soft errors. Weight-fetch faults (BRAM read upsets) remain
 //! independent single-bit flips.
+//!
+//! An accumulator burst is planned as a run ([`FlipRun`]), not as one
+//! flip per output: the burst's start, length and bit, split in two where
+//! it wraps past the buffer end. Activation bursts stay lists of single
+//! flips, which the ECC wrapper regroups by storage word. Either way the
+//! injector's random draws, their order and `injected_count` are those of
+//! one flip per corrupted element.
 
 use crate::model::FaultRates;
-use redvolt_nn::quant::{BitFlip, FaultInjector};
+use redvolt_nn::quant::{BitFlip, FaultInjector, FlipRun};
 use redvolt_num::rng::Xoshiro256StarStar;
+use std::ops::Range;
 
 /// Accumulator bit range hit by datapath fault events: the late-arriving
 /// carry-chain bits of the 32-bit MAC accumulator.
@@ -96,23 +104,28 @@ impl SlackFaultInjector {
         n
     }
 
-    /// One correlated datapath burst: consecutive indices, one high bit.
-    fn burst(
-        &mut self,
-        len: usize,
-        bit_lo: u32,
-        bit_hi: u32,
-        max_burst_log2: u32,
-        out: &mut Vec<BitFlip>,
-    ) {
+    /// One correlated datapath burst in a `len`-element accumulator
+    /// buffer: consecutive indices, one high bit, as at most two runs.
+    fn accumulator_burst(&mut self, len: usize, out: &mut Vec<FlipRun>) {
         let start = self.rng.next_index(len);
         let burst_len = 1usize
             << self
                 .rng
-                .next_bounded_u32(max_burst_log2 - BURST_LOG2_MIN + 1)
+                .next_bounded_u32(BURST_LOG2_MAX - BURST_LOG2_MIN + 1)
                 .saturating_add(BURST_LOG2_MIN);
-        let bit = bit_lo + self.rng.next_bounded_u32(bit_hi - bit_lo);
-        push_wrapped_burst(start, burst_len, len, bit, out);
+        let bit = ACC_FAULT_BIT_LO
+            + self
+                .rng
+                .next_bounded_u32(ACC_FAULT_BIT_HI - ACC_FAULT_BIT_LO);
+        for run in wrapped_burst(start, burst_len, len) {
+            if !run.is_empty() {
+                out.push(FlipRun {
+                    start: run.start,
+                    len: run.len(),
+                    bit,
+                });
+            }
+        }
     }
 }
 
@@ -138,24 +151,18 @@ impl FaultInjector for SlackFaultInjector {
         _layer: &str,
         len: usize,
         macs_per_out: usize,
-    ) -> Vec<BitFlip> {
+    ) -> Vec<FlipRun> {
         if len == 0 {
             return Vec::new();
         }
         let expected = self.rates.per_mac * (len * macs_per_out) as f64;
         let n = self.sample_events(expected);
-        let mut flips = Vec::new();
+        let mut runs = Vec::new();
         for _ in 0..n {
-            self.burst(
-                len,
-                ACC_FAULT_BIT_LO,
-                ACC_FAULT_BIT_HI,
-                BURST_LOG2_MAX,
-                &mut flips,
-            );
+            self.accumulator_burst(len, &mut runs);
         }
-        self.injected += flips.len() as u64;
-        flips
+        self.injected += runs.iter().map(|r| r.len as u64).sum::<u64>();
+        runs
     }
 
     fn plan_activation_faults(&mut self, _layer: &str, len: usize, bits: u32) -> Vec<BitFlip> {
@@ -167,33 +174,27 @@ impl FaultInjector for SlackFaultInjector {
         for _ in 0..n {
             let start = self.rng.next_index(len);
             let bit = self.rng.next_bounded_u32(bits);
-            push_wrapped_burst(start, ACT_BURST, len, bit, &mut flips);
+            for run in wrapped_burst(start, ACT_BURST, len) {
+                flips.extend(run.map(|index| BitFlip { index, bit }));
+            }
         }
         self.injected += flips.len() as u64;
         flips
     }
 }
 
-/// Emits one burst of flips starting at `start`, wrapping past the buffer
-/// end back to index 0 instead of dropping the overflow: the failing lane
-/// keeps streaming from the start of the buffer, so the tail of the burst
-/// lands there. The burst is capped at `len` distinct indices (a longer
-/// burst would revisit sites, and XOR-applied revisits cancel, which would
-/// make `injected_count` overstate the corrupted sites). Bursts that fit
-/// entirely in-bounds are emitted exactly as before the wrap fix.
-fn push_wrapped_burst(
-    start: usize,
-    burst_len: usize,
-    len: usize,
-    bit: u32,
-    out: &mut Vec<BitFlip>,
-) {
-    for i in 0..burst_len.min(len) {
-        out.push(BitFlip {
-            index: (start + i) % len,
-            bit,
-        });
-    }
+/// The indices one burst of `burst_len` from `start` (below `len`) covers
+/// in a `len`-element buffer, as two ranges: from `start` towards the
+/// buffer end, then the wrapped tail from index 0, empty when the burst
+/// fits. The failing lane keeps streaming from the start of the buffer,
+/// so the overflow lands there instead of being dropped. The burst is
+/// capped at `len` distinct indices (a longer burst would revisit sites,
+/// and XOR-applied revisits cancel, which would make `injected_count`
+/// overstate the corrupted sites).
+fn wrapped_burst(start: usize, burst_len: usize, len: usize) -> [Range<usize>; 2] {
+    let n = burst_len.min(len);
+    let head = n.min(len - start);
+    [start..start + head, 0..n - head]
 }
 
 /// An *ablation* injector: same event rates as [`SlackFaultInjector`] but
@@ -252,9 +253,16 @@ impl FaultInjector for SingleBitFaultInjector {
         _layer: &str,
         len: usize,
         macs_per_out: usize,
-    ) -> Vec<BitFlip> {
+    ) -> Vec<FlipRun> {
         let expected = self.rates.per_mac * (len * macs_per_out) as f64;
         self.plan(expected, len, 31)
+            .into_iter()
+            .map(|f| FlipRun {
+                start: f.index,
+                len: 1,
+                bit: f.bit,
+            })
+            .collect()
     }
 
     fn plan_activation_faults(&mut self, _layer: &str, len: usize, bits: u32) -> Vec<BitFlip> {
@@ -266,6 +274,13 @@ impl FaultInjector for SingleBitFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One flip per element of each run, in plan order.
+    fn flips(runs: &[FlipRun]) -> Vec<BitFlip> {
+        runs.iter()
+            .flat_map(|r| (r.start..r.start + r.len).map(|index| BitFlip { index, bit: r.bit }))
+            .collect()
+    }
 
     #[test]
     fn zero_rates_plan_nothing() {
@@ -303,7 +318,7 @@ mod tests {
         let mut inj = SlackFaultInjector::new(rates, 3);
         let mut saw_burst = false;
         for _ in 0..200 {
-            let plan = inj.plan_accumulator_faults("l", 10_000, 100);
+            let plan = flips(&inj.plan_accumulator_faults("l", 10_000, 100));
             if plan.len() >= 2 {
                 saw_burst = true;
                 // Same bit, consecutive indices within an event's run.
@@ -339,7 +354,7 @@ mod tests {
             // A 10-element buffer is smaller than the minimum burst, so
             // every event wraps into exactly one full cover of the buffer
             // — which also means plan chunks align with events.
-            let plan = inj.plan_accumulator_faults("l", 10, 1);
+            let plan = flips(&inj.plan_accumulator_faults("l", 10, 1));
             total += plan.len() as u64;
             assert_eq!(plan.len() % 10, 0, "events must cover the buffer");
             for event in plan.chunks(10) {
@@ -383,8 +398,8 @@ mod tests {
         let mut b = SlackFaultInjector::new(rates, 11);
         for _ in 0..10 {
             assert_eq!(
-                a.plan_accumulator_faults("x", 256, 512),
-                b.plan_accumulator_faults("x", 256, 512)
+                flips(&a.plan_accumulator_faults("x", 256, 512)),
+                flips(&b.plan_accumulator_faults("x", 256, 512))
             );
         }
     }
@@ -395,10 +410,10 @@ mod tests {
         let mut a = SlackFaultInjector::new(rates, 1);
         let mut b = SlackFaultInjector::new(rates, 2);
         let pa: Vec<_> = (0..20)
-            .flat_map(|_| a.plan_accumulator_faults("x", 1024, 512))
+            .flat_map(|_| flips(&a.plan_accumulator_faults("x", 1024, 512)))
             .collect();
         let pb: Vec<_> = (0..20)
-            .flat_map(|_| b.plan_accumulator_faults("x", 1024, 512))
+            .flat_map(|_| flips(&b.plan_accumulator_faults("x", 1024, 512)))
             .collect();
         assert_ne!(pa, pb);
     }
@@ -415,7 +430,8 @@ mod tests {
         for _ in 0..2000 {
             let plan = inj.plan_accumulator_faults("l", 100, 100);
             // One flip per event, never bursts.
-            total += plan.len();
+            assert!(plan.iter().all(|r| r.len == 1 && r.start < 100));
+            total += flips(&plan).len();
         }
         assert_eq!(total as u64, inj.injected_count());
         let mean = total as f64 / 2000.0;
@@ -431,7 +447,7 @@ mod tests {
             per_activation: 0.0,
         };
         let mut inj = SlackFaultInjector::new(rates, 13);
-        let plan = inj.plan_accumulator_faults("l", 1000, 1000);
+        let plan = flips(&inj.plan_accumulator_faults("l", 1000, 1000));
         assert!(plan.len() < 3000 * 512, "plan len = {}", plan.len());
     }
 }

@@ -965,38 +965,66 @@ impl Graph {
     }
 }
 
-fn max_pool_into(input: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
-    let (oh, ow) = (out.h(), out.w());
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for c in 0..input.c() {
-                let mut m = f32::NEG_INFINITY;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        m = m.max(input.at(oy * stride + ky, ox * stride + kx, c));
-                    }
+/// Folds every `k × k` window (step `stride`) of the HWC `input` of shape
+/// `shape` into `out`, over channel runs: each output pixel's `c`
+/// elements start at `init` and take `fold(element, tap)` with each
+/// window tap's run of `c` values in `(ky, kx)` order. Every element
+/// therefore sees exactly the fold of an indexed per-channel loop.
+pub(crate) fn pool_windows<T: Copy>(
+    input: &[T],
+    shape: Shape,
+    k: usize,
+    stride: usize,
+    out: &mut [T],
+    init: T,
+    fold: impl Fn(T, T) -> T,
+) {
+    let Shape { w, c, .. } = shape;
+    if c == 0 {
+        return;
+    }
+    let ow = (w - k) / stride + 1;
+    for (pixel, acc) in out.chunks_exact_mut(c).enumerate() {
+        let (oy, ox) = (pixel / ow, pixel % ow);
+        acc.fill(init);
+        for ky in 0..k {
+            let row = ((oy * stride + ky) * w + ox * stride) * c;
+            for tap in input[row..][..k * c].chunks_exact(c) {
+                for (a, &v) in acc.iter_mut().zip(tap) {
+                    *a = fold(*a, v);
                 }
-                out.set(oy, ox, c, m);
             }
         }
     }
 }
 
+fn shape_of(t: &Tensor) -> Shape {
+    Shape {
+        h: t.h(),
+        w: t.w(),
+        c: t.c(),
+    }
+}
+
+fn max_pool_into(input: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
+    let (data, shape) = (input.data(), shape_of(input));
+    pool_windows(
+        data,
+        shape,
+        k,
+        stride,
+        out.data_mut(),
+        f32::NEG_INFINITY,
+        f32::max,
+    );
+}
+
 fn avg_pool_into(input: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
-    let (oh, ow) = (out.h(), out.w());
     let norm = 1.0 / (k * k) as f32;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for c in 0..input.c() {
-                let mut s = 0.0;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        s += input.at(oy * stride + ky, ox * stride + kx, c);
-                    }
-                }
-                out.set(oy, ox, c, s * norm);
-            }
-        }
+    let (data, shape) = (input.data(), shape_of(input));
+    pool_windows(data, shape, k, stride, out.data_mut(), 0.0, |s, v| s + v);
+    for v in out.data_mut() {
+        *v *= norm;
     }
 }
 
@@ -1040,19 +1068,19 @@ fn add_into(a: &Tensor, b: &Tensor, relu: bool, out: &mut Tensor) {
     }
 }
 
+/// Concatenates along channels: per output pixel, each input's channel
+/// run copied in input order.
 fn concat_into(input_ids: &[NodeId], acts: &[Tensor], out: &mut Tensor) {
-    let h = acts[input_ids[0]].h();
-    let w = acts[input_ids[0]].w();
-    for y in 0..h {
-        for x in 0..w {
-            let mut off = 0;
-            for &ti in input_ids {
-                let t = &acts[ti];
-                for ch in 0..t.c() {
-                    out.set(y, x, off + ch, t.at(y, x, ch));
-                }
-                off += t.c();
-            }
+    let c = out.c();
+    if c == 0 {
+        return;
+    }
+    for (pixel, dst) in out.data_mut().chunks_exact_mut(c).enumerate() {
+        let mut off = 0;
+        for &ti in input_ids {
+            let t = &acts[ti];
+            dst[off..off + t.c()].copy_from_slice(&t.data()[pixel * t.c()..][..t.c()]);
+            off += t.c();
         }
     }
 }
@@ -1222,6 +1250,85 @@ mod tests {
         let mut b = GraphBuilder::new();
         let x = b.input(2, 2, 1);
         b.max_pool("mp", x, 5, 1);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn pools_and_concat_match_indexed_spellings_bitwise() {
+        let mut rng = redvolt_num::rng::Xoshiro256StarStar::seed_from(37);
+        let mut tensor = |h: usize, w: usize, c: usize| {
+            let data = (0..h * w * c)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    match r % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f32::NAN,
+                        _ => (r >> 40) as f32 / (1u64 << 23) as f32 - 1.0,
+                    }
+                })
+                .collect();
+            Tensor::from_vec(h, w, c, data)
+        };
+        for k in 1..=3 {
+            for stride in 1..=3 {
+                for c in [1, 3, 16, 17, 33] {
+                    for (h, w) in [(k, k), (5, 7), (8, 6)] {
+                        let input = tensor(h, w, c);
+                        let (oh, ow) = ((h - k) / stride + 1, (w - k) / stride + 1);
+                        let norm = 1.0 / (k * k) as f32;
+                        let mut want_max = Tensor::zeros(oh, ow, c);
+                        let mut want_avg = Tensor::zeros(oh, ow, c);
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                for ch in 0..c {
+                                    let (mut m, mut s) = (f32::NEG_INFINITY, 0.0);
+                                    for ky in 0..k {
+                                        for kx in 0..k {
+                                            let v =
+                                                input.at(oy * stride + ky, ox * stride + kx, ch);
+                                            m = m.max(v);
+                                            s += v;
+                                        }
+                                    }
+                                    want_max.set(oy, ox, ch, m);
+                                    want_avg.set(oy, ox, ch, s * norm);
+                                }
+                            }
+                        }
+                        let case = format!("k={k} stride={stride} c={c} input {h}x{w}");
+                        let mut got = Tensor::zeros(oh, ow, c);
+                        max_pool_into(&input, k, stride, &mut got);
+                        assert_eq!(bits(&got), bits(&want_max), "max pool {case}");
+                        let mut got = Tensor::zeros(oh, ow, c);
+                        avg_pool_into(&input, k, stride, &mut got);
+                        assert_eq!(bits(&got), bits(&want_avg), "avg pool {case}");
+                    }
+                }
+            }
+        }
+        // Inputs of every channel count, one repeated, out of node order.
+        let acts: Vec<Tensor> = [1, 3, 16, 17, 33].map(|c| tensor(4, 5, c)).into();
+        let ids = [2, 0, 4, 1, 2, 3];
+        let total = ids.iter().map(|&i| acts[i].c()).sum();
+        let mut want = Tensor::zeros(4, 5, total);
+        for y in 0..4 {
+            for x in 0..5 {
+                let mut off = 0;
+                for &i in &ids {
+                    for ch in 0..acts[i].c() {
+                        want.set(y, x, off + ch, acts[i].at(y, x, ch));
+                    }
+                    off += acts[i].c();
+                }
+            }
+        }
+        let mut got = Tensor::zeros(4, 5, total);
+        concat_into(&ids, &acts, &mut got);
+        assert_eq!(bits(&got), bits(&want), "concat");
     }
 
     #[test]

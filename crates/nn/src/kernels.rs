@@ -64,8 +64,11 @@
 //! * **The rounding pass** [`round_codes_into`] turns every staged
 //!   activation value of the quantized executor into a code,
 //!   `v.round().clamp(lo, hi) as i8`. It is exact by construction: the
-//!   body spells `f32::round`, and it is compiled a second time with AVX2,
-//!   where the rounding vectorizes, and picked at run time like the GEMM.
+//!   body spells `f32::round`, maps NaN to 0, and converts the clamped
+//!   integer with `to_int_unchecked`, which is exact because the clamp
+//!   keeps it inside `i8`'s range. It is compiled a second time with
+//!   AVX2, where the rounding and the convert both vectorize, and picked
+//!   at run time like the GEMM.
 //!
 //! All inference `_into` variants write into caller-provided buffers and
 //! borrow their temporaries from a [`Scratch`] arena, so a warmed-up
@@ -1119,7 +1122,10 @@ fn gemm_packed_dispatch(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32],
 /// in both builds: on x86-64's SSE2 baseline that is a call to libm
 /// `roundf` per element, while the AVX2 build (chosen by the same
 /// runtime detection as the GEMM) lowers it inline to `vroundps` and
-/// vectorizes the loop.
+/// vectorizes the loop. The body maps NaN to 0 itself and converts the
+/// clamped value without the saturating cast's range checks, which
+/// LLVM would keep as one scalar `vcvttss2si` per lane; the AVX2 build
+/// converts whole vectors instead.
 ///
 /// # Panics
 ///
@@ -1136,11 +1142,26 @@ pub fn round_codes_into(vals: &[f32], format: IntFormat, codes: &mut [i8]) {
     round_codes(vals, lo, hi, codes)
 }
 
-/// The body of [`round_codes_into`], inlined into both builds.
+/// The body of [`round_codes_into`], inlined into both builds. `lo` and
+/// `hi` are a format's code range: integers inside `i8`'s range.
 #[inline(always)]
 fn round_codes(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
+    let i8_range = -128.0..=127.0;
+    assert!(
+        i8_range.contains(&lo) && i8_range.contains(&hi),
+        "code range"
+    );
     for (code, &v) in codes.iter_mut().zip(vals) {
-        *code = v.round().clamp(lo, hi) as i8;
+        let r = v.round();
+        *code = if r.is_nan() {
+            0
+        } else {
+            // SAFETY: a non-NaN value clamped to `lo..=hi` is finite and
+            // inside `i8`'s range (asserted above), so `i32` holds it. It
+            // is also an integer, since `round` and the bounds are, so the
+            // convert is exact.
+            (unsafe { r.clamp(lo, hi).to_int_unchecked::<i32>() }) as i8
+        };
     }
 }
 
@@ -1643,6 +1664,14 @@ mod tests {
             f32::NAN,
             -f32::NAN,
         ];
+        // Sixteenths around and past every code range, halves (ties)
+        // included, interleaved with random bit patterns.
+        let mixed: Vec<f32> = (0..41 * 41)
+            .map(|i| match i % 3 {
+                0 => random_bits[i],
+                _ => (rng.next_u64() % 4800) as f32 / 16.0 - 150.0,
+            })
+            .collect();
         for bits in 4..=8 {
             let format = IntFormat::new(bits).expect("bits in 1..=8");
             let mut vals = specials.to_vec();
@@ -1656,6 +1685,11 @@ mod tests {
             // One value at a time runs only the loops' scalar tails.
             for v in &vals[..vals.len() - random_bits.len()] {
                 check_round_codes(std::slice::from_ref(v), format);
+            }
+            // Every length up to 40, so the vector body and the scalar
+            // tail meet at every remainder.
+            for len in 0..=40 {
+                check_round_codes(&mixed[len * 41..][..len], format);
             }
         }
     }

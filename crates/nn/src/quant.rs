@@ -11,9 +11,11 @@
 //! [`FaultInjector`] for a fault plan per layer execution and applies it
 //! transiently (weights are restored afterwards — faults in the paper's
 //! setup are timing errors on reads, not permanent storage corruption).
+//! Weight and activation plans list single [`BitFlip`]s; an accumulator
+//! plan lists [`FlipRun`]s, each XORed over its slice of accumulators.
 
 use crate::abft::{DefenseMode, DefenseStats, IntChecksum};
-use crate::graph::{ConvParams, Graph, GraphError, Op, Shape};
+use crate::graph::{pool_windows, ConvParams, Graph, GraphError, Op, Shape};
 use crate::kernels;
 use crate::reference;
 use crate::tensor::{QTensor, Tensor};
@@ -28,23 +30,42 @@ pub struct BitFlip {
     pub bit: u32,
 }
 
+/// A planned run of transient bit flips: the `len` consecutive elements
+/// from `start`, each flipped at the same bit position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlipRun {
+    /// Index of the run's first element in the target buffer.
+    pub start: usize,
+    /// Number of consecutive elements flipped.
+    pub len: usize,
+    /// Bit position within each element's storage.
+    pub bit: u32,
+}
+
 /// Source of per-layer fault plans.
 ///
 /// Implemented by `redvolt-faults` (rates derived from the board's timing
 /// slack) and by [`NoFaults`] for clean execution.
+///
+/// Weight and activation plans are lists of single flips, which an ECC
+/// wrapper can regroup by storage word. An accumulator plan is a list of
+/// runs: a datapath timing fault corrupts consecutive outputs of one MAC
+/// lane at one bit, and the executor XORs each run's slice at once
+/// (accumulators carry no ECC).
 pub trait FaultInjector {
     /// Plans transient flips in the `len` weight codes (of `bits` width)
     /// fetched for this layer execution.
     fn plan_weight_faults(&mut self, layer: &str, len: usize, bits: u32) -> Vec<BitFlip>;
 
-    /// Plans flips in the `len` output accumulators of this layer, where
-    /// each accumulator is produced by `macs_per_out` MAC operations.
+    /// Plans runs of flips in the `len` output accumulators of this
+    /// layer, where each accumulator is produced by `macs_per_out` MAC
+    /// operations. Every run lies inside `0..len`.
     fn plan_accumulator_faults(
         &mut self,
         layer: &str,
         len: usize,
         macs_per_out: usize,
-    ) -> Vec<BitFlip>;
+    ) -> Vec<FlipRun>;
 
     /// Plans flips in the `len` activation codes written by this layer.
     fn plan_activation_faults(&mut self, layer: &str, len: usize, bits: u32) -> Vec<BitFlip>;
@@ -64,7 +85,7 @@ impl FaultInjector for NoFaults {
         _layer: &str,
         _len: usize,
         _macs_per_out: usize,
-    ) -> Vec<BitFlip> {
+    ) -> Vec<FlipRun> {
         Vec::new()
     }
 
@@ -797,12 +818,15 @@ impl QuantizedGraph {
                             sites.acc_len,
                         );
                         let clean = mode.is_on().then(|| IntChecksum::of(acc));
-                        for f in injector.plan_accumulator_faults(
+                        for run in injector.plan_accumulator_faults(
                             sites.name,
                             sites.acc_len,
                             sites.weights.depth(),
                         ) {
-                            acc[f.index] ^= 1i32 << (f.bit % 31);
+                            let mask = 1i32 << (run.bit % 31);
+                            for a in &mut acc[run.start..run.start + run.len] {
+                                *a ^= mask;
+                            }
                         }
                         flips.is_empty() && clean.is_some_and(|c| IntChecksum::of(acc) == c)
                     });
@@ -1140,25 +1164,26 @@ fn requantize_into(
     kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
+/// Max pooling over channel runs: each output pixel's codes start at
+/// `i8::MIN` and take the element-wise max with every window tap's run.
 fn max_pool_q_into(input: &QTensor, k: usize, stride: usize, out: &mut QTensor) {
     let oh = (input.h() - k) / stride + 1;
     let ow = (input.w() - k) / stride + 1;
-    let c = input.c();
-    out.reset(oh, ow, c, input.scale);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for ch in 0..c {
-                let mut m = i8::MIN;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let idx = ((oy * stride + ky) * input.w() + ox * stride + kx) * c + ch;
-                        m = m.max(input.codes[idx]);
-                    }
-                }
-                out.codes[(oy * ow + ox) * c + ch] = m;
-            }
-        }
-    }
+    let shape = Shape {
+        h: input.h(),
+        w: input.w(),
+        c: input.c(),
+    };
+    out.reset(oh, ow, shape.c, input.scale);
+    pool_windows(
+        &input.codes,
+        shape,
+        k,
+        stride,
+        &mut out.codes,
+        i8::MIN,
+        Ord::max,
+    );
 }
 
 /// Average pooling with the DPU's wide internal accumulator: sums in i32
@@ -1359,7 +1384,7 @@ mod tests {
                     Vec::new()
                 }
             }
-            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
+            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<FlipRun> {
                 Vec::new()
             }
             fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
@@ -1392,9 +1417,13 @@ mod tests {
                 layer: &str,
                 _len: usize,
                 _m: usize,
-            ) -> Vec<BitFlip> {
+            ) -> Vec<FlipRun> {
                 if layer == "fc" {
-                    vec![BitFlip { index: 0, bit: 29 }]
+                    vec![FlipRun {
+                        start: 0,
+                        len: 1,
+                        bit: 29,
+                    }]
                 } else {
                     Vec::new()
                 }
@@ -1501,6 +1530,51 @@ mod tests {
     }
 
     #[test]
+    fn max_pool_q_matches_an_indexed_spelling() {
+        let mut rng = redvolt_num::rng::Xoshiro256StarStar::seed_from(31);
+        for k in 1..=3 {
+            for stride in 1..=3 {
+                for c in [1, 3, 16, 17, 33] {
+                    for (h, w) in [(k, k), (5, 7), (8, 6)] {
+                        let mut input = QTensor::zeros(h, w, c, 0.25);
+                        for q in &mut input.codes {
+                            let r = rng.next_u64();
+                            *q = match r % 16 {
+                                0 => i8::MIN,
+                                1 => i8::MAX,
+                                _ => (r >> 8) as i8,
+                            };
+                        }
+                        let (oh, ow) = ((h - k) / stride + 1, (w - k) / stride + 1);
+                        let mut want = vec![0i8; oh * ow * c];
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                for ch in 0..c {
+                                    let mut m = i8::MIN;
+                                    for ky in 0..k {
+                                        for kx in 0..k {
+                                            let y = oy * stride + ky;
+                                            let x = ox * stride + kx;
+                                            m = m.max(input.codes[(y * w + x) * c + ch]);
+                                        }
+                                    }
+                                    want[(oy * ow + ox) * c + ch] = m;
+                                }
+                            }
+                        }
+                        let mut out = QTensor::zeros(2, 2, 2, 1.0);
+                        max_pool_q_into(&input, k, stride, &mut out);
+                        let case = format!("k={k} stride={stride} c={c} input {h}x{w}");
+                        assert_eq!((out.h(), out.w(), out.c()), (oh, ow, c), "{case}");
+                        assert_eq!(out.scale, input.scale, "{case}");
+                        assert_eq!(out.codes, want, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn residual_and_concat_quantized_paths() {
         let mut b = GraphBuilder::new();
         let x = b.input(2, 2, 2);
@@ -1536,10 +1610,14 @@ mod tests {
         fn plan_weight_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
             Vec::new()
         }
-        fn plan_accumulator_faults(&mut self, layer: &str, _: usize, _: usize) -> Vec<BitFlip> {
+        fn plan_accumulator_faults(&mut self, layer: &str, _: usize, _: usize) -> Vec<FlipRun> {
             if layer == self.layer && self.remaining > 0 {
                 self.remaining -= 1;
-                vec![BitFlip { index: 1, bit: 20 }]
+                vec![FlipRun {
+                    start: 1,
+                    len: 1,
+                    bit: 20,
+                }]
             } else {
                 Vec::new()
             }
@@ -1654,7 +1732,7 @@ mod tests {
             fn plan_weight_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
                 Vec::new()
             }
-            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
+            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<FlipRun> {
                 Vec::new()
             }
             fn plan_activation_faults(&mut self, layer: &str, _: usize, bits: u32) -> Vec<BitFlip> {
@@ -1699,7 +1777,7 @@ mod tests {
                     Vec::new()
                 }
             }
-            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
+            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<FlipRun> {
                 Vec::new()
             }
             fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {

@@ -34,7 +34,7 @@ use redvolt_nn::dataset::SyntheticDataset;
 use redvolt_nn::graph::{ConvParams, Op};
 use redvolt_nn::kernels::{self, PackedQ, Scratch};
 use redvolt_nn::models::{ModelKind, ModelScale};
-use redvolt_nn::quant::{BitFlip, FaultInjector, QuantizedGraph};
+use redvolt_nn::quant::{BitFlip, FaultInjector, FlipRun, QuantizedGraph};
 use redvolt_nn::reference;
 use redvolt_nn::tensor::{QTensor, Tensor};
 use redvolt_nn::train;
@@ -447,7 +447,7 @@ fn whole_quantized_models_match_the_reference_kernels() {
 
 /// A seeded fault stream: each conv/dense layer execution draws 0–3
 /// weight flips, some at indices past the end that the executor must
-/// drop, 0–2 accumulator flips and 0–2 activation flips.
+/// drop, 0–2 accumulator runs of 1–40 elements and 0–2 activation flips.
 #[derive(Clone)]
 struct SeededFlips(Xoshiro256StarStar);
 
@@ -472,8 +472,15 @@ impl FaultInjector for SeededFlips {
         self.plan(3, len + len / 4 + 1, bits)
     }
 
-    fn plan_accumulator_faults(&mut self, _: &str, len: usize, _: usize) -> Vec<BitFlip> {
+    fn plan_accumulator_faults(&mut self, _: &str, len: usize, _: usize) -> Vec<FlipRun> {
         self.plan(2, len, 31)
+            .into_iter()
+            .map(|f| FlipRun {
+                start: f.index,
+                len: 1 + self.0.next_index((len - f.index).min(40)),
+                bit: f.bit,
+            })
+            .collect()
     }
 
     fn plan_activation_faults(&mut self, _: &str, len: usize, bits: u32) -> Vec<BitFlip> {
