@@ -16,6 +16,8 @@
 //! and fits that finish in milliseconds, so nothing here is sharded,
 //! journaled or reported live.
 
+use redvolt_bench::cli::CommandLine;
+use redvolt_bench::harness::export_telemetry;
 use redvolt_core::telemetry::CampaignTelemetry;
 use redvolt_fpga::calib;
 use redvolt_fpga::power::{LoadProfile, PowerModel};
@@ -40,43 +42,19 @@ fn check(reg: &Registry, name: &str, got: f64, want: f64, tol: f64) -> bool {
 /// Where to write the telemetry exports: `(--metrics-out, --prom-out)`.
 type Exports = (Option<PathBuf>, Option<PathBuf>);
 
-/// Parses the two export flags, each as `--flag PATH` or `--flag=PATH`.
+/// Reads the two export flags; any other argument is an error.
 fn parse_args(args: &[String]) -> Result<Exports, String> {
-    let mut exports: Exports = (None, None);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, path)) => (flag, Some(path)),
-            None => (arg.as_str(), None),
-        };
-        let slot = match flag {
-            "--metrics-out" => &mut exports.0,
-            "--prom-out" => &mut exports.1,
-            _ => return Err(format!("unexpected argument {arg}")),
-        };
-        let path = inline.or_else(|| it.next().map(String::as_str));
-        *slot = Some(PathBuf::from(
-            path.ok_or(format!("{flag} needs a file path"))?,
-        ));
+    let line = CommandLine::parse(args, &["--metrics-out", "--prom-out"], &[])?;
+    if let Some(arg) = line.positional().first() {
+        return Err(format!("unexpected argument {arg}"));
     }
-    Ok(exports)
-}
-
-/// Writes the exports the command line asked for.
-fn export(telem: &CampaignTelemetry, (metrics_out, prom_out): &Exports) -> std::io::Result<()> {
-    if let Some(path) = metrics_out {
-        std::fs::write(path, telem.to_jsonl_with_cache_stats())?;
-    }
-    if let Some(path) = prom_out {
-        telem.write_prometheus(path)?;
-    }
-    Ok(())
+    Ok((line.value("--metrics-out")?, line.value("--prom-out")?))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Every argument is checked before any work starts.
-    let exports = parse_args(&args).unwrap_or_else(|e| {
+    let (metrics_out, prom_out) = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         eprintln!("usage: calibrate [--metrics-out PATH] [--prom-out PATH]");
         std::process::exit(2);
@@ -239,7 +217,7 @@ fn main() {
         registry: reg,
         spans: SpanRing::new(),
     };
-    if let Err(e) = export(&telem, &exports) {
+    if let Err(e) = export_telemetry(&telem, metrics_out.as_deref(), prom_out.as_deref()) {
         eprintln!("error: telemetry export: {e}");
         std::process::exit(2);
     }
@@ -283,6 +261,7 @@ mod tests {
             assert!(parse(&[&format!("{retired}=1")]).is_err(), "{retired}=1");
         }
         assert!(parse(&["fig3"]).is_err());
+        assert!(parse(&["--prom-out", "c.prom", "extra"]).is_err());
         assert!(parse(&["--metrics-out"]).is_err());
         assert!(parse(&["--prom-out=c.prom", "--metrics-out"]).is_err());
     }

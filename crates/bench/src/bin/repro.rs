@@ -55,9 +55,7 @@
 use redvolt_bench::harness::{
     self, CampaignOptions, Settings, CAMPAIGN_USAGE, SWEEP_CACHED_EXPERIMENTS,
 };
-use redvolt_core::telemetry::{
-    bus_stats_table, defense_stats_table, CampaignObserver, CampaignTelemetry,
-};
+use redvolt_core::telemetry::{bus_stats_table, defense_stats_table, CampaignTelemetry};
 use std::time::Instant;
 
 fn main() {
@@ -107,7 +105,7 @@ fn main() {
             opts.jobs,
             &opts.supervisor_config(),
             journal.as_ref(),
-            progress.as_ref().map(|p| p as &dyn CampaignObserver),
+            progress.as_ref(),
         ) {
             Ok(sup) => sup,
             Err(e) => {
@@ -134,7 +132,8 @@ fn main() {
             println!("{}", defense_stats_table(&sup.report).to_text());
         }
         println!("{}", telem.summary_table().to_text());
-        if let Err(e) = opts.export_telemetry(&telem) {
+        let (metrics_out, prom_out) = (opts.metrics_out.as_deref(), opts.prom_out.as_deref());
+        if let Err(e) = harness::export_telemetry(&telem, metrics_out, prom_out) {
             eprintln!("error: telemetry export: {e}");
             std::process::exit(2);
         }

@@ -1,5 +1,6 @@
 //! Campaign drivers, one per table/figure of the paper.
 
+use crate::cli::CommandLine;
 use redvolt_core::bench_suite::{benchmark_index, BenchmarkId};
 use redvolt_core::executor::CampaignPlan;
 use redvolt_core::experiment::{Accelerator, AcceleratorConfig};
@@ -12,7 +13,7 @@ use redvolt_core::supervisor::{
     run_supervised, JournalSpec, SupervisedReport, SupervisorConfig, SupervisorError,
 };
 use redvolt_core::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
-use redvolt_core::telemetry::{CampaignObserver, CampaignTelemetry};
+use redvolt_core::telemetry::CampaignTelemetry;
 use redvolt_core::tempexp::{temperature_study, TempStudy, SETPOINTS_C};
 use redvolt_core::{efficiency, experiment::Measurement};
 use redvolt_faults::bus::BusFaultProfile;
@@ -20,7 +21,7 @@ use redvolt_nn::abft::DefenseMode;
 use redvolt_nn::models::ModelScale;
 use redvolt_num::stats;
 use redvolt_telemetry::progress::ProgressReporter;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Campaign settings shared by every reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,11 +153,11 @@ pub fn sweep_plan(s: &Settings) -> CampaignPlan {
 ///
 /// Cells run under panic isolation and the watchdog and are retried per
 /// `config`; when `journal` is given, each completed cell is journaled
-/// write-ahead so an interrupted prefetch can `--resume`. The `observer`
-/// (the `repro` binary's `--progress` reporter) sees cells in completion
-/// order; the returned report and the cache are unaffected by it. Aborted
-/// cells are skipped: their figures fall back to the lazy per-figure
-/// sweep.
+/// write-ahead so an interrupted prefetch can `--resume`. The `progress`
+/// reporter (the `repro` binary's `--progress`) hears of cells in
+/// completion order; the returned report and the cache are unaffected by
+/// it. Aborted cells are skipped: their figures fall back to the lazy
+/// per-figure sweep.
 ///
 /// Cell seeds derive from `(master seed 42, cell index)` — see
 /// `redvolt_core::executor` — so the cache contents (and therefore all
@@ -174,10 +175,10 @@ pub fn prefetch_sweeps(
     jobs: usize,
     config: &SupervisorConfig,
     journal: Option<&JournalSpec>,
-    observer: Option<&dyn CampaignObserver>,
+    progress: Option<&ProgressReporter>,
 ) -> Result<SupervisedReport, SupervisorError> {
     let plan = sweep_plan(s);
-    let sup = run_supervised(&plan, jobs, config, journal, observer)?;
+    let sup = run_supervised(&plan, jobs, config, journal, progress)?;
     let mut cache = sweep_cache().lock().expect("cache lock");
     for r in &sup.report.results {
         if let Some(sweep) = r.outcome.as_sweep() {
@@ -195,7 +196,7 @@ pub fn prefetch_sweeps(
 /// shared sweep cache).
 pub const SWEEP_CACHED_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "table2"];
 
-/// Flags that consume the following argument (or an inline `=VALUE`).
+/// The campaign flags that take a value.
 const VALUE_FLAGS: [&str; 10] = [
     "--jobs",
     "--image-jobs",
@@ -208,6 +209,9 @@ const VALUE_FLAGS: [&str; 10] = [
     "--progress",
     "--defense",
 ];
+
+/// The campaign flags that take none.
+const SWITCHES: [&str; 2] = ["--resume", "--governor"];
 
 /// Usage text for the flags [`CampaignOptions::from_args`] reads.
 pub const CAMPAIGN_USAGE: &str = "[--jobs N] [--image-jobs N] [--journal PATH [--resume]] \
@@ -272,105 +276,49 @@ impl Default for CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Parses the shared campaign flags out of `args`, accepting both the
-    /// `--flag VALUE` and `--flag=VALUE` spellings, plus the calling
-    /// binary's own value-less `switches` (which it reads itself). Returns
-    /// the options and the remaining, positional arguments in order.
+    /// Reads the shared campaign flags out of `args` with
+    /// [`CommandLine`], plus the calling binary's own value-less
+    /// `switches` (which it reads itself). Returns the options and the
+    /// remaining, positional arguments in order.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for any other `--flag`, a missing
-    /// or malformed value, an unknown fault profile, or `--resume` without
-    /// `--journal`.
+    /// or malformed value, an unknown fault profile or defense mode, or
+    /// `--resume` without `--journal`.
     pub fn from_args(args: &[String], switches: &[&str]) -> Result<(Self, Vec<String>), String> {
-        let mut opts = CampaignOptions::default();
-        let mut positional = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let (flag, inline) = match args[i].split_once('=') {
-                Some((f, v)) if VALUE_FLAGS.contains(&f) => (f, Some(v.to_string())),
-                _ => (args[i].as_str(), None),
-            };
-            let value = if VALUE_FLAGS.contains(&flag) {
-                match inline {
-                    Some(v) => Some(v),
-                    None => {
-                        i += 1;
-                        args.get(i).cloned()
-                    }
-                }
-            } else {
-                None
-            };
-            match flag {
-                "--jobs" => {
-                    opts.jobs = value
-                        .as_deref()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--jobs needs a worker count (0 = auto)")?;
-                }
-                "--image-jobs" => {
-                    opts.image_jobs = value
-                        .as_deref()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--image-jobs needs a worker count (0 = auto)")?;
-                }
-                "--journal" => {
-                    let path = value.ok_or("--journal needs a file path")?;
-                    opts.journal = Some(PathBuf::from(path));
-                }
-                "--resume" => opts.resume = true,
-                "--max-attempts" => {
-                    opts.max_attempts = value
-                        .as_deref()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--max-attempts needs a positive integer")?;
-                }
-                "--fault-profile" => {
-                    let name = value.ok_or("--fault-profile needs none, light or heavy")?;
-                    opts.fault_profile = BusFaultProfile::parse(&name)
-                        .ok_or_else(|| format!("unknown fault profile `{name}`"))?;
-                }
-                "--halt-after-cells" => {
-                    opts.halt_after = Some(
-                        value
-                            .as_deref()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--halt-after-cells needs a cell count")?,
-                    );
-                }
-                "--metrics-out" => {
-                    let path = value.ok_or("--metrics-out needs a file path")?;
-                    opts.metrics_out = Some(PathBuf::from(path));
-                }
-                "--prom-out" => {
-                    let path = value.ok_or("--prom-out needs a file path")?;
-                    opts.prom_out = Some(PathBuf::from(path));
-                }
-                "--progress" => {
-                    opts.progress = Some(
-                        value
-                            .as_deref()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--progress needs an interval in whole seconds")?,
-                    );
-                }
-                "--defense" => {
-                    let name = value.ok_or("--defense needs off, detect or correct")?;
-                    opts.defense = DefenseMode::parse(&name)
-                        .ok_or_else(|| format!("unknown defense mode `{name}`"))?;
-                }
-                "--governor" => opts.governor = true,
-                f if !f.starts_with("--") => positional.push(f.to_string()),
-                f if switches.contains(&f) => {}
-                f => return Err(format!("unknown flag {f}")),
-            }
-            i += 1;
-        }
+        let line = CommandLine::parse(args, &VALUE_FLAGS, &[&SWITCHES[..], switches].concat())?;
+        let d = CampaignOptions::default();
+        let opts = CampaignOptions {
+            jobs: line.value("--jobs")?.unwrap_or(d.jobs),
+            image_jobs: line.value("--image-jobs")?.unwrap_or(d.image_jobs),
+            journal: line.value("--journal")?,
+            resume: line.has("--resume"),
+            max_attempts: line
+                .read("--max-attempts", "a positive integer", |v| {
+                    v.parse().ok().filter(|&n| n >= 1)
+                })?
+                .unwrap_or(d.max_attempts),
+            fault_profile: line
+                .read(
+                    "--fault-profile",
+                    "none, light or heavy",
+                    BusFaultProfile::parse,
+                )?
+                .unwrap_or(d.fault_profile),
+            halt_after: line.value("--halt-after-cells")?,
+            metrics_out: line.value("--metrics-out")?,
+            prom_out: line.value("--prom-out")?,
+            progress: line.value("--progress")?,
+            defense: line
+                .read("--defense", "off, detect or correct", DefenseMode::parse)?
+                .unwrap_or(d.defense),
+            governor: line.has("--governor"),
+        };
         if opts.resume && opts.journal.is_none() {
             return Err("--resume requires --journal PATH".to_string());
         }
+        let positional = line.positional().iter().map(|s| s.to_string()).collect();
         Ok((opts, positional))
     }
 
@@ -397,25 +345,30 @@ impl CampaignOptions {
         self.progress
             .map(|secs| ProgressReporter::new(total_cells, std::time::Duration::from_secs(secs)))
     }
+}
 
-    /// Writes the telemetry exports `--metrics-out` / `--prom-out`
-    /// request (no-op when neither flag was given). The JSONL stream
-    /// additionally carries the process-wide workload cache
-    /// effectiveness samples (hits, misses, occupancy); the Prometheus
-    /// exposition stays a pure function of `(seed, plan)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-write errors.
-    pub fn export_telemetry(&self, telemetry: &CampaignTelemetry) -> std::io::Result<()> {
-        if let Some(path) = &self.metrics_out {
-            std::fs::write(path, telemetry.to_jsonl_with_cache_stats())?;
-        }
-        if let Some(path) = &self.prom_out {
-            telemetry.write_prometheus(path)?;
-        }
-        Ok(())
+/// Writes the telemetry exports `--metrics-out` / `--prom-out` request
+/// (no-op when neither path is given) — for a campaign's
+/// [`CampaignOptions`] and for `calibrate`'s audit alike. The JSONL
+/// stream additionally carries the process-wide workload cache
+/// effectiveness samples (hits, misses, occupancy); the Prometheus
+/// exposition stays a pure function of `(seed, plan)`.
+///
+/// # Errors
+///
+/// Propagates file-write errors.
+pub fn export_telemetry(
+    telemetry: &CampaignTelemetry,
+    metrics_out: Option<&Path>,
+    prom_out: Option<&Path>,
+) -> std::io::Result<()> {
+    if let Some(path) = metrics_out {
+        std::fs::write(path, telemetry.to_jsonl_with_cache_stats())?;
     }
+    if let Some(path) = prom_out {
+        telemetry.write_prometheus(path)?;
+    }
+    Ok(())
 }
 
 /// The paper's critical-region voltage schedule plus guardband anchors.

@@ -5,8 +5,10 @@
 //! The `repro` binary prints them (`cargo run --release -p redvolt-bench
 //! --bin repro -- all`); EXPERIMENTS.md records paper-vs-measured for a
 //! full run. Host-time benchmarking lives in `perfbench/`, which builds
-//! its sweep workload from [`harness::sweep_plan`].
+//! its sweep workload from [`harness::sweep_plan`]. The three binaries
+//! read their command lines with [`cli::CommandLine`].
 
+pub mod cli;
 pub mod harness;
 
 pub use harness::Settings;

@@ -15,12 +15,12 @@
 //!   randomness is a pure function of the plan, independent of worker
 //!   count and of which worker picked it up. `tests/determinism.rs` pins
 //!   byte-identical serialized results for `jobs ∈ {1, 2, 8}`.
-//! * [`CampaignPlan::run`] — shards cells across `std::thread::scope`
-//!   workers (no dependencies beyond std; the registry is offline-hostile)
-//!   pulling from an atomic work queue, and records per-cell wall-clock
+//! * [`CampaignPlan::run_sharded`] — shards cells across
+//!   `std::thread::scope` workers (no dependencies beyond std; the
+//!   registry is offline-hostile) through
+//!   [`redvolt_num::par::run_indexed`], the one deterministic fork/join
+//!   that also shards each cell's images, and records per-cell wall-clock
 //!   timing so campaign speedups can be tracked in benchmarks.
-//! * [`run_indexed`] — the bare deterministic fork/join primitive the
-//!   executor and the supervisor are built on.
 
 use crate::bench_suite::{benchmark_index, BenchmarkId};
 use crate::experiment::{Accelerator, AcceleratorConfig, MeasureError, Measurement};
@@ -28,9 +28,9 @@ use crate::governor::{run_adaptive_rescue, run_governor, GovernorTrace, RescueTr
 use crate::report::Table;
 use crate::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
 use crate::telemetry::CellTelemetry;
+use redvolt_num::par;
 use redvolt_num::rng::derive_stream_seed;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one campaign cell does with its accelerator.
@@ -59,7 +59,7 @@ pub enum CellAction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Accelerator to bring up. The `seed` field is treated as a default:
-    /// [`CampaignPlan::run`] overrides it with the seed derived from
+    /// [`CampaignPlan::cell`] overrides it with the seed derived from
     /// `(master_seed, cell_index)`.
     pub config: AcceleratorConfig,
     /// The work to perform.
@@ -270,33 +270,33 @@ impl CampaignPlan {
         derive_stream_seed(self.master_seed, index as u64)
     }
 
-    /// Executes every cell across `jobs` workers and merges the results in
-    /// plan order. `jobs == 0` means the host's available parallelism;
-    /// other values are clamped to `[1, len]`. Results are identical
-    /// for every value of `jobs` because each cell's seed depends only on
-    /// `(master_seed, index)` and cells share no state.
+    /// Cell `index` as it runs: its spec with the derived seed stamped
+    /// into `config`.
+    pub fn cell(&self, index: usize) -> CellSpec {
+        CellSpec {
+            config: self.cells[index].config.with_seed(self.cell_seed(index)),
+            ..self.cells[index].clone()
+        }
+    }
+
+    /// Executes every cell and merges the results in plan order, with
+    /// `jobs` cell workers and `image_jobs` image-shard workers per cell —
+    /// the two levels of the scheduler. `jobs == 0` means the host's
+    /// available parallelism, clamped to the cell count.
+    /// `image_jobs == 0` derives the second level automatically: whatever
+    /// share of the requested worker budget the cell level leaves idle
+    /// (`total / cell_jobs`), so a 4-cell sweep on a 16-core host runs 4
+    /// cells × 4 image shards instead of idling 12 cores. Payloads are
+    /// byte-identical for every `(jobs, image_jobs)` combination: each
+    /// cell's seed depends only on `(master_seed, index)`, cells share no
+    /// state, and per-image fault streams derive from `(cell seed, image
+    /// index, attempt)`, never from scheduling.
     ///
     /// # Errors
     ///
     /// If cells fail with non-crash errors, the first failure *in plan
     /// order* is returned (also independent of scheduling). A board hang
     /// during a sweep is not an error — it is recorded in the sweep.
-    pub fn run(&self, jobs: usize) -> Result<CampaignReport, CampaignError> {
-        self.run_sharded(jobs, 0)
-    }
-
-    /// [`CampaignPlan::run`] with an explicit image-shard worker count per
-    /// cell — the second level of the two-level scheduler. `image_jobs ==
-    /// 0` derives it automatically: whatever share of the requested worker
-    /// budget the cell level leaves idle (`total / cell_jobs`), so a
-    /// 4-cell sweep on a 16-core host runs 4 cells × 4 image shards
-    /// instead of idling 12 cores. Payloads are byte-identical for every
-    /// `(jobs, image_jobs)` combination — per-image fault streams derive
-    /// from `(cell seed, image index, attempt)`, never from scheduling.
-    ///
-    /// # Errors
-    ///
-    /// See [`CampaignPlan::run`].
     pub fn run_sharded(
         &self,
         jobs: usize,
@@ -304,12 +304,10 @@ impl CampaignPlan {
     ) -> Result<CampaignReport, CampaignError> {
         let started = Instant::now();
         let (jobs, image_jobs) = two_level_jobs(jobs, self.cells.len(), image_jobs);
-        let outcomes = run_indexed(self.cells.len(), jobs, |index, worker| {
+        let mut workers: Vec<usize> = (0..jobs).collect();
+        let outcomes = par::run_indexed(self.cells.len(), &mut workers, |index, &mut worker| {
             let cell_started = Instant::now();
-            let spec = CellSpec {
-                config: self.cells[index].config.with_seed(self.cell_seed(index)),
-                ..self.cells[index].clone()
-            };
+            let spec = self.cell(index);
             let (outcome, telemetry) = execute_cell_with(&spec, None, image_jobs);
             (spec, outcome, telemetry, cell_started.elapsed(), worker)
         });
@@ -344,35 +342,16 @@ impl CampaignPlan {
     }
 }
 
-/// Resolves a user-facing `jobs` request against a work-item count:
-/// `0` means the host's available parallelism; the result is clamped to
-/// `[1, count]` (min 1 so an empty plan still "runs" on one no-op worker).
-pub fn resolve_jobs(jobs: usize, count: usize) -> usize {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    jobs.max(1).min(count.max(1))
-}
-
 /// Splits a worker budget across the two scheduling levels. The cell
-/// level takes [`resolve_jobs`] workers (preserving every historical
-/// `jobs` contract); an explicit `image_jobs` passes through, and `0`
-/// derives it as the per-cell share of the *requested* budget the cell
-/// level cannot use — `max(1, total / cell_jobs)` — so surplus workers
-/// shard images instead of idling.
+/// level takes the [`par::resolve_workers`] count of `jobs`, clamped to
+/// `[1, cells]` (an empty plan still "runs" on one no-op worker); an
+/// explicit `image_jobs` passes through, and `0` derives it as the
+/// per-cell share of the *requested* budget the cell level cannot use —
+/// `max(1, total / cell_jobs)` — so surplus workers shard images instead
+/// of idling.
 pub fn two_level_jobs(jobs: usize, cells: usize, image_jobs: usize) -> (usize, usize) {
-    let total = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    let cell_jobs = resolve_jobs(jobs, cells);
+    let total = par::resolve_workers(jobs);
+    let cell_jobs = total.min(cells.max(1));
     let image_jobs = if image_jobs == 0 {
         (total / cell_jobs).max(1)
     } else {
@@ -382,7 +361,7 @@ pub fn two_level_jobs(jobs: usize, cells: usize, image_jobs: usize) -> (usize, u
 }
 
 /// Brings up the cell's accelerator and drives its action once — the unit
-/// of work both [`CampaignPlan::run`] and the supervisor's per-attempt
+/// of work both [`CampaignPlan::run_sharded`] and the supervisor's per-attempt
 /// worker execute — with a simulated-cycle budget installed before the
 /// action runs (the supervisor's deterministic watchdog deadline) and an
 /// image-shard worker count for the cell's batches (1 = sequential; an
@@ -505,65 +484,6 @@ impl CampaignReport {
     }
 }
 
-/// Deterministic fork/join: computes `f(index, worker)` for every index in
-/// `0..count` across `jobs` scoped threads, returning results ordered by
-/// index. Workers pull indices from a shared atomic queue, so load
-/// balances dynamically while the output order stays fixed. `jobs == 0`
-/// means the host's available parallelism (see [`resolve_jobs`]); with a
-/// resolved single job everything runs inline on the caller's thread.
-///
-/// `f` must not depend on `worker` for its result — the id is provided for
-/// telemetry only.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread.
-pub fn run_indexed<T, F>(count: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let jobs = resolve_jobs(jobs, count);
-    if jobs == 1 || count == 0 {
-        return (0..count).map(|i| f(i, 0)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut produced = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= count {
-                            break;
-                        }
-                        produced.push((index, f(index, worker)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(produced) => {
-                    for (index, value) in produced {
-                        slots[index] = Some(value);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index executed exactly once"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,19 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_orders_results_and_covers_every_index() {
-        for jobs in [1, 2, 3, 8, 64] {
-            let out = run_indexed(17, jobs, |i, _w| i * i);
-            assert_eq!(
-                out,
-                (0..17).map(|i| i * i).collect::<Vec<_>>(),
-                "jobs={jobs}"
-            );
-        }
-        assert!(run_indexed(0, 4, |i, _| i).is_empty());
-    }
-
-    #[test]
     fn plan_results_arrive_in_plan_order_with_derived_seeds() {
         let mut plan = CampaignPlan::new(42);
         for board in 0..3 {
@@ -615,12 +522,13 @@ mod tests {
                 },
             ));
         }
-        let report = plan.run(2).unwrap();
+        let report = plan.run_sharded(2, 0).unwrap();
         assert_eq!(report.results.len(), 3);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.index, i);
             assert_eq!(r.spec.config.board_sample, i as u32);
             assert_eq!(r.spec.config.seed, plan.cell_seed(i));
+            assert_eq!(r.spec, plan.cell(i));
         }
         // Derived seeds differ across cells even though the specs share a
         // master seed.
@@ -651,8 +559,8 @@ mod tests {
                 images: 8,
             },
         ));
-        let serial = plan.run(1).unwrap();
-        let parallel = plan.run(3).unwrap();
+        let serial = plan.run_sharded(1, 0).unwrap();
+        let parallel = plan.run_sharded(3, 0).unwrap();
         assert_eq!(serial.to_csv(), parallel.to_csv());
     }
 
@@ -690,7 +598,7 @@ mod tests {
         plan.push(hot.clone());
         hot.force_temp_c = Some(34.0);
         plan.push(hot);
-        let report = plan.run(2).unwrap();
+        let report = plan.run_sharded(2, 0).unwrap();
         let temp = |i: usize| match &report.results[i].outcome {
             CellOutcome::Measure(m) => m.junction_c,
             other => panic!("unexpected outcome {other:?}"),
@@ -717,14 +625,14 @@ mod tests {
                 force_temp_c: None,
             });
         }
-        let report = plan.run(2).unwrap();
+        let report = plan.run_sharded(2, 0).unwrap();
         for r in &report.results {
             match &r.outcome {
                 CellOutcome::Governor(t) => assert_eq!(t.steps.len(), 40),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
-        assert_eq!(plan.run(1).unwrap().to_csv(), report.to_csv());
+        assert_eq!(plan.run_sharded(1, 0).unwrap().to_csv(), report.to_csv());
     }
 
     #[test]
@@ -740,7 +648,7 @@ mod tests {
                 },
             ));
         }
-        let report = plan.run(2).unwrap();
+        let report = plan.run_sharded(2, 0).unwrap();
         assert_eq!(report.timing_table().len(), 2);
         assert!(report.serial_time() >= Duration::ZERO);
         assert!(report.speedup() > 0.0);
@@ -750,7 +658,7 @@ mod tests {
     fn empty_plan_runs_cleanly_for_any_jobs() {
         let plan = CampaignPlan::new(9);
         for jobs in [0, 1, 4] {
-            let report = plan.run(jobs).unwrap();
+            let report = plan.run_sharded(jobs, 0).unwrap();
             assert!(report.results.is_empty(), "jobs={jobs}");
             assert_eq!(report.jobs, 1, "empty plan resolves to one worker");
             assert_eq!(report.to_csv(), "");
@@ -762,10 +670,11 @@ mod tests {
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        assert_eq!(resolve_jobs(0, 1000), cores.min(1000));
-        assert_eq!(resolve_jobs(0, 1), 1);
-        assert_eq!(resolve_jobs(3, 2), 2, "jobs clamps to cell count");
-        assert_eq!(resolve_jobs(5, 0), 1, "empty work resolves to one");
+        let cell_jobs = |jobs, cells| two_level_jobs(jobs, cells, 1).0;
+        assert_eq!(cell_jobs(0, 1000), cores.min(1000));
+        assert_eq!(cell_jobs(0, 1), 1);
+        assert_eq!(cell_jobs(3, 2), 2, "jobs clamps to cell count");
+        assert_eq!(cell_jobs(5, 0), 1, "empty work resolves to one");
     }
 
     #[test]
@@ -783,7 +692,7 @@ mod tests {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
         let (cell_jobs, image_jobs) = two_level_jobs(0, 2, 0);
-        assert_eq!(cell_jobs, resolve_jobs(0, 2));
+        assert_eq!(cell_jobs, cores.min(2));
         assert_eq!(image_jobs, (cores / cell_jobs).max(1));
     }
 
@@ -798,9 +707,9 @@ mod tests {
                 images: 8,
             },
         ));
-        let wide = plan.run(64).unwrap();
+        let wide = plan.run_sharded(64, 0).unwrap();
         assert_eq!(wide.jobs, 1, "jobs clamped to cell count");
-        assert_eq!(wide.to_csv(), plan.run(1).unwrap().to_csv());
+        assert_eq!(wide.to_csv(), plan.run_sharded(1, 0).unwrap().to_csv());
     }
 
     #[test]
@@ -822,7 +731,7 @@ mod tests {
             },
             force_temp_c: None,
         });
-        let report = plan.run(1).unwrap();
+        let report = plan.run_sharded(1, 0).unwrap();
         match &report.results[0].outcome {
             CellOutcome::Degraded { measurement, trace } => {
                 assert!(trace.rescued);
@@ -872,7 +781,7 @@ mod tests {
             },
         ));
         for jobs in [1, 2] {
-            let err = plan.run(jobs).unwrap_err();
+            let err = plan.run_sharded(jobs, 0).unwrap_err();
             assert_eq!(err.index, 0, "first failure in plan order, jobs={jobs}");
             assert!(matches!(err.source, MeasureError::Pmbus(_)));
         }

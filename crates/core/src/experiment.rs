@@ -17,7 +17,7 @@ use redvolt_nn::abft::DefenseMode;
 use redvolt_nn::models::ModelScale;
 use redvolt_num::rng::derive_stream_seed;
 use redvolt_num::stats::Summary;
-use redvolt_pmbus::adapter::{BusStats, PmbusAdapter, RetryPolicy, TransactionLog};
+use redvolt_pmbus::adapter::{PmbusAdapter, RetryPolicy, TransactionLog};
 use redvolt_pmbus::PmbusError;
 use redvolt_telemetry::SpanRing;
 use std::fmt;
@@ -469,12 +469,6 @@ impl Accelerator {
         self.host.log()
     }
 
-    /// The host adapter's fault-handling counters (retries, injected
-    /// faults, PEC failures, scheduled backoff).
-    pub fn bus_stats(&self) -> BusStats {
-        self.host.stats()
-    }
-
     /// Installs (or clears) a simulated-cycle budget on the runtime — the
     /// supervisor's deterministic watchdog deadline.
     pub fn set_cycle_budget(&mut self, budget: Option<u64>) {
@@ -638,12 +632,10 @@ mod tests {
         let m1 = a1.measure(8).unwrap();
         let m2 = a2.measure(8).unwrap();
         assert_eq!(m1.csv_row(), m2.csv_row(), "faulted runs must reproduce");
-        assert!(
-            a1.bus_stats().injected_faults > 0,
-            "heavy profile must fault"
-        );
-        assert_eq!(a1.bus_stats(), a2.bus_stats());
-        assert_eq!(a1.bus_stats().exhausted, 0, "resilient policy absorbs them");
+        let (bus1, bus2) = (a1.take_telemetry().bus, a2.take_telemetry().bus);
+        assert!(bus1.injected_faults > 0, "heavy profile must fault");
+        assert_eq!(bus1, bus2);
+        assert_eq!(bus1.exhausted, 0, "resilient policy absorbs them");
     }
 
     #[test]

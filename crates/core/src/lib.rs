@@ -12,7 +12,9 @@
 //!   (Fig. 3).
 //! * [`executor`] — the parallel campaign executor: deterministic
 //!   sharding of independent (board × benchmark × config) cells across
-//!   `std::thread::scope` workers with per-cell derived seeds.
+//!   workers with per-cell derived seeds, through the same
+//!   `redvolt_num::par::run_indexed` fork/join that shards each cell's
+//!   images.
 //! * [`supervisor`] — the crash-resilient layer over the executor: panic
 //!   isolation, wall-clock/cycle-budget watchdogs, reboot-and-retry.
 //! * [`journal`] — the write-ahead journal behind `--resume`.
@@ -28,7 +30,7 @@
 //! * [`report`] — plain-text / CSV emitters used by the `repro` binary.
 //! * [`telemetry`] — the deterministic observability layer: per-cell
 //!   collection, plan-order aggregation into `redvolt-telemetry`
-//!   metrics/spans, exporter plumbing and live progress.
+//!   metrics/spans and exporter plumbing.
 //! * [`workload_cache`] — process-wide memoization of prepared
 //!   (quantized + calibrated) workloads keyed on the full
 //!   `WorkloadConfig`, with deterministic hit/miss counters.

@@ -1,6 +1,6 @@
 //! Crash-resilient campaign supervisor.
 //!
-//! [`CampaignPlan::run`] is fast but brittle in exactly the ways the
+//! [`CampaignPlan::run_sharded`] is fast but brittle in exactly the ways the
 //! paper's physical campaign was not allowed to be: a panicking cell
 //! poisons the whole run, a hung cell stalls a worker forever, and an
 //! interrupted campaign restarts from zero. [`run_supervised`] wraps the
@@ -49,15 +49,17 @@
 //! ```
 
 use crate::executor::{
-    execute_cell_with, run_indexed, two_level_jobs, CampaignPlan, CampaignReport, CellOutcome,
-    CellResult, CellSpec,
+    execute_cell_with, two_level_jobs, CampaignPlan, CampaignReport, CellOutcome, CellResult,
+    CellSpec,
 };
 use crate::experiment::MeasureError;
 use crate::journal::{
     decode_outcome, encode_outcome, plan_meta, read_journal, JournalEntry, JournalWriter,
 };
-use crate::telemetry::{split_telem, CampaignObserver, CellTelemetry};
+use crate::telemetry::{split_telem, CellTelemetry};
 use redvolt_dpu::runtime::RunError;
+use redvolt_num::par;
+use redvolt_telemetry::progress::ProgressReporter;
 use redvolt_telemetry::SpanRing;
 use std::fmt;
 use std::io;
@@ -350,10 +352,10 @@ fn supervise_cell(
 /// worker count — including runs that were halted and resumed, and runs
 /// with a nonzero injected PMBus fault rate in their cells' configs.
 ///
-/// The `observer`, if any, is called once per freshly executed cell, from
-/// the worker that finished it, in completion order — it sees progress
-/// live but must never feed anything back into the deterministic payload
-/// (see [`CampaignObserver`]).
+/// The `progress` reporter, if any, hears of each freshly executed cell
+/// from the worker that finished it, in completion order (which depends
+/// on scheduling); it writes to stderr and never feeds anything back into
+/// the deterministic payload.
 ///
 /// # Errors
 ///
@@ -364,7 +366,7 @@ pub fn run_supervised(
     jobs: usize,
     config: &SupervisorConfig,
     journal: Option<&JournalSpec>,
-    observer: Option<&dyn CampaignObserver>,
+    progress: Option<&ProgressReporter>,
 ) -> Result<SupervisedReport, SupervisorError> {
     let started = Instant::now();
     let meta = plan_meta(plan);
@@ -403,13 +405,11 @@ pub fn run_supervised(
     let (jobs, image_jobs) = two_level_jobs(jobs, pending.len(), config.image_jobs);
     let writer = Mutex::new(writer);
     let journal_err: Mutex<Option<io::Error>> = Mutex::new(None);
-    let fresh = run_indexed(pending.len(), jobs, |qi, worker| {
+    let mut workers: Vec<usize> = (0..jobs).collect();
+    let fresh = par::run_indexed(pending.len(), &mut workers, |qi, &mut worker| {
         let index = pending[qi];
         let cell_started = Instant::now();
-        let spec = CellSpec {
-            config: plan.cells()[index].config.with_seed(plan.cell_seed(index)),
-            ..plan.cells()[index].clone()
-        };
+        let spec = plan.cell(index);
         let (outcome, attempts, telemetry) = supervise_cell(&spec, config, image_jobs);
         // Write-ahead: the cell is not "done" until its line is flushed.
         // The scalar telemetry rides along as a space-free trailing token
@@ -437,8 +437,12 @@ pub fn run_supervised(
             attempts,
             telemetry,
         };
-        if let Some(obs) = observer {
-            obs.cell_completed(&result);
+        if let Some(progress) = progress {
+            progress.cell_done(
+                matches!(result.outcome, CellOutcome::Aborted { .. }),
+                result.attempts.saturating_sub(1),
+                result.telemetry.cycles,
+            );
         }
         result
     });
@@ -461,10 +465,7 @@ pub fn run_supervised(
         })?;
         results.push(CellResult {
             index,
-            spec: CellSpec {
-                config: plan.cells()[index].config.with_seed(plan.cell_seed(index)),
-                ..plan.cells()[index].clone()
-            },
+            spec: plan.cell(index),
             outcome,
             elapsed: Duration::ZERO,
             worker: 0,

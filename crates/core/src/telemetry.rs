@@ -21,11 +21,10 @@
 //! journaled: the resume contract covers metrics; full span-stream
 //! byte-identity holds for straight runs.
 
-use crate::executor::{CampaignReport, CellOutcome, CellResult};
+use crate::executor::{CampaignReport, CellOutcome};
 use crate::report::Table;
 use redvolt_pmbus::adapter::BusStats;
 use redvolt_telemetry::export::{export_jsonl, export_prometheus};
-use redvolt_telemetry::progress::ProgressReporter;
 use redvolt_telemetry::{Registry, SpanRecord, SpanRing};
 use std::io;
 use std::path::Path;
@@ -182,27 +181,6 @@ pub fn split_telem(payload: &str) -> (&str, Option<CellTelemetry>) {
         }
     }
     (payload, None)
-}
-
-/// Observer of supervised campaign progress. Implementations must be
-/// callable from any worker thread; calls arrive in completion order
-/// (which is scheduling-dependent), so observers must not feed anything
-/// back into the deterministic payload — they exist for progress
-/// reporting and live dashboards.
-pub trait CampaignObserver: Sync {
-    /// Called once per cell, after its final outcome is known (and
-    /// journaled, when a journal is attached).
-    fn cell_completed(&self, result: &CellResult);
-}
-
-impl CampaignObserver for ProgressReporter {
-    fn cell_completed(&self, result: &CellResult) {
-        self.cell_done(
-            matches!(result.outcome, CellOutcome::Aborted { .. }),
-            result.attempts.saturating_sub(1),
-            result.telemetry.cycles,
-        );
-    }
 }
 
 /// The merged, deterministic telemetry of one finished campaign.

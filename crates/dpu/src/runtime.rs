@@ -23,10 +23,10 @@ use redvolt_nn::abft::{DefenseMode, DefenseStats};
 use redvolt_nn::graph::{Graph, GraphError};
 use redvolt_nn::quant::{ExecScratch, NoFaults, QuantizedGraph};
 use redvolt_nn::tensor::Tensor;
+use redvolt_num::par;
 use redvolt_num::rng::derive_substream_seed;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Derives the fault-stream seed for one execution of one image of a
@@ -369,65 +369,6 @@ fn run_one_image(
     }
 }
 
-/// Runs `run` on the first `executed` image indices of a batch, sharded
-/// across up to `workers` threads (one scratch arena per worker, reused
-/// across batches via `pool`), and returns the per-image results in
-/// image order. With `workers <= 1` the walk is inline — no threads
-/// spawned.
-///
-/// `run` is a pure function of the image index, so the returned vector
-/// is identical for every worker count.
-fn run_images(
-    executed: usize,
-    workers: usize,
-    pool: &mut Vec<ExecScratch>,
-    run: impl Fn(usize, &mut ExecScratch) -> ImageRun + Sync,
-) -> Vec<ImageRun> {
-    let workers = workers.clamp(1, executed.max(1));
-    if pool.len() < workers {
-        pool.resize_with(workers, ExecScratch::new);
-    }
-    if workers <= 1 {
-        let scratch = &mut pool[0];
-        return (0..executed).map(|i| run(i, scratch)).collect();
-    }
-    let run = &run;
-    let queue = AtomicUsize::new(0);
-    let mut slots: Vec<Option<ImageRun>> = Vec::with_capacity(executed);
-    slots.resize_with(executed, || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for scratch in pool.iter_mut().take(workers) {
-            let queue = &queue;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, ImageRun)> = Vec::new();
-                loop {
-                    let i = queue.fetch_add(1, Ordering::Relaxed);
-                    if i >= executed {
-                        break;
-                    }
-                    local.push((i, run(i, scratch)));
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => {
-                    for (i, run) in local {
-                        slots[i] = Some(run);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every claimed image produced a result"))
-        .collect()
-}
-
 /// The DNNDK-style runtime bound to one board.
 #[derive(Debug)]
 pub struct DpuRuntime {
@@ -475,12 +416,6 @@ impl DpuRuntime {
     /// [`image_stream_seed`], never from execution order.
     pub fn set_image_jobs(&mut self, image_jobs: usize) {
         self.image_jobs = image_jobs;
-    }
-
-    /// The configured image-shard worker count (0 = available
-    /// parallelism).
-    pub fn image_jobs(&self) -> usize {
-        self.image_jobs
     }
 
     /// Sets the SDC defense for subsequent batches: ECC filtering of
@@ -655,15 +590,14 @@ impl DpuRuntime {
         // old per-image charge loop), then shard the fitting images.
         let per_image = task.kernel.total_cycles();
         let (executed, budget_err) = self.charge_batch_cycles(per_image, images.len());
-        let workers = if self.image_jobs == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.image_jobs
-        };
+        // One scratch arena per image worker, kept across batches.
+        let workers = par::resolve_workers(self.image_jobs).min(executed.max(1));
+        if self.scratch_pool.len() < workers {
+            self.scratch_pool.resize_with(workers, ExecScratch::new);
+        }
         let (board, mode) = (&self.board, self.defense);
-        let runs = run_images(executed, workers, &mut self.scratch_pool, |i, scratch| {
+        let pool = &mut self.scratch_pool[..workers];
+        let runs = par::run_indexed(executed, pool, |i, scratch| {
             run_one_image(task, board, mode, seed, max_retries, images, i, scratch)
         });
         // Merge in image order, stopping the accounting at the first

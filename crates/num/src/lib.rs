@@ -15,6 +15,10 @@
 //!   to re-derive fitted constants.
 //! * [`fixed`] — Q-format fixed-point arithmetic mirroring the INT8..INT4
 //!   quantized datapaths of the DPU.
+//! * [`par`] — the one deterministic fork/join ([`par::run_indexed`])
+//!   and worker-count rule ([`par::resolve_workers`]) behind both levels
+//!   of a campaign: cells across workers, and a batch's images across
+//!   scratch arenas.
 //!
 //! # Examples
 //!
@@ -32,6 +36,7 @@
 
 pub mod fit;
 pub mod fixed;
+pub mod par;
 pub mod pchip;
 pub mod rng;
 pub mod stats;

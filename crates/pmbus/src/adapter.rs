@@ -289,12 +289,6 @@ impl PmbusAdapter {
         PmbusAdapter::default()
     }
 
-    /// Sets the transaction-log depth (evicting oldest entries first).
-    pub fn with_log_capacity(mut self, capacity: usize) -> Self {
-        self.log = TransactionLog::with_capacity(capacity);
-        self
-    }
-
     /// Installs a retry/backoff/verify policy.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
@@ -656,16 +650,24 @@ mod tests {
 
     #[test]
     fn ring_log_evicts_oldest_and_keeps_total() {
-        let mut reg = SimpleRegulator::new(0x13, 0.85);
-        let mut host = PmbusAdapter::new().with_log_capacity(4);
-        for _ in 0..5 {
-            host.read_pout(&mut reg, 0x13).unwrap(); // 1 transaction each
+        let mut log = TransactionLog::with_capacity(4);
+        for word in 0..5 {
+            log.push(Transaction {
+                seq: 99, // overwritten by the log's own count
+                address: 0x13,
+                command: CommandCode::ReadPout,
+                direction: Direction::Read,
+                word,
+                ok: true,
+            });
         }
-        assert_eq!(host.log().len(), 4);
-        assert_eq!(host.log().total(), 5);
-        assert_eq!(host.log().capacity(), 4);
-        let seqs: Vec<u64> = host.log().iter().map(|t| t.seq).collect();
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.total(), 5);
+        assert_eq!(log.capacity(), 4);
+        let seqs: Vec<u64> = log.iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4], "oldest entry (seq 0) evicted");
+        let words: Vec<u16> = log.iter().map(|t| t.word).collect();
+        assert_eq!(words, vec![1, 2, 3, 4], "chronological after the wrap");
     }
 
     #[test]

@@ -83,7 +83,8 @@ pub struct ServeConfig {
     pub burst_every: u64,
     /// Burst length (back-to-back arrivals).
     pub burst_len: u64,
-    /// DPU intra-batch image workers (output-invariant by construction).
+    /// DPU intra-batch image workers (output-invariant by construction;
+    /// 0 = the host's available parallelism).
     pub image_jobs: usize,
     /// Bound on retained lifecycle spans (oldest evicted first; evictions
     /// are counted, never silent).
@@ -383,9 +384,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
         let mut fleet = FleetBoard::bring_up(index, &acc_cfg)?;
         let ops = fleet.accelerator().workload().dense_equivalent_ops;
         fleet.calibrate(&cfg.calib, ops)?;
-        if cfg.image_jobs > 0 {
-            fleet.set_image_jobs(cfg.image_jobs);
-        }
+        fleet.set_image_jobs(cfg.image_jobs);
         boards.push(BoardState {
             fleet,
             queue: VecDeque::new(),
@@ -895,12 +894,14 @@ mod tests {
     #[test]
     fn outcome_is_invariant_across_image_jobs() {
         let serial = run(&quick()).unwrap();
-        let parallel = run(&ServeConfig {
-            image_jobs: 4,
-            ..quick()
-        })
-        .unwrap();
-        assert_eq!(serial, parallel);
+        for image_jobs in [0, 4] {
+            let parallel = run(&ServeConfig {
+                image_jobs,
+                ..quick()
+            })
+            .unwrap();
+            assert_eq!(serial, parallel, "image_jobs={image_jobs}");
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn rendered_output_is_byte_identical_across_reruns_and_workers() {
     let cfg = smoke();
     let baseline = render(&cfg);
     assert_eq!(baseline, render(&cfg), "rerun diverged");
-    for image_jobs in [2, 8] {
+    for image_jobs in [0, 2, 8] {
         let sharded = render(&ServeConfig { image_jobs, ..cfg });
         assert_eq!(
             baseline, sharded,

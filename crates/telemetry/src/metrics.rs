@@ -123,39 +123,6 @@ impl Histogram {
     pub fn sum(&self) -> f64 {
         self.sum_micros.load(Ordering::Relaxed) as f64 / SUM_SCALE
     }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) by linear interpolation
-    /// inside the bucket that holds the target rank — the standard
-    /// fixed-bin estimator the serving layer uses for p50/p99 latency
-    /// gauges. Returns 0.0 for an empty histogram; observations in the
-    /// `+Inf` bucket clamp to the last finite bound (the estimator
-    /// cannot see past its bins). Deterministic for fixed counts.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = q.clamp(0.0, 1.0) * total as f64;
-        let mut cumulative = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = cumulative + c;
-            if (next as f64) >= target {
-                let Some(&hi) = self.bounds.get(i) else {
-                    // +Inf bucket: clamp to the last finite bound.
-                    return self.bounds.last().copied().unwrap_or(0.0);
-                };
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let into = (target - cumulative as f64).max(0.0) / c as f64;
-                return lo + (hi - lo) * into.min(1.0);
-            }
-            cumulative = next;
-        }
-        self.bounds.last().copied().unwrap_or(0.0)
-    }
 }
 
 /// Identity of a metric: name plus sorted label pairs.
@@ -352,59 +319,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), vec![2, 1, 1, 2]);
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 5556.5);
-    }
-
-    #[test]
-    fn quantile_interpolates_within_buckets() {
-        let h = Histogram::new(&[10.0, 20.0, 40.0]);
-        assert_eq!(h.quantile(0.5), 0.0, "empty histogram");
-        for v in [5.0, 15.0, 15.0, 35.0] {
-            h.observe(v);
-        }
-        // Rank 2 of 4 lands at the end of the second bucket's first half.
-        assert_eq!(h.quantile(0.25), 10.0);
-        assert_eq!(h.quantile(0.5), 15.0);
-        assert_eq!(h.quantile(1.0), 40.0);
-        // +Inf observations clamp to the last finite bound.
-        h.observe(1e9);
-        assert_eq!(h.quantile(0.999), 40.0);
-    }
-
-    #[test]
-    fn quantile_on_a_single_bucket_histogram() {
-        let h = Histogram::new(&[100.0]);
-        assert_eq!(h.quantile(0.5), 0.0, "empty");
-        for v in [10.0, 20.0, 30.0, 40.0] {
-            h.observe(v);
-        }
-        // All mass in the one finite bucket: interpolation runs 0..100.
-        assert_eq!(h.quantile(0.0), 0.0);
-        assert_eq!(h.quantile(0.25), 25.0);
-        assert_eq!(h.quantile(0.5), 50.0);
-        assert_eq!(h.quantile(1.0), 100.0);
-        // One overflow observation: the top quantile clamps to the only
-        // finite bound rather than inventing mass past the bins.
-        h.observe(1e6);
-        assert_eq!(h.quantile(1.0), 100.0);
-    }
-
-    #[test]
-    fn quantile_on_an_overflow_saturated_histogram() {
-        // Every observation lands in the implicit +Inf bucket: the
-        // estimator cannot see past its bins, so every quantile clamps
-        // to the last finite bound instead of returning garbage.
-        let h = Histogram::new(&[10.0, 20.0]);
-        for _ in 0..5 {
-            h.observe(1e9);
-        }
-        assert_eq!(h.bucket_counts(), vec![0, 0, 5]);
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 20.0, "q={q}");
-        }
-        // Degenerate zero-bound histogram saturated the same way.
-        let h = Histogram::new(&[]);
-        h.observe(1.0);
-        assert_eq!(h.quantile(0.5), 0.0, "no finite bound to clamp to");
     }
 
     #[test]

@@ -64,9 +64,9 @@ fn mixed_plan(master_seed: u64) -> CampaignPlan {
 #[test]
 fn campaign_results_are_identical_for_every_job_count() {
     let plan = mixed_plan(42);
-    let serial = plan.run(1).unwrap().to_csv();
+    let serial = plan.run_sharded(1, 0).unwrap().to_csv();
     for jobs in [2, 8] {
-        let parallel = plan.run(jobs).unwrap().to_csv();
+        let parallel = plan.run_sharded(jobs, 0).unwrap().to_csv();
         assert_eq!(
             serial, parallel,
             "jobs={jobs} diverged from jobs=1 — scheduling leaked into results"
@@ -78,8 +78,8 @@ fn campaign_results_are_identical_for_every_job_count() {
 fn campaign_results_are_stable_across_repeated_runs() {
     let plan = mixed_plan(7);
     for jobs in [1, 2] {
-        let first = plan.run(jobs).unwrap().to_csv();
-        let second = plan.run(jobs).unwrap().to_csv();
+        let first = plan.run_sharded(jobs, 0).unwrap().to_csv();
+        let second = plan.run_sharded(jobs, 0).unwrap().to_csv();
         assert_eq!(first, second, "jobs={jobs} is not reproducible run-to-run");
     }
 }
@@ -89,8 +89,8 @@ fn different_master_seeds_give_different_payloads() {
     // Sanity check that the determinism above is not vacuous: the payload
     // actually depends on the master seed (so the per-cell seeds really
     // flow into the simulation, rather than everything being constant).
-    let a = mixed_plan(1).run(2).unwrap().to_csv();
-    let b = mixed_plan(2).run(2).unwrap().to_csv();
+    let a = mixed_plan(1).run_sharded(2, 0).unwrap().to_csv();
+    let b = mixed_plan(2).run_sharded(2, 0).unwrap().to_csv();
     assert_ne!(a, b, "payload ignores the master seed");
 }
 
@@ -150,7 +150,7 @@ fn heavy_fault_plan_with(master_seed: u64, defense: DefenseMode, governor: bool)
 /// payload) with `REDVOLT_UPDATE_GOLDEN=1 cargo test --test determinism`.
 #[test]
 fn heavy_fault_campaign_matches_golden() {
-    let csv = heavy_fault_plan(1906).run(2).unwrap().to_csv();
+    let csv = heavy_fault_plan(1906).run_sharded(2, 0).unwrap().to_csv();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/campaign_heavy_fault.csv"
@@ -178,11 +178,11 @@ fn workload_cache_does_not_affect_campaign_payload() {
 
     workload_cache::reset();
     workload_cache::set_enabled(false);
-    let cold = plan.run(1).unwrap().to_csv();
+    let cold = plan.run_sharded(1, 0).unwrap().to_csv();
 
     workload_cache::reset();
-    let warm_serial = plan.run(1).unwrap().to_csv();
-    let warm_parallel = plan.run(4).unwrap().to_csv();
+    let warm_serial = plan.run_sharded(1, 0).unwrap().to_csv();
+    let warm_parallel = plan.run_sharded(4, 0).unwrap().to_csv();
 
     assert_eq!(cold, warm_serial, "cache on/off changed the payload");
     assert_eq!(cold, warm_parallel, "cached parallel run diverged");
@@ -206,7 +206,7 @@ fn workload_cache_does_not_affect_campaign_payload() {
 #[test]
 fn report_metadata_reflects_the_schedule_without_affecting_payload() {
     let plan = mixed_plan(3);
-    let report = plan.run(2).unwrap();
+    let report = plan.run_sharded(2, 0).unwrap();
     assert_eq!(report.jobs, 2);
     assert_eq!(report.results.len(), plan.len());
     // Results come back merged in plan order regardless of which worker
@@ -235,10 +235,10 @@ fn report_metadata_reflects_the_schedule_without_affecting_payload() {
 #[test]
 fn defended_campaign_degrades_instead_of_corrupting() {
     let plan = heavy_fault_plan_with(1906, DefenseMode::Correct, true);
-    let report = plan.run(1).unwrap();
+    let report = plan.run_sharded(1, 0).unwrap();
     assert_eq!(
         report.to_csv(),
-        plan.run(4).unwrap().to_csv(),
+        plan.run_sharded(4, 0).unwrap().to_csv(),
         "defended campaign is not jobs-invariant"
     );
 
