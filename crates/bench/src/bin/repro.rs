@@ -60,16 +60,18 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    // Every argument is checked before any work starts.
-    let (opts, wanted) = CampaignOptions::from_args(&args, &["--quick", "--csv"])
-        .and_then(|(opts, names)| Ok((opts, harness::select_experiments(names)?)))
+    // Every argument is checked, in one parse, before any work starts.
+    let (opts, line, wanted) = CampaignOptions::from_args(&args, &["--quick", "--csv"])
+        .and_then(|(opts, line)| {
+            let wanted = harness::select_experiments(line.positional())?;
+            Ok((opts, line, wanted))
+        })
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             eprintln!("usage: repro [--quick] [--csv] {CAMPAIGN_USAGE} [all | EXPERIMENT...]");
             std::process::exit(2);
         });
+    let (quick, csv) = (line.has("--quick"), line.has("--csv"));
     let settings = Settings {
         bus_faults: opts.fault_profile,
         defense: opts.defense,

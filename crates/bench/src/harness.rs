@@ -276,17 +276,21 @@ impl Default for CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Reads the shared campaign flags out of `args` with
-    /// [`CommandLine`], plus the calling binary's own value-less
-    /// `switches` (which it reads itself). Returns the options and the
-    /// remaining, positional arguments in order.
+    /// Reads the shared campaign flags out of `args` with one
+    /// [`CommandLine`], which also takes the calling binary's own
+    /// value-less `switches`. Returns the options and that command line,
+    /// from which the caller reads its switches and, in order, its
+    /// positional arguments.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for any other `--flag`, a missing
     /// or malformed value, an unknown fault profile or defense mode, or
     /// `--resume` without `--journal`.
-    pub fn from_args(args: &[String], switches: &[&str]) -> Result<(Self, Vec<String>), String> {
+    pub fn from_args<'a>(
+        args: &'a [String],
+        switches: &[&str],
+    ) -> Result<(Self, CommandLine<'a>), String> {
         let line = CommandLine::parse(args, &VALUE_FLAGS, &[&SWITCHES[..], switches].concat())?;
         let d = CampaignOptions::default();
         let opts = CampaignOptions {
@@ -318,8 +322,7 @@ impl CampaignOptions {
         if opts.resume && opts.journal.is_none() {
             return Err("--resume requires --journal PATH".to_string());
         }
-        let positional = line.positional().iter().map(|s| s.to_string()).collect();
-        Ok((opts, positional))
+        Ok((opts, line))
     }
 
     /// The supervisor configuration these options select.
@@ -1067,17 +1070,19 @@ pub const ALL_EXPERIMENTS: [&str; 15] = [
 /// # Errors
 ///
 /// Names the first argument that is neither `all` nor an experiment.
-pub fn select_experiments(names: Vec<String>) -> Result<Vec<String>, String> {
+pub fn select_experiments(names: &[&str]) -> Result<Vec<String>, String> {
     if let Some(bad) = names
         .iter()
-        .find(|n| *n != "all" && !ALL_EXPERIMENTS.contains(&n.as_str()))
+        .find(|n| **n != "all" && !ALL_EXPERIMENTS.contains(n))
     {
         return Err(format!("unknown experiment {bad}"));
     }
-    if names.is_empty() || names.iter().any(|n| n == "all") {
-        return Ok(ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect());
-    }
-    Ok(names)
+    let names = if names.is_empty() || names.contains(&"all") {
+        &ALL_EXPERIMENTS[..]
+    } else {
+        names
+    };
+    Ok(names.iter().map(|s| s.to_string()).collect())
 }
 
 #[cfg(test)]
@@ -1123,26 +1128,23 @@ mod tests {
     #[test]
     fn campaign_options_parse_both_spellings_and_validate() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (opts, positional) = CampaignOptions::from_args(
-            &args(&[
-                "fig6",
-                "--jobs=2",
-                "--image-jobs=4",
-                "--journal",
-                "run.journal",
-                "--resume",
-                "--max-attempts=5",
-                "--fault-profile",
-                "light",
-                "--halt-after-cells=3",
-                "--defense",
-                "correct",
-                "--governor",
-            ]),
-            &[],
-        )
-        .unwrap();
-        assert_eq!(positional, ["fig6"]);
+        let argv = args(&[
+            "fig6",
+            "--jobs=2",
+            "--image-jobs=4",
+            "--journal",
+            "run.journal",
+            "--resume",
+            "--max-attempts=5",
+            "--fault-profile",
+            "light",
+            "--halt-after-cells=3",
+            "--defense",
+            "correct",
+            "--governor",
+        ]);
+        let (opts, line) = CampaignOptions::from_args(&argv, &[]).unwrap();
+        assert_eq!(line.positional(), ["fig6"]);
         assert_eq!(opts.jobs, 2);
         assert_eq!(opts.image_jobs, 4);
         assert_eq!(opts.supervisor_config().image_jobs, 4);
@@ -1160,8 +1162,9 @@ mod tests {
         assert_eq!(opts.defense, DefenseMode::Correct);
         assert!(opts.governor);
 
-        let (defaults, _) =
-            CampaignOptions::from_args(&args(&["fig3", "--csv"]), &["--csv"]).unwrap();
+        let argv = args(&["fig3", "--csv"]);
+        let (defaults, line) = CampaignOptions::from_args(&argv, &["--csv"]).unwrap();
+        assert!(line.has("--csv"));
         assert_eq!(defaults.jobs, 0, "absent flag means available parallelism");
         assert_eq!(defaults.image_jobs, 0, "absent flag means auto-split");
         assert_eq!(defaults.fault_profile, BusFaultProfile::none());
@@ -1186,8 +1189,9 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         // `repro`'s command line: its two switches, then experiment names.
         let repro = |v: &[&str]| {
-            CampaignOptions::from_args(&args(v), &["--quick", "--csv"])
-                .and_then(|(_, names)| select_experiments(names))
+            let argv = args(v);
+            CampaignOptions::from_args(&argv, &["--quick", "--csv"])
+                .and_then(|(_, line)| select_experiments(line.positional()))
         };
         assert!(repro(&["--quick", "--bogus", "power-breakdown"]).is_err());
         assert!(repro(&["--quik", "fig3"]).is_err());
@@ -1201,6 +1205,17 @@ mod tests {
         );
         assert_eq!(repro(&["--quick", "fig3", "all"]).unwrap(), ALL_EXPERIMENTS);
         assert_eq!(repro(&["--jobs=2"]).unwrap(), ALL_EXPERIMENTS);
+        // A switch given as a valued flag's value is that value only: it
+        // neither turns the switch on nor names an experiment.
+        let argv = args(&["--journal", "--quick", "--metrics-out", "--csv", "fig3"]);
+        let (opts, line) = CampaignOptions::from_args(&argv, &["--quick", "--csv"]).unwrap();
+        assert_eq!(opts.journal.as_deref(), Some(Path::new("--quick")));
+        assert_eq!(opts.metrics_out.as_deref(), Some(Path::new("--csv")));
+        assert!(!line.has("--quick") && !line.has("--csv"));
+        assert_eq!(line.positional(), ["fig3"]);
+        let argv = args(&["--journal=j.log", "--quick", "--csv", "fig3"]);
+        let (_, line) = CampaignOptions::from_args(&argv, &["--quick", "--csv"]).unwrap();
+        assert!(line.has("--quick") && line.has("--csv"));
         // With no switches of its own, a caller accepts the campaign flags only.
         assert!(CampaignOptions::from_args(&args(&["--bogus"]), &[]).is_err());
         assert!(CampaignOptions::from_args(&args(&["--quick"]), &[]).is_err());
