@@ -36,11 +36,30 @@ impl ConvParams {
     }
 
     /// Output spatial size for an input of `(h, w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the fault, if the kernel or the stride is zero or
+    /// the kernel is larger than the padded input (which would underflow
+    /// the output-shape arithmetic).
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            (h + 2 * self.pad - self.k) / self.stride + 1,
-            (w + 2 * self.pad - self.k) / self.stride + 1,
-        )
+        self.try_out_hw(h, w).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// Output spatial size for an input of `(h, w)`, or why there is
+    /// none (see [`ConvParams::out_hw`]).
+    fn try_out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), String> {
+        let (k, stride, pad) = (self.k, self.stride, self.pad);
+        if k == 0 || stride == 0 {
+            return Err(format!(
+                "conv needs k >= 1 and stride >= 1, got k={k} stride={stride}"
+            ));
+        }
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        if k > ph || k > pw {
+            return Err(format!("conv kernel {k} exceeds padded input {ph}x{pw}"));
+        }
+        Ok(((ph - k) / stride + 1, (pw - k) / stride + 1))
     }
 }
 
@@ -271,8 +290,9 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters do not match the input shape or the weight
-    /// buffers have the wrong length.
+    /// Panics if the parameters do not match the input shape, the kernel
+    /// does not fit the padded input (see [`ConvParams::out_hw`]), or the
+    /// weight buffers have the wrong length.
     pub fn conv(
         &mut self,
         name: &str,
@@ -285,8 +305,9 @@ impl GraphBuilder {
         assert_eq!(s.c, params.in_ch, "{name}: in_ch mismatch");
         assert_eq!(weights.len(), params.weight_count(), "{name}: weights len");
         assert_eq!(bias.len(), params.out_ch, "{name}: bias len");
-        let (h, w) = params.out_hw(s.h, s.w);
-        assert!(h > 0 && w > 0, "{name}: empty output");
+        let (h, w) = params
+            .try_out_hw(s.h, s.w)
+            .unwrap_or_else(|why| panic!("{name}: {why}"));
         self.push(
             Node {
                 name: name.to_string(),
@@ -1250,6 +1271,46 @@ mod tests {
         let mut b = GraphBuilder::new();
         let x = b.input(2, 2, 1);
         b.max_pool("mp", x, 5, 1);
+    }
+
+    /// Adds a one-channel conv with kernel `k`, `stride` and `pad` on an
+    /// `h × w` input.
+    fn conv_on(h: usize, w: usize, k: usize, stride: usize, pad: usize) {
+        let mut b = GraphBuilder::new();
+        let x = b.input(h, w, 1);
+        let params = ConvParams {
+            in_ch: 1,
+            out_ch: 1,
+            k,
+            stride,
+            pad,
+            relu: false,
+        };
+        b.conv("cv", x, params, vec![0.5; k * k], vec![0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cv: conv needs k >= 1 and stride >= 1, got k=0 stride=1")]
+    fn conv_builder_rejects_a_zero_kernel() {
+        conv_on(4, 4, 0, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cv: conv needs k >= 1 and stride >= 1, got k=3 stride=0")]
+    fn conv_builder_rejects_a_zero_stride() {
+        conv_on(4, 4, 3, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cv: conv kernel 5 exceeds padded input 2x2")]
+    fn conv_builder_rejects_a_kernel_taller_than_the_padded_input() {
+        conv_on(2, 2, 5, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cv: conv kernel 5 exceeds padded input 7x4")]
+    fn conv_builder_rejects_a_kernel_wider_than_the_padded_input() {
+        conv_on(5, 2, 5, 1, 1);
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -1,4 +1,5 @@
-//! Optimized inference kernels: im2col + register/cache-blocked GEMM.
+//! Optimized inference kernels: blocked GEMMs over packed or staged
+//! operands, with no im2col copy on the integer path.
 //!
 //! Two regimes, two contracts:
 //!
@@ -23,23 +24,28 @@
 //!
 //! * **Integer kernels** accumulate `i8 × i8` products in `i32`, which is
 //!   associative (wrapping arithmetic forms a group), so they are free to
-//!   reorder. A conv or dense layer's weights are packed once, at quantize
-//!   time, into a [`PackedQ`]: blocks of 16 output channels in which each
-//!   reduction pair `(2p, 2p + 1)` holds the block's 16 channels' two codes
-//!   interleaved, with zeros past `out_ch` and past the reduction length
-//!   K. A tile of output pixels becomes a zero-padded im2col panel of
-//!   sign-extended `i16` codes, K padded to even, and the GEMM microkernel
+//!   reorder. There is no im2col copy. A conv widens its input once into
+//!   a zero-bordered `i16` source (the pad on every side, then one
+//!   trailing zero), in which each output pixel's `k` kernel rows are
+//!   runs of `k·in_ch` consecutive codes, one padded row stride apart. A
+//!   dense layer is the one-pixel, one-run case. The layer's weights are
+//!   packed once, at quantize time, into a [`PackedQ`]: blocks of 16
+//!   output channels in which each run's reduction pairs `(2p, 2p + 1)`
+//!   hold the block's 16 channels' two codes interleaved. An odd run
+//!   ends in a zero weight, so its last pair may read the code after the
+//!   run (the trailing zero, at the source's last pixel) and add nothing.
+//!   The GEMM microkernel takes one base offset per output pixel and
 //!   vectorizes across output channels rather than along K: per pair it
-//!   broadcasts each panel row's two codes and multiply-adds them against
-//!   a whole block, so even ResNet50's short 1×1 reductions (K = 8) fill
-//!   every lane. There are two builds over the one layout, picked by
-//!   runtime feature detection: AVX2 `std::arch` intrinsics (`vpmovsxbw`,
-//!   `vpbroadcastd`, `vpmaddwd`, `vpaddd`; 4 rows × 16 channels of
-//!   accumulators) and a plain-Rust body elsewhere. Both are exact: a pair
-//!   sum of two sign-extended `i8` products is at most 2·128·128 = 32768
-//!   in magnitude, which fits `i32`, so `vpmaddwd`'s one wrapping case
-//!   (−32768 × −32768 in both halves) cannot occur, and `vpaddd` wraps like
-//!   the release-mode scalar `+`. The accumulators are identical for any
+//!   broadcasts each pixel's two source codes and multiply-adds them
+//!   against a whole block, so even ResNet50's short 1×1 reductions
+//!   (K = 8) fill every lane. There are two builds over the one layout,
+//!   picked by runtime feature detection: AVX2 `std::arch` intrinsics
+//!   (`vpmovsxbw`, `vpbroadcastd`, `vpmaddwd`, `vpaddd`; 4 pixels × 16
+//!   channels of accumulators) and a plain-Rust body elsewhere. Both are
+//!   exact: a weight code is an `i8`, so a pair sum fits `i32` for any
+//!   `i16` source code and `vpmaddwd`'s one wrapping case (−32768 ×
+//!   −32768 in both halves) cannot occur, and `vpaddd` wraps like the
+//!   release-mode scalar `+`. The accumulators are identical for any
 //!   codes, fault-flipped ones included.
 //!
 //! * **Batched float kernels** serve the readout trainer
@@ -61,14 +67,17 @@
 //!   AVX2 builds enable `avx2` only, not `fma`, so the backend cannot
 //!   either: every vectorized fold rounds exactly as the scalar one.
 //!
-//! * **The rounding pass** [`round_codes_into`] turns every staged
-//!   activation value of the quantized executor into a code,
-//!   `v.round().clamp(lo, hi) as i8`. It is exact by construction: the
-//!   body spells `f32::round`, maps NaN to 0, and converts the clamped
-//!   integer with `to_int_unchecked`, which is exact because the clamp
-//!   keeps it inside `i8`'s range. It is compiled a second time with
-//!   AVX2, where the rounding and the convert both vectorize, and picked
-//!   at run time like the GEMM.
+//! * **Activation codes** come from one per-element step,
+//!   `v.round().clamp(lo, hi) as i8` over the format's code range. It is
+//!   exact by construction: it spells `f32::round`, maps NaN to 0, and
+//!   converts the clamped integer with `to_int_unchecked`, which is exact
+//!   because the clamp keeps it inside `i8`'s range. Two passes run it.
+//!   [`requantize_into`] turns a conv or dense layer's accumulators
+//!   straight into codes (multiply by the channel's rescale factor, ReLU,
+//!   round), and [`round_codes_into`] rounds the values the other
+//!   element-wise stages of the quantized executor stage. Each is
+//!   compiled a second time with AVX2, where the multiply, the rounding
+//!   and the convert vectorize, and picked at run time like the GEMM.
 //!
 //! All inference `_into` variants write into caller-provided buffers and
 //! borrow their temporaries from a [`Scratch`] arena, so a warmed-up
@@ -79,7 +88,7 @@ use crate::tensor::{QTensor, Tensor};
 use redvolt_num::fixed::IntFormat;
 
 /// Output-pixel tile width of the integer GEMM: a block of packed weights
-/// is reused across this many im2col panel rows while hot in L1.
+/// is reused across this many output pixels while hot in L1.
 const QTILE: usize = 8;
 
 /// Output channels per block of [`PackedQ`], the lanes one microkernel
@@ -105,7 +114,7 @@ struct TileTap {
     inside: [bool; PIX],
 }
 
-/// Reusable kernel workspace (staged inputs, im2col tiles and panels).
+/// Reusable kernel workspace (staged inputs and float im2col tiles).
 /// Create once, thread through every kernel call; buffers grow to the
 /// largest layer seen and are then reused allocation-free.
 #[derive(Debug, Clone, Default)]
@@ -120,9 +129,12 @@ pub struct Scratch {
     /// The taps the current float tile reaches, in `(ky, kx)` order, with
     /// their lane masks.
     taps: Vec<TileTap>,
-    /// Integer im2col panel: up to `QTILE` rows of `k·k·ic` sign-extended
-    /// codes, zero-padded to the packed weights' even width.
-    panel_q: Vec<i16>,
+    /// Integer layer input, sign-extended to `i16`: a conv's
+    /// `(h + 2·pad) × (w + 2·pad)` pixels of `in_ch` codes in HWC order,
+    /// zero on the border, or a dense layer's input codes; then one
+    /// trailing zero, which the last pair of an odd run at the last
+    /// pixel reads against a zero weight. The GEMM reads it in place.
+    src_q: Vec<i16>,
 }
 
 impl Scratch {
@@ -139,7 +151,9 @@ impl Scratch {
 ///
 /// # Panics
 ///
-/// Panics if a buffer length does not match the parameters.
+/// Panics if the kernel does not fit the input (see
+/// [`ConvParams::out_hw`]), or if a buffer length does not match the
+/// parameters.
 pub fn conv2d_f32_into(
     input: &Tensor,
     p: &ConvParams,
@@ -725,15 +739,20 @@ unsafe fn weight_grad_avx2(
 /// Logically they are `out_ch` rows of `depth` codes (the reduction
 /// length K), in the natural order `oc · depth + i` of
 /// [`crate::reference::conv2d_q`] and [`crate::reference::dense_q`].
-/// Stored, the rows are grouped into blocks of 16 output channels, and
-/// within a block each reduction pair `(2p, 2p + 1)` holds the 16
-/// channels' two codes interleaved, so one 32-byte load feeds the whole
-/// block for one pair. Codes past `out_ch` and past `depth` are zero.
-/// The layout stays private: callers address codes by natural index.
+/// Each row is `runs` runs of `run_len` codes that the microkernel reads
+/// from consecutive input codes: a conv's `k` kernel rows of `k · in_ch`
+/// codes, or a dense layer's one run over its whole input. Stored, the
+/// rows are grouped into blocks of 16 output channels, and within a
+/// block each run's reduction pairs `(2p, 2p + 1)` hold the 16 channels'
+/// two codes interleaved, so one 32-byte load feeds the whole block for
+/// one pair. An odd run's last pair ends in a zero weight, and codes
+/// past `out_ch` are zero. The layout stays private: callers address
+/// codes by natural index.
 #[derive(Debug, Default)]
 pub struct PackedQ {
     out_ch: usize,
-    depth: usize,
+    runs: usize,
+    run_len: usize,
     codes: Vec<i8>,
 }
 
@@ -741,7 +760,8 @@ impl Clone for PackedQ {
     fn clone(&self) -> Self {
         PackedQ {
             out_ch: self.out_ch,
-            depth: self.depth,
+            runs: self.runs,
+            run_len: self.run_len,
             codes: self.codes.clone(),
         }
     }
@@ -750,28 +770,30 @@ impl Clone for PackedQ {
     /// arena allocates nothing.
     fn clone_from(&mut self, source: &Self) {
         self.out_ch = source.out_ch;
-        self.depth = source.depth;
+        self.runs = source.runs;
+        self.run_len = source.run_len;
         self.codes.clone_from(&source.codes);
     }
 }
 
 impl PackedQ {
-    /// Packs `out_ch` rows of `depth` codes given in natural order.
+    /// Packs `out_ch` rows of `runs · run_len` codes given in natural
+    /// order, each row read as `runs` runs of `run_len` codes.
     ///
     /// # Panics
     ///
-    /// Panics if `codes.len() != out_ch · depth`.
-    pub fn pack(codes: &[i8], out_ch: usize, depth: usize) -> PackedQ {
-        assert_eq!(codes.len(), out_ch * depth, "weight codes length");
+    /// Panics if `codes.len() != out_ch · runs · run_len`.
+    pub fn pack(codes: &[i8], out_ch: usize, runs: usize, run_len: usize) -> PackedQ {
+        assert_eq!(codes.len(), out_ch * runs * run_len, "weight codes length");
         let mut packed = PackedQ {
             out_ch,
-            depth,
-            codes: vec![0; out_ch.div_ceil(OC_BLOCK) * depth.div_ceil(2) * PAIR_CODES],
+            runs,
+            run_len,
+            codes: Vec::new(),
         };
-        for (index, &code) in codes.iter().enumerate() {
-            let at = packed.position(index);
-            packed.codes[at] = code;
-        }
+        let mut stored = vec![0; out_ch.div_ceil(OC_BLOCK) * packed.pairs() * PAIR_CODES];
+        packed.for_each_position(|i, at| stored[at] = codes[i]);
+        packed.codes = stored;
         packed
     }
 
@@ -782,12 +804,12 @@ impl PackedQ {
 
     /// Reduction length K: the codes per row.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.runs * self.run_len
     }
 
     /// Logical code count `out_ch · depth`, the length fault plans index.
     pub fn len(&self) -> usize {
-        self.out_ch * self.depth
+        self.out_ch * self.depth()
     }
 
     /// Whether there are no codes.
@@ -801,37 +823,69 @@ impl PackedQ {
     ///
     /// Panics if `index >= self.len()`.
     pub fn code_mut(&mut self, index: usize) -> &mut i8 {
-        let at = self.position(index);
-        &mut self.codes[at]
-    }
-
-    /// Every code, in natural order.
-    pub fn unpack(&self) -> Vec<i8> {
-        (0..self.len())
-            .map(|i| self.codes[self.position(i)])
-            .collect()
-    }
-
-    /// Reduction pairs per block: `depth` rounded up to even, halved.
-    fn pairs(&self) -> usize {
-        self.depth.div_ceil(2)
-    }
-
-    /// Codes per row of an im2col panel this layer multiplies: `depth`
-    /// rounded up to even.
-    fn panel_width(&self) -> usize {
-        2 * self.pairs()
-    }
-
-    /// The packed position of natural index `oc · depth + i`.
-    fn position(&self, index: usize) -> usize {
         assert!(
             index < self.len(),
             "weight index {index} out of range for {} codes",
             self.len()
         );
-        let (oc, i) = (index / self.depth, index % self.depth);
-        ((oc / OC_BLOCK) * self.pairs() + i / 2) * PAIR_CODES + (oc % OC_BLOCK) * 2 + i % 2
+        let (oc, i) = (index / self.depth(), index % self.depth());
+        let at = self.position(oc, i / self.run_len, i % self.run_len);
+        &mut self.codes[at]
+    }
+
+    /// Every code, in natural order.
+    pub fn unpack(&self) -> Vec<i8> {
+        let mut codes = vec![0; self.len()];
+        self.for_each_position(|i, at| codes[i] = self.codes[at]);
+        codes
+    }
+
+    /// Reduction pairs per run: `run_len` rounded up to even, halved.
+    fn run_pairs(&self) -> usize {
+        self.run_len.div_ceil(2)
+    }
+
+    /// Reduction pairs per block: every run's.
+    fn pairs(&self) -> usize {
+        self.runs * self.run_pairs()
+    }
+
+    /// The packed position of code `j` of run `r` in row `oc`.
+    fn position(&self, oc: usize, r: usize, j: usize) -> usize {
+        let pair = (oc / OC_BLOCK) * self.pairs() + r * self.run_pairs() + j / 2;
+        pair * PAIR_CODES + (oc % OC_BLOCK) * 2 + j % 2
+    }
+
+    /// Calls `f(index, position)` for every natural index in order, with
+    /// its packed position: no division per code, so packing a layer
+    /// costs about one pass over its codes.
+    fn for_each_position(&self, mut f: impl FnMut(usize, usize)) {
+        let mut index = 0;
+        for oc in 0..self.out_ch {
+            for r in 0..self.runs {
+                let run = self.position(oc, r, 0);
+                for j in 0..self.run_len {
+                    f(index, run + j / 2 * PAIR_CODES + j % 2);
+                    index += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Writes the `h × w × c` codes `codes` (HWC order) to `dst` sign-extended
+/// to `i16`, inside a zero border `pad` pixels wide, then one trailing
+/// zero: the source the integer GEMM reads.
+fn widen_bordered(codes: &[i8], h: usize, w: usize, c: usize, pad: usize, dst: &mut Vec<i16>) {
+    let pw = w + 2 * pad;
+    let row = w * c;
+    dst.clear();
+    dst.resize((h + 2 * pad) * pw * c + 1, 0);
+    for y in 0..h {
+        let at = ((y + pad) * pw + pad) * c;
+        for (d, &s) in dst[at..][..row].iter_mut().zip(&codes[y * row..][..row]) {
+            *d = i16::from(s);
+        }
     }
 }
 
@@ -840,10 +894,16 @@ impl PackedQ {
 /// [`crate::reference::conv2d_q`] — integer accumulation is associative,
 /// so the blocked GEMM reorder is exact.
 ///
+/// There is no im2col copy: the input is widened once into a
+/// zero-bordered `i16` source, and each output pixel's `k` kernel rows
+/// are runs of `k · in_ch` consecutive codes in it, one padded row
+/// stride apart, which the GEMM reads in place.
+///
 /// # Panics
 ///
-/// Panics if a buffer length or the packed weights' shape does not match
-/// the parameters.
+/// Panics if the kernel does not fit the input (see
+/// [`ConvParams::out_hw`]), or if a buffer length or the packed weights'
+/// shape does not match the parameters.
 pub fn conv2d_q_into(
     input: &QTensor,
     p: &ConvParams,
@@ -854,59 +914,33 @@ pub fn conv2d_q_into(
 ) {
     let (ih, iw, ic) = (input.h(), input.w(), input.c());
     let (oh, ow) = p.out_hw(ih, iw);
-    let k2ic = p.k * p.k * ic;
     assert_eq!(acc.len(), oh * ow * p.out_ch, "accumulator buffer length");
     assert_eq!(
-        (weights.out_ch, weights.depth),
-        (p.out_ch, k2ic),
+        (weights.out_ch, weights.runs, weights.run_len),
+        (p.out_ch, p.k, p.k * ic),
         "packed weights shape"
     );
     assert_eq!(bias_q.len(), p.out_ch, "bias length");
-    let width = weights.panel_width();
+    widen_bordered(&input.codes, ih, iw, ic, p.pad, &mut scratch.src_q);
+    let row_stride = (iw + 2 * p.pad) * ic;
     let pixels = oh * ow;
-    scratch.panel_q.resize(QTILE * width, 0);
-    let mut tile_start = 0usize;
-    while tile_start < pixels {
-        let tile = QTILE.min(pixels - tile_start);
-        // Zero-padded im2col of sign-extended codes: out-of-bounds taps
-        // and the pad that makes K even contribute exact zeros, so every
-        // panel row has the packed weights' layout.
-        for row in 0..tile {
-            let pixel = tile_start + row;
-            let (oy, ox) = (pixel / ow, pixel % ow);
-            let base_y = (oy * p.stride) as isize - p.pad as isize;
-            let base_x = (ox * p.stride) as isize - p.pad as isize;
-            let prow = &mut scratch.panel_q[row * width..][..width];
-            prow.fill(0);
-            for ky in 0..p.k {
-                let y = base_y + ky as isize;
-                if y < 0 || y >= ih as isize {
-                    continue;
-                }
-                let x_lo = (-base_x).clamp(0, p.k as isize) as usize;
-                let x_hi = (iw as isize - base_x).clamp(0, p.k as isize) as usize;
-                if x_lo >= x_hi {
-                    continue;
-                }
-                let in_off = ((y as usize) * iw + (base_x + x_lo as isize) as usize) * ic;
-                let w_off = (ky * p.k + x_lo) * ic;
-                let len = (x_hi - x_lo) * ic;
-                for (d, &s) in prow[w_off..][..len]
-                    .iter_mut()
-                    .zip(&input.codes[in_off..][..len])
-                {
-                    *d = i16::from(s);
-                }
-            }
+    let mut bases = [0usize; QTILE];
+    let mut start = 0;
+    while start < pixels {
+        let tile = QTILE.min(pixels - start);
+        for (n, base) in bases[..tile].iter_mut().enumerate() {
+            let (oy, ox) = ((start + n) / ow, (start + n) % ow);
+            *base = oy * p.stride * row_stride + ox * p.stride * ic;
         }
         gemm_packed_dispatch(
-            &scratch.panel_q[..tile * width],
-            tile,
+            &scratch.src_q,
+            &bases[..tile],
+            row_stride,
             weights,
             bias_q,
-            &mut acc[tile_start * p.out_ch..][..tile * p.out_ch],
+            &mut acc[start * p.out_ch..][..tile * p.out_ch],
         );
-        tile_start += tile;
+        start += tile;
     }
 }
 
@@ -915,7 +949,7 @@ pub fn conv2d_q_into(
 /// them on every call.
 pub fn conv2d_q(input: &QTensor, p: &ConvParams, wcodes: &[i8], bias_q: &[i32]) -> Vec<i32> {
     let (oh, ow) = p.out_hw(input.h(), input.w());
-    let weights = PackedQ::pack(wcodes, p.out_ch, p.k * p.k * input.c());
+    let weights = PackedQ::pack(wcodes, p.out_ch, p.k, p.k * input.c());
     let mut acc = vec![0i32; oh * ow * p.out_ch];
     conv2d_q_into(input, p, &weights, bias_q, &mut Scratch::new(), &mut acc);
     acc
@@ -935,16 +969,14 @@ pub fn dense_q_into(
     scratch: &mut Scratch,
     acc: &mut [i32],
 ) {
-    assert_eq!(input.codes.len(), weights.depth, "dense input length");
+    assert_eq!(input.codes.len(), weights.depth(), "dense input length");
     assert_eq!(bias_q.len(), weights.out_ch, "bias length");
     assert_eq!(acc.len(), weights.out_ch, "accumulator buffer length");
-    // A dense layer is a one-row GEMM: the input vector is the panel.
-    scratch.panel_q.clear();
-    scratch
-        .panel_q
-        .extend(input.codes.iter().map(|&c| i16::from(c)));
-    scratch.panel_q.resize(weights.panel_width(), 0);
-    gemm_packed_dispatch(&scratch.panel_q, 1, weights, bias_q, acc);
+    // A dense layer is the conv GEMM's one-pixel case: its input is one
+    // unbordered row whose runs lie back to back.
+    let n = input.codes.len();
+    widen_bordered(&input.codes, 1, 1, n, 0, &mut scratch.src_q);
+    gemm_packed_dispatch(&scratch.src_q, &[0], weights.run_len, weights, bias_q, acc);
 }
 
 /// Optimized integer dense layer returning fresh accumulators, with the
@@ -957,40 +989,66 @@ pub fn dense_q(
     wcodes: &[i8],
     bias_q: &[i32],
 ) -> Vec<i32> {
-    let weights = PackedQ::pack(wcodes, out_len, in_len);
+    let weights = PackedQ::pack(wcodes, out_len, 1, in_len);
     let mut acc = vec![0i32; out_len];
     dense_q_into(input, &weights, bias_q, &mut Scratch::new(), &mut acc);
     acc
 }
 
-/// The integer GEMM microkernel over `rows` panel rows of
-/// `w.panel_width()` sign-extended codes each:
-/// `acc[row · out_ch + oc] = bias_q[oc] + Σᵢ panel[row][i] · w(oc, i)`.
+/// How far past a pixel's base offset the GEMM reads from its source:
+/// the last run starts `(runs − 1) · row_stride` codes in, and its pairs
+/// take `2 · run_pairs` codes, one past an odd run.
+///
+/// # Panics
+///
+/// Panics if the offset does not fit `usize`.
+fn source_reach(w: &PackedQ, row_stride: usize) -> usize {
+    w.runs
+        .saturating_sub(1)
+        .checked_mul(row_stride)
+        .and_then(|last| last.checked_add(2 * w.run_pairs()))
+        .expect("source reach fits usize")
+}
+
+/// The integer GEMM microkernel over one tile of output pixels. Pixel `n`
+/// reads run `r` of its reduction from `src[bases[n] + r · row_stride..]`,
+/// so `acc[n · out_ch + oc]` is `bias_q[oc]` plus the sum over `r` and `j`
+/// of `src[bases[n] + r · row_stride + j] · w(oc, r · run_len + j)`. An
+/// odd run's last pair also reads the code after the run, against the
+/// zero weight that ends it.
 ///
 /// This is the plain-Rust build, for CPUs without AVX2. It walks the
-/// packed layout like [`gemm_packed_avx2`]: per row and block, sixteen
+/// packed layout like [`gemm_packed_avx2`]: per pixel and block, sixteen
 /// accumulators start from the bias and add each reduction pair's two
 /// products.
-fn gemm_packed(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mut [i32]) {
-    let (out_ch, pairs) = (w.out_ch, w.pairs());
-    let width = w.panel_width();
-    assert_eq!(panel.len(), rows * width, "panel length");
+fn gemm_packed(
+    src: &[i16],
+    bases: &[usize],
+    row_stride: usize,
+    w: &PackedQ,
+    bias_q: &[i32],
+    acc: &mut [i32],
+) {
+    let (out_ch, run_pairs, pairs) = (w.out_ch, w.run_pairs(), w.pairs());
     assert_eq!(bias_q.len(), out_ch, "bias length");
-    assert_eq!(acc.len(), rows * out_ch, "accumulator buffer length");
-    for row in 0..rows {
-        let prow = &panel[row * width..][..width];
+    assert_eq!(acc.len(), bases.len() * out_ch, "accumulator buffer length");
+    for (n, &base) in bases.iter().enumerate() {
         for oc0 in (0..out_ch).step_by(OC_BLOCK) {
             let lanes = OC_BLOCK.min(out_ch - oc0);
             let block = &w.codes[oc0 / OC_BLOCK * pairs * PAIR_CODES..][..pairs * PAIR_CODES];
             let mut sums = [0i32; OC_BLOCK];
             sums[..lanes].copy_from_slice(&bias_q[oc0..][..lanes]);
-            for (pair, x) in block.chunks_exact(PAIR_CODES).zip(prow.chunks_exact(2)) {
-                let (x0, x1) = (i32::from(x[0]), i32::from(x[1]));
-                for (s, wp) in sums.iter_mut().zip(pair.chunks_exact(2)) {
-                    *s += i32::from(wp[0]) * x0 + i32::from(wp[1]) * x1;
+            for r in 0..w.runs {
+                let run_w = &block[r * run_pairs * PAIR_CODES..][..run_pairs * PAIR_CODES];
+                let run_x = &src[base + r * row_stride..][..2 * run_pairs];
+                for (pair, x) in run_w.chunks_exact(PAIR_CODES).zip(run_x.chunks_exact(2)) {
+                    let (x0, x1) = (i32::from(x[0]), i32::from(x[1]));
+                    for (s, wp) in sums.iter_mut().zip(pair.chunks_exact(2)) {
+                        *s += i32::from(wp[0]) * x0 + i32::from(wp[1]) * x1;
+                    }
                 }
             }
-            acc[row * out_ch + oc0..][..lanes].copy_from_slice(&sums[..lanes]);
+            acc[n * out_ch + oc0..][..lanes].copy_from_slice(&sums[..lanes]);
         }
     }
 }
@@ -1000,32 +1058,45 @@ fn gemm_packed(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mu
 ///
 /// Per block and reduction pair, `vpmovsxbw` widens the pair's 32 weight
 /// codes into two vectors of 8 channels × 2 codes. Each of up to four
-/// panel rows broadcasts its two codes (`vpbroadcastd`), and `vpmaddwd`
-/// plus `vpaddd` add both products into that row's two accumulators,
-/// which start from the bias. Leftover rows run one at a time, and a
-/// block narrower than 16 channels stores only its valid lanes. A pair
-/// sum is at most 2·128·128 = 32768 in magnitude, so `vpmaddwd` never
-/// wraps, and `vpaddd` wraps like the release-mode `+`: the accumulators
-/// equal [`gemm_packed`]'s for any codes.
+/// pixels broadcasts its two source codes (`vpbroadcastd`), and
+/// `vpmaddwd` plus `vpaddd` add both products into that pixel's two
+/// accumulators, which start from the bias. Leftover pixels run one at a
+/// time, and a block narrower than 16 channels stores only its valid
+/// lanes. A weight code is an `i8`, so a pair sum is at most 2·128·32768
+/// in magnitude for any `i16` source code: `vpmaddwd` never wraps, and
+/// `vpaddd` wraps like the release-mode `+`. The accumulators equal
+/// [`gemm_packed`]'s for any codes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_packed_avx2(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mut [i32]) {
+fn gemm_packed_avx2(
+    src: &[i16],
+    bases: &[usize],
+    row_stride: usize,
+    w: &PackedQ,
+    bias_q: &[i32],
+    acc: &mut [i32],
+) {
     use std::arch::x86_64::*;
-    let (out_ch, pairs) = (w.out_ch, w.pairs());
-    let width = w.panel_width();
-    // SAFETY: the raw-pointer reads below rely on these lengths. A panel
-    // read takes codes `row · width + 2p` and `+ 1` with `row < rows` and
-    // `p < pairs`, so below `rows · width`. A weight read takes 32 codes
-    // at `(block · pairs + p) · PAIR_CODES` with `block < out_ch / 16`
-    // rounded up and `p < pairs`, so within the packed codes.
-    assert_eq!(panel.len(), rows * width, "panel length");
+    let (out_ch, runs, run_pairs, pairs) = (w.out_ch, w.runs, w.run_pairs(), w.pairs());
+    // SAFETY: the raw-pointer reads below rely on these two asserts. A
+    // source read takes codes `base + r · row_stride + 2p` and `+ 1` with
+    // `r < runs` and `p < run_pairs`, so below `base + reach`, which the
+    // first assert bounds by `src.len()` for every base. A weight read
+    // takes 32 codes at `(block · pairs + r · run_pairs + p) · PAIR_CODES`
+    // with `block < out_ch / 16` rounded up, so within the packed codes.
+    let reach = source_reach(w, row_stride);
+    assert!(
+        reach <= src.len() && bases.iter().all(|&base| base <= src.len() - reach),
+        "source reads past the bordered input"
+    );
     assert_eq!(
         w.codes.len(),
         out_ch.div_ceil(OC_BLOCK) * pairs * PAIR_CODES,
         "packed weights length"
     );
     assert_eq!(bias_q.len(), out_ch, "bias length");
-    assert_eq!(acc.len(), rows * out_ch, "accumulator buffer length");
+    assert_eq!(acc.len(), bases.len() * out_ch, "accumulator buffer length");
+    let pixels = bases.len();
     for oc0 in (0..out_ch).step_by(OC_BLOCK) {
         let lanes = OC_BLOCK.min(out_ch - oc0);
         let mut edge = [0i32; OC_BLOCK];
@@ -1037,40 +1108,41 @@ fn gemm_packed_avx2(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc
                 _mm256_loadu_si256(edge.as_ptr().add(8).cast()),
             ]
         };
-        let block = oc0 / OC_BLOCK * pairs * PAIR_CODES;
-        // One register tile: `$rows` panel rows from `$row` against this
-        // block, two accumulators per row.
+        let block = oc0 / OC_BLOCK * pairs;
+        // One register tile: `$rows` pixels from `$n` against this block,
+        // two accumulators per pixel.
         macro_rules! tile {
-            ($row:expr, $rows:literal) => {{
-                let row0 = $row;
+            ($n:expr, $rows:literal) => {{
+                let n0 = $n;
                 let mut sums = [bias; $rows];
-                for p in 0..pairs {
-                    // SAFETY: pair `p` of this block is within the packed
-                    // codes (asserted length above).
-                    let (w0, w1) = unsafe {
-                        let at = w.codes.as_ptr().add(block + p * PAIR_CODES);
-                        (
-                            _mm256_cvtepi8_epi16(_mm_loadu_si128(at.cast())),
-                            _mm256_cvtepi8_epi16(_mm_loadu_si128(at.add(16).cast())),
-                        )
-                    };
-                    for (r, s) in sums.iter_mut().enumerate() {
-                        // SAFETY: row `row0 + r < rows` and pair `p` are
-                        // within the panel (asserted length above).
-                        let x = unsafe {
-                            panel
-                                .as_ptr()
-                                .add((row0 + r) * width + 2 * p)
-                                .cast::<i32>()
-                                .read_unaligned()
+                for r in 0..runs {
+                    let run: [usize; $rows] =
+                        std::array::from_fn(|i| bases[n0 + i] + r * row_stride);
+                    let run_w = block + r * run_pairs;
+                    for p in 0..run_pairs {
+                        // SAFETY: pair `run_w + p` of this block is within
+                        // the packed codes (asserted length above).
+                        let (w0, w1) = unsafe {
+                            let at = w.codes.as_ptr().add((run_w + p) * PAIR_CODES);
+                            (
+                                _mm256_cvtepi8_epi16(_mm_loadu_si128(at.cast())),
+                                _mm256_cvtepi8_epi16(_mm_loadu_si128(at.add(16).cast())),
+                            )
                         };
-                        let x = _mm256_set1_epi32(x);
-                        s[0] = _mm256_add_epi32(s[0], _mm256_madd_epi16(w0, x));
-                        s[1] = _mm256_add_epi32(s[1], _mm256_madd_epi16(w1, x));
+                        for (s, &at) in sums.iter_mut().zip(&run) {
+                            // SAFETY: codes `at + 2p` and `+ 1` lie below
+                            // the pixel's `base + reach` (asserted above).
+                            let x = unsafe {
+                                src.as_ptr().add(at + 2 * p).cast::<i32>().read_unaligned()
+                            };
+                            let x = _mm256_set1_epi32(x);
+                            s[0] = _mm256_add_epi32(s[0], _mm256_madd_epi16(w0, x));
+                            s[1] = _mm256_add_epi32(s[1], _mm256_madd_epi16(w1, x));
+                        }
                     }
                 }
-                for (r, s) in sums.iter().enumerate() {
-                    let dst = &mut acc[(row0 + r) * out_ch + oc0..][..lanes];
+                for (i, s) in sums.iter().enumerate() {
+                    let dst = &mut acc[(n0 + i) * out_ch + oc0..][..lanes];
                     let mut tail = [0i32; OC_BLOCK];
                     let out = if lanes == OC_BLOCK {
                         dst.as_mut_ptr()
@@ -1089,14 +1161,14 @@ fn gemm_packed_avx2(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc
                 }
             }};
         }
-        let mut row = 0;
-        while row + 4 <= rows {
-            tile!(row, 4);
-            row += 4;
+        let mut n = 0;
+        while n + 4 <= pixels {
+            tile!(n, 4);
+            n += 4;
         }
-        while row < rows {
-            tile!(row, 1);
-            row += 1;
+        while n < pixels {
+            tile!(n, 1);
+            n += 1;
         }
     }
 }
@@ -1104,64 +1176,91 @@ fn gemm_packed_avx2(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc
 /// Runs the widest build of the integer GEMM the CPU supports. The
 /// feature probe is a cached atomic load in `std`, so dispatching per
 /// tile is free.
-fn gemm_packed_dispatch(panel: &[i16], rows: usize, w: &PackedQ, bias_q: &[i32], acc: &mut [i32]) {
+fn gemm_packed_dispatch(
+    src: &[i16],
+    bases: &[usize],
+    row_stride: usize,
+    w: &PackedQ,
+    bias_q: &[i32],
+    acc: &mut [i32],
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified.
-        return unsafe { gemm_packed_avx2(panel, rows, w, bias_q, acc) };
+        return unsafe { gemm_packed_avx2(src, bases, row_stride, w, bias_q, acc) };
     }
-    gemm_packed(panel, rows, w, bias_q, acc)
+    gemm_packed(src, bases, row_stride, w, bias_q, acc)
+}
+
+/// A format's code range `lo..=hi` as floats, inside `i8`'s range by
+/// construction, with the one step that turns a value into a code.
+#[derive(Debug, Clone, Copy)]
+struct CodeRange {
+    lo: f32,
+    hi: f32,
+}
+
+impl CodeRange {
+    fn of(format: IntFormat) -> CodeRange {
+        let (lo, hi) = (format.min_value() as f32, format.max_value() as f32);
+        let i8_range = -128.0..=127.0;
+        assert!(
+            i8_range.contains(&lo) && i8_range.contains(&hi),
+            "code range"
+        );
+        CodeRange { lo, hi }
+    }
+
+    /// `v.round().clamp(lo, hi) as i8`, with NaN to 0.
+    #[inline(always)]
+    fn code(self, v: f32) -> i8 {
+        let r = v.round();
+        if r.is_nan() {
+            0
+        } else {
+            // SAFETY: a non-NaN value clamped to `lo..=hi` is finite and
+            // inside `i8`'s range (asserted in `of`), so `i32` holds it.
+            // It is also an integer, since `round` and the bounds are, so
+            // the convert is exact.
+            (unsafe { r.clamp(self.lo, self.hi).to_int_unchecked::<i32>() }) as i8
+        }
+    }
 }
 
 /// Rounds staged values to activation codes of `format`:
 /// `codes[i] = vals[i].round().clamp(lo, hi) as i8` over the format's
 /// code range `lo..=hi`, with halfway cases away from zero and NaN to 0.
 ///
-/// Every activation code of the quantized executor comes from this one
-/// pass. Its body spells `f32::round`, so it is exact by construction
-/// in both builds: on x86-64's SSE2 baseline that is a call to libm
-/// `roundf` per element, while the AVX2 build (chosen by the same
-/// runtime detection as the GEMM) lowers it inline to `vroundps` and
-/// vectorizes the loop. The body maps NaN to 0 itself and converts the
-/// clamped value without the saturating cast's range checks, which
-/// LLVM would keep as one scalar `vcvttss2si` per lane; the AVX2 build
-/// converts whole vectors instead.
+/// Every activation code of the quantized executor comes from this
+/// pass's per-element step, here or fused into [`requantize_into`]. Its
+/// body spells `f32::round`, so it is exact by construction in both
+/// builds: on x86-64's SSE2 baseline that is a call to libm `roundf` per
+/// element, while the AVX2 build (chosen by the same runtime detection
+/// as the GEMM) lowers it inline to `vroundps` and vectorizes the loop.
+/// The step maps NaN to 0 itself and converts the clamped value without
+/// the saturating cast's range checks, which LLVM would keep as one
+/// scalar `vcvttss2si` per lane; the AVX2 build converts whole vectors
+/// instead.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn round_codes_into(vals: &[f32], format: IntFormat, codes: &mut [i8]) {
     assert_eq!(vals.len(), codes.len(), "code buffer length");
-    let lo = format.min_value() as f32;
-    let hi = format.max_value() as f32;
+    let range = CodeRange::of(format);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified.
-        return unsafe { round_codes_avx2(vals, lo, hi, codes) };
+        return unsafe { round_codes_avx2(vals, range, codes) };
     }
-    round_codes(vals, lo, hi, codes)
+    round_codes(vals, range, codes)
 }
 
-/// The body of [`round_codes_into`], inlined into both builds. `lo` and
-/// `hi` are a format's code range: integers inside `i8`'s range.
+/// The body of [`round_codes_into`], inlined into both builds.
 #[inline(always)]
-fn round_codes(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
-    let i8_range = -128.0..=127.0;
-    assert!(
-        i8_range.contains(&lo) && i8_range.contains(&hi),
-        "code range"
-    );
+fn round_codes(vals: &[f32], range: CodeRange, codes: &mut [i8]) {
     for (code, &v) in codes.iter_mut().zip(vals) {
-        let r = v.round();
-        *code = if r.is_nan() {
-            0
-        } else {
-            // SAFETY: a non-NaN value clamped to `lo..=hi` is finite and
-            // inside `i8`'s range (asserted above), so `i32` holds it. It
-            // is also an integer, since `round` and the bounds are, so the
-            // convert is exact.
-            (unsafe { r.clamp(lo, hi).to_int_unchecked::<i32>() }) as i8
-        };
+        *code = range.code(v);
     }
 }
 
@@ -1173,8 +1272,76 @@ fn round_codes(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
 /// (`is_x86_feature_detected!("avx2")`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn round_codes_avx2(vals: &[f32], lo: f32, hi: f32, codes: &mut [i8]) {
-    round_codes(vals, lo, hi, codes)
+unsafe fn round_codes_avx2(vals: &[f32], range: CodeRange, codes: &mut [i8]) {
+    round_codes(vals, range, codes)
+}
+
+/// Requantizes a conv or dense layer's raw accumulators (HWC, one pixel
+/// per `rescales.len()` channels) straight to activation codes of
+/// `format`, in one pass: `v = a as f32 · r` with the channel's rescale
+/// factor `r`, ReLU'd to `0.0` when `relu` and `v < 0.0`, then rounded by
+/// [`round_codes_into`]'s step. The codes equal that two-step spelling's
+/// for any accumulators: the multiply and the compare are the same IEEE
+/// operations in both builds, and the rounding step is shared. Runs the
+/// AVX2 build when the CPU has it.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length, or the accumulators are not
+/// whole pixels.
+pub fn requantize_into(
+    acc: &[i32],
+    rescales: &[f32],
+    relu: bool,
+    format: IntFormat,
+    codes: &mut [i8],
+) {
+    assert_eq!(acc.len(), codes.len(), "code buffer length");
+    assert!(
+        acc.len().is_multiple_of(rescales.len()),
+        "accumulators are whole pixels of {} channels",
+        rescales.len()
+    );
+    let range = CodeRange::of(format);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { requantize_avx2(acc, rescales, relu, range, codes) };
+    }
+    requantize(acc, rescales, relu, range, codes)
+}
+
+/// The body of [`requantize_into`], inlined into both builds.
+#[inline(always)]
+fn requantize(acc: &[i32], rescales: &[f32], relu: bool, range: CodeRange, codes: &mut [i8]) {
+    if rescales.is_empty() {
+        return;
+    }
+    let c = rescales.len();
+    for (codes, acc) in codes.chunks_exact_mut(c).zip(acc.chunks_exact(c)) {
+        for ((code, &a), &r) in codes.iter_mut().zip(acc).zip(rescales) {
+            let v = a as f32 * r;
+            *code = range.code(if relu && v < 0.0 { 0.0 } else { v });
+        }
+    }
+}
+
+/// [`requantize`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requantize_avx2(
+    acc: &[i32],
+    rescales: &[f32],
+    relu: bool,
+    range: CodeRange,
+    codes: &mut [i8],
+) {
+    requantize(acc, rescales, relu, range, codes)
 }
 
 #[cfg(test)]
@@ -1500,7 +1667,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dense input length")]
     fn dense_q_rejects_an_input_longer_than_the_weights() {
-        let weights = PackedQ::pack(&[1; 8], 2, 4);
+        let weights = PackedQ::pack(&[1; 8], 2, 1, 4);
         let mut acc = [0i32; 2];
         dense_q_into(
             &qtensor(1, 1, 5, 0),
@@ -1511,81 +1678,145 @@ mod tests {
         );
     }
 
+    fn conv_params(in_ch: usize, k: usize, stride: usize, pad: usize) -> ConvParams {
+        ConvParams {
+            in_ch,
+            out_ch: 2,
+            k,
+            stride,
+            pad,
+            relu: false,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel 5 exceeds padded input 2x2")]
+    fn conv_q_rejects_a_kernel_larger_than_the_padded_input() {
+        let p = conv_params(1, 5, 1, 0);
+        let weights = PackedQ::pack(&[1; 50], 2, 5, 5);
+        conv2d_q_into(
+            &qtensor(2, 2, 1, 0),
+            &p,
+            &weights,
+            &[0; 2],
+            &mut Scratch::new(),
+            &mut [0; 2],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv needs k >= 1 and stride >= 1, got k=1 stride=0")]
+    fn conv_q_rejects_a_zero_stride() {
+        let p = conv_params(1, 1, 0, 0);
+        let weights = PackedQ::pack(&[1; 2], 2, 1, 1);
+        conv2d_q_into(
+            &qtensor(2, 2, 1, 0),
+            &p,
+            &weights,
+            &[0; 2],
+            &mut Scratch::new(),
+            &mut [0; 8],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel 4 exceeds padded input 5x3")]
+    fn conv_f32_rejects_a_kernel_larger_than_the_padded_input() {
+        let p = conv_params(1, 4, 1, 1);
+        conv2d_f32_into(
+            &tensor(3, 1, 1, 0.0),
+            &p,
+            &[0.5; 32],
+            &[0.0; 2],
+            &mut Scratch::new(),
+            &mut [0.0; 2],
+        );
+    }
+
     #[test]
     fn packed_weights_read_back_in_natural_order() {
-        for (out_ch, depth) in [(0, 3), (5, 0), (1, 1), (17, 7), (33, 10)] {
-            let natural: Vec<i8> = (0..out_ch * depth).map(|i| (i * 37 % 251) as i8).collect();
-            let mut packed = PackedQ::pack(&natural, out_ch, depth);
+        // One run (dense layers, 1×1 convs) and several, with odd and
+        // even run lengths, empty rows and ragged channel blocks.
+        for (out_ch, runs, run_len) in [
+            (0, 1, 3),
+            (5, 1, 0),
+            (5, 3, 0),
+            (1, 1, 1),
+            (17, 1, 7),
+            (33, 1, 10),
+            (2, 4, 1),
+            (17, 3, 7),
+            (33, 5, 3),
+            (16, 2, 9),
+            (40, 3, 6),
+        ] {
+            let shape = format!("out_ch={out_ch} runs={runs} run_len={run_len}");
+            let natural: Vec<i8> = (0..out_ch * runs * run_len)
+                .map(|i| (i * 37 % 251) as i8)
+                .collect();
+            let mut packed = PackedQ::pack(&natural, out_ch, runs, run_len);
             assert_eq!(packed.len(), natural.len());
-            assert_eq!(packed.unpack(), natural, "out_ch={out_ch} depth={depth}");
+            assert_eq!(packed.depth(), runs * run_len);
+            assert_eq!(packed.unpack(), natural, "{shape}");
             for i in 0..natural.len() {
                 *packed.code_mut(i) ^= 0x55;
             }
             let flipped: Vec<i8> = natural.iter().map(|&c| c ^ 0x55).collect();
-            assert_eq!(packed.unpack(), flipped, "out_ch={out_ch} depth={depth}");
+            assert_eq!(packed.unpack(), flipped, "{shape}");
+            // Every stored code that is not a weight (an odd run's last
+            // pair, channels past `out_ch`) stays zero.
+            let stored = packed.codes.iter().filter(|&&c| c != 0).count();
+            let weights = flipped.iter().filter(|&&c| c != 0).count();
+            assert_eq!(stored, weights, "{shape}");
         }
     }
 
-    /// Runs each build of the integer GEMM the CPU supports on `rows`
-    /// panel rows of `depth` codes `x(i)` against `out_ch` channels of
-    /// weights `w(i)`, and checks the accumulators against the reference
-    /// 1×1 convolution over the same codes (and, for one row, the
-    /// reference dense layer).
+    /// Runs each build of the integer GEMM the CPU supports over the conv
+    /// `p` on an `ih × iw` input of codes `x(i)` with weights `w(i)`, and
+    /// checks the accumulators against the reference conv. Every output
+    /// pixel goes to one call, so the AVX2 build runs all its 4-pixel
+    /// tiles and leftovers. The source's trailing zero is poisoned: only
+    /// an odd run's zero weight may meet it. Returns whether the last
+    /// pixel's last pair reads it.
     fn check_gemm(
-        rows: usize,
-        depth: usize,
-        out_ch: usize,
+        (ih, iw): (usize, usize),
+        p: &ConvParams,
         x: impl Fn(usize) -> i8,
         w: impl Fn(usize) -> i8,
-    ) {
-        let mut input = QTensor::zeros(1, rows, depth, 1.0);
+    ) -> bool {
+        let ic = p.in_ch;
+        let mut input = QTensor::zeros(ih, iw, ic, 1.0);
         for (i, code) in input.codes.iter_mut().enumerate() {
             *code = x(i);
         }
-        let wcodes: Vec<i8> = (0..out_ch * depth).map(w).collect();
-        let bias_q: Vec<i32> = (0..out_ch).map(|oc| oc as i32 * 1013 - 7777).collect();
-        let p = ConvParams {
-            in_ch: depth,
-            out_ch,
-            k: 1,
-            stride: 1,
-            pad: 0,
-            relu: false,
-        };
-        let want = reference::conv2d_q(&input, &p, &wcodes, &bias_q);
-        if rows == 1 {
-            assert_eq!(
-                want,
-                reference::dense_q(&input, depth, out_ch, &wcodes, &bias_q)
-            );
-        }
-        let packed = PackedQ::pack(&wcodes, out_ch, depth);
-        let width = packed.panel_width();
-        let mut panel = vec![0i16; rows * width];
-        for (prow, codes) in panel
-            .chunks_mut(width.max(1))
-            .zip(input.codes.chunks(depth.max(1)))
-        {
-            for (d, &c) in prow.iter_mut().zip(codes) {
-                *d = i16::from(c);
-            }
-        }
+        let wcodes: Vec<i8> = (0..p.weight_count()).map(w).collect();
+        let bias_q: Vec<i32> = (0..p.out_ch).map(|oc| oc as i32 * 1013 - 7777).collect();
+        let want = reference::conv2d_q(&input, p, &wcodes, &bias_q);
+        let packed = PackedQ::pack(&wcodes, p.out_ch, p.k, p.k * ic);
+        let (oh, ow) = p.out_hw(ih, iw);
+        let row_stride = (iw + 2 * p.pad) * ic;
+        let bases: Vec<usize> = (0..oh * ow)
+            .map(|q| (q / ow * row_stride + q % ow * ic) * p.stride)
+            .collect();
+        let mut src = Vec::new();
+        widen_bordered(&input.codes, ih, iw, ic, p.pad, &mut src);
+        *src.last_mut().expect("trailing code") = i16::MIN;
+        let last = bases.last().expect("a pixel") + source_reach(&packed, row_stride);
+        assert!(last <= src.len(), "reach past the source");
         let check = |build: &str, acc: &[i32]| {
-            assert_eq!(
-                acc, want,
-                "{build} build: rows={rows} depth={depth} out_ch={out_ch}"
-            );
+            assert_eq!(acc, want, "{build} build: {ih}x{iw} {p:?}");
         };
-        let mut acc = vec![0i32; rows * out_ch];
-        gemm_packed(&panel, rows, &packed, &bias_q, &mut acc);
+        let mut acc = vec![0i32; want.len()];
+        gemm_packed(&src, &bases, row_stride, &packed, &bias_q, &mut acc);
         check("plain", &acc);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             acc.fill(0);
             // SAFETY: AVX2 support was just verified.
-            unsafe { gemm_packed_avx2(&panel, rows, &packed, &bias_q, &mut acc) };
+            unsafe { gemm_packed_avx2(&src, &bases, row_stride, &packed, &bias_q, &mut acc) };
             check("AVX2", &acc);
         }
+        p.k * ic % 2 == 1 && last == src.len()
     }
 
     #[test]
@@ -1593,23 +1824,166 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from(29);
         let random: Vec<i8> = (0..4099).map(|_| rng.next_u64() as i8).collect();
         let at = |i: usize| random[i % random.len()];
-        // Every block tail width, full blocks and the zero-channel layer;
-        // odd and even K, including K = 0 and K = 1; every tile height
-        // from one leftover row to two 4-row tiles and a leftover.
+        let wt = |i: usize| at(i * 7 + 1000);
+        let conv = |in_ch, out_ch, k, stride, pad| ConvParams {
+            in_ch,
+            out_ch,
+            k,
+            stride,
+            pad,
+            relu: false,
+        };
+        // One run per pixel (1×1 convs; one pixel is a dense layer's
+        // call): every block tail width, full blocks and the zero-channel
+        // layer; odd and even K, including K = 0 and K = 1; every tile
+        // height from one leftover pixel to two 4-pixel tiles and a
+        // leftover.
         for out_ch in 0..=40 {
             for depth in [0, 1, 2, 3, 8, 16, 27] {
-                for rows in 1..=9 {
-                    check_gemm(rows, depth, out_ch, at, |i| at(i * 7 + 1000));
+                for pixels in 1..=9 {
+                    check_gemm((1, pixels), &conv(depth, out_ch, 1, 1, 0), at, wt);
                 }
             }
+        }
+        // Kernel rows 1…5, odd and even runs, every stride and pad, and
+        // inputs the padding alone makes large enough.
+        let mut trailing = 0;
+        for k in 1..=5 {
+            for stride in 1..=3 {
+                for pad in 0..=2 {
+                    for in_ch in 1..=4 {
+                        for hw in [(1, 1), (2, 3), (5, 6)] {
+                            if hw.0 + 2 * pad < k || hw.1 + 2 * pad < k {
+                                continue;
+                            }
+                            for out_ch in [1, 16, 17] {
+                                let p = conv(in_ch, out_ch, k, stride, pad);
+                                trailing += usize::from(check_gemm(hw, &p, at, wt));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(trailing > 0, "no odd run read the trailing code");
+        // Multi-run layers across every block tail width.
+        for out_ch in 0..=40 {
+            check_gemm((4, 5), &conv(3, out_ch, 3, 1, 1), at, wt);
+            check_gemm((6, 5), &conv(2, out_ch, 2, 2, 0), at, wt);
         }
         // Extreme operands: all −128 × −128 gives the largest pair sums,
         // and mixed 127 / −128 both signs of the extremes.
         let mixed = |i: usize| if i.is_multiple_of(3) { 127 } else { -128 };
-        for (rows, depth, out_ch) in [(9, 64, 16), (5, 33, 40), (4, 1, 17), (1, 255, 3)] {
-            check_gemm(rows, depth, out_ch, |_| -128, |_| -128);
-            check_gemm(rows, depth, out_ch, mixed, |i| mixed(i + 1));
+        for (hw, p) in [
+            ((1, 9), conv(64, 16, 1, 1, 0)),
+            ((1, 5), conv(33, 40, 1, 1, 0)),
+            ((1, 4), conv(1, 17, 1, 1, 0)),
+            ((1, 1), conv(255, 3, 1, 1, 0)),
+            ((5, 5), conv(7, 20, 3, 1, 1)),
+        ] {
+            check_gemm(hw, &p, |_| -128, |_| -128);
+            check_gemm(hw, &p, mixed, |i| mixed(i + 1));
         }
+    }
+
+    /// Runs each build of the fused requantize the CPU supports and
+    /// checks every code against the two-step spelling it replaces: the
+    /// rescaled value, ReLU'd to `0.0` when negative, staged as a float
+    /// and then rounded by [`round_codes_into`].
+    fn check_requantize(acc: &[i32], rescales: &[f32], relu: bool, format: IntFormat) {
+        let staged: Vec<f32> = acc
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let v = a as f32 * rescales[i % rescales.len()];
+                if relu && v < 0.0 {
+                    0.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let mut want = vec![0i8; acc.len()];
+        round_codes_into(&staged, format, &mut want);
+        let check = |build: &str, codes: &[i8]| {
+            if let Some(i) = (0..acc.len()).find(|&i| codes[i] != want[i]) {
+                panic!(
+                    "{build} build, INT{} relu={relu} channels={}: accumulator {} × {:e} \
+                     gave {}, want {}",
+                    format.bits(),
+                    rescales.len(),
+                    acc[i],
+                    rescales[i % rescales.len()],
+                    codes[i],
+                    want[i]
+                );
+            }
+        };
+        let range = CodeRange::of(format);
+        let mut codes = vec![0i8; acc.len()];
+        requantize(acc, rescales, relu, range, &mut codes);
+        check("plain", &codes);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            codes.fill(0);
+            // SAFETY: AVX2 support was just verified.
+            unsafe { requantize_avx2(acc, rescales, relu, range, &mut codes) };
+            check("AVX2", &codes);
+        }
+    }
+
+    #[test]
+    fn both_requantize_builds_match_staging_then_rounding() {
+        let mut rng = Xoshiro256StarStar::seed_from(43);
+        let extremes = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        for bits in 4..=8 {
+            let format = IntFormat::new(bits).expect("bits in 1..=8");
+            // Accumulators that land on every code, its halves and past
+            // the range under a rescale of ±0.5 or ±0.25.
+            let near = 4 * (format.max_value() + 3);
+            // Every channel count up to 40, so the vector body and the
+            // scalar tail of each pixel meet at every remainder.
+            for channels in 0..=40 {
+                // ±0.5 puts every odd accumulator exactly on a tie, ±0.25
+                // every one ≡ 2 (mod 4); `-0.0` and `+0.0` make signed
+                // zero products; 1e-9 brings `i32::MAX` into the range;
+                // the specials saturate or give NaN.
+                let rescales: Vec<f32> = (0..channels)
+                    .map(|c| match c % 11 {
+                        0 => 0.5,
+                        1 => -0.5,
+                        2 => 0.25,
+                        3 => -0.25,
+                        4 => -0.0,
+                        5 => 0.0,
+                        6 => 1e-9,
+                        7 => [f32::INFINITY, f32::NAN, 1e30][c / 11 % 3],
+                        _ => (rng.next_f64() * 3.0 - 1.5) as f32,
+                    })
+                    .collect();
+                let acc: Vec<i32> = (0..7 * channels)
+                    .map(|i| match rng.next_index(4) {
+                        0 => extremes[i % extremes.len()],
+                        1 => rng.next_u64() as i32,
+                        _ => rng.next_index(2 * near as usize + 1) as i32 - near,
+                    })
+                    .collect();
+                for relu in [false, true] {
+                    check_requantize(&acc, &rescales, relu, format);
+                    // One pixel at a time runs only each pixel's loop.
+                    for pixel in acc.chunks(channels.max(1)) {
+                        check_requantize(pixel, &rescales, relu, format);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulators are whole pixels of 3 channels")]
+    fn requantize_rejects_a_partial_pixel() {
+        let format = IntFormat::new(8).expect("valid width");
+        requantize_into(&[1; 4], &[0.5; 3], false, format, &mut [0; 4]);
     }
 
     /// Runs each build of the rounding pass the CPU supports over `vals`
@@ -1618,6 +1992,7 @@ mod tests {
     fn check_round_codes(vals: &[f32], format: IntFormat) {
         let (lo, hi) = (format.min_value() as f32, format.max_value() as f32);
         let want: Vec<i8> = vals.iter().map(|v| v.round().clamp(lo, hi) as i8).collect();
+        let range = CodeRange::of(format);
         let check = |build: &str, codes: &[i8]| {
             if let Some(i) = (0..vals.len()).find(|&i| codes[i] != want[i]) {
                 panic!(
@@ -1631,13 +2006,13 @@ mod tests {
             }
         };
         let mut codes = vec![0i8; vals.len()];
-        round_codes(vals, lo, hi, &mut codes);
+        round_codes(vals, range, &mut codes);
         check("plain", &codes);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             codes.fill(0);
             // SAFETY: AVX2 support was just verified.
-            unsafe { round_codes_avx2(vals, lo, hi, &mut codes) };
+            unsafe { round_codes_avx2(vals, range, &mut codes) };
             check("AVX2", &codes);
         }
     }
@@ -1695,7 +2070,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "all 2^32 f32 bit patterns; run in release with --ignored"]
+    #[ignore = "all 2^32 f32 bit patterns; run in release with --include-ignored"]
     fn round_codes_is_exact_on_every_f32() {
         const CHUNK: u64 = 1 << 16;
         let chunks = (1u64 << 32) / CHUNK;

@@ -6,9 +6,12 @@
 //! * [`graph`] — the layer DAG (conv / pool / dense / batch-norm /
 //!   residual / inception-concat / softmax) and the float reference
 //!   executor.
-//! * [`kernels`] — the optimized im2col + blocked-GEMM conv/dense
-//!   kernels both executors run on, with a reusable [`kernels::Scratch`]
-//!   arena, and the two batched float products the readout trainer runs.
+//! * [`kernels`] — the optimized blocked-GEMM conv/dense kernels both
+//!   executors run on (the integer ones read a zero-bordered copy of the
+//!   input in place, with no im2col copy), the fused requantize and
+//!   rounding passes that make activation codes, a reusable
+//!   [`kernels::Scratch`] arena, and the two batched float products the
+//!   readout trainer runs.
 //! * [`train`] — softmax-regression readout training, one pair of
 //!   batched products per epoch.
 //! * [`mod@reference`] — the retained naive kernels and readout trainer:

@@ -217,9 +217,10 @@ pub struct ExecScratch {
     /// weight bits in place, so a faulted layer's packed codes are copied
     /// here, flipped, and the kernel runs on the copy.
     wstage: kernels::PackedQ,
-    /// Float staging buffer: a stage's output values, in output order,
-    /// before [`kernels::round_codes_into`] turns them into codes (and
-    /// the softmax probabilities).
+    /// Float staging buffer: an element-wise stage's output values, in
+    /// output order, before [`kernels::round_codes_into`] turns them into
+    /// codes (and the softmax probabilities). Conv and dense outputs skip
+    /// it: [`kernels::requantize_into`] writes their codes directly.
     fbuf: Vec<f32>,
     /// Float logits of the output node, valid after a forward pass.
     final_float: Vec<f32>,
@@ -332,7 +333,12 @@ impl QuantizedGraph {
                         .collect();
                     QOp::Conv {
                         params: *params,
-                        weights: kernels::PackedQ::pack(&wcodes, params.out_ch, k2ic),
+                        weights: kernels::PackedQ::pack(
+                            &wcodes,
+                            params.out_ch,
+                            params.k,
+                            params.k * params.in_ch,
+                        ),
                         wscales,
                         bias_q,
                         rescales,
@@ -373,7 +379,7 @@ impl QuantizedGraph {
                         in_len: *in_len,
                         out_len: *out_len,
                         relu: *relu,
-                        weights: kernels::PackedQ::pack(&wcodes, *out_len, *in_len),
+                        weights: kernels::PackedQ::pack(&wcodes, *out_len, 1, *in_len),
                         wscales,
                         bias_q,
                         rescales,
@@ -647,7 +653,7 @@ impl QuantizedGraph {
             wscales[o] = ws;
             bias_q[o] = (bias[o] / (in_scale * ws)).round() as i32;
         }
-        *packed = kernels::PackedQ::pack(&wcodes, classes, dim);
+        *packed = kernels::PackedQ::pack(&wcodes, classes, 1, dim);
         // Recalibrate the readout's output activation scale on the new
         // logits (float estimate: features x new weights).
         let batch = features.len();
@@ -832,7 +838,8 @@ impl QuantizedGraph {
                     });
                     // Activation stage.
                     checked_stage(mode, stats, || {
-                        requantize_into(acc, shape, rescales, out_scale, *relu, format, fbuf, out);
+                        out.reset(shape.h, shape.w, shape.c, out_scale);
+                        kernels::requantize_into(acc, rescales, *relu, format, &mut out.codes);
                         let clean = mode.is_on().then(|| IntChecksum::of(&out.codes));
                         for f in injector.plan_activation_faults(
                             sites.name,
@@ -1132,36 +1139,6 @@ fn flip_code(code: &mut i8, bit: u32, format: IntFormat) {
     let b = bit % format.bits();
     let raw = format.to_raw(i32::from(*code)) ^ (1u32 << b);
     *code = format.sign_extend(raw) as i8;
-}
-
-/// Requantizes accumulators to the output scale with per-channel rescale
-/// factors, one pixel (HWC layout: `c` consecutive channels) at a time.
-#[allow(clippy::too_many_arguments)]
-fn requantize_into(
-    acc: &[i32],
-    shape: Shape,
-    rescales: &[f32],
-    out_scale: f32,
-    relu: bool,
-    format: IntFormat,
-    fbuf: &mut Vec<f32>,
-    out: &mut QTensor,
-) {
-    debug_assert_eq!(rescales.len(), shape.c);
-    let c = shape.c;
-    fbuf.clear();
-    for pixel in 0..shape.h * shape.w {
-        fbuf.extend(acc[pixel * c..][..c].iter().zip(rescales).map(|(&a, &r)| {
-            let v = a as f32 * r;
-            if relu && v < 0.0 {
-                0.0
-            } else {
-                v
-            }
-        }));
-    }
-    out.reset(shape.h, shape.w, shape.c, out_scale);
-    kernels::round_codes_into(fbuf, format, &mut out.codes);
 }
 
 /// Max pooling over channel runs: each output pixel's codes start at

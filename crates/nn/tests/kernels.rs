@@ -14,9 +14,9 @@
 //!   side reads weights in natural order and the optimized side packed
 //!   (`kernels::PackedQ`), so the faulted run checks that every weight
 //!   flip lands on the same weight. Both sides turn values into
-//!   activation codes with the same rounding pass
-//!   (`kernels::round_codes_into`), so its ground truth is not here but
-//!   in the exactness tests beside it in `redvolt_nn::kernels`;
+//!   activation codes with the same passes (`kernels::requantize_into`
+//!   and `kernels::round_codes_into`), so their ground truth is not here
+//!   but in the exactness tests beside them in `redvolt_nn::kernels`;
 //! * the batched readout trainer leaves bit-identical weights and biases
 //!   to `reference::fit_softmax_regression`. Parameters are compared, not
 //!   logits: the reference's `Iterator::sum` folds from `-0.0` and the
@@ -245,13 +245,17 @@ proptest! {
         seed in 0u64..200,
         big_first in any::<bool>(),
     ) {
-        // One Scratch instance threaded through two very different
-        // layers, in both orders — buffer reuse must not leak a larger
-        // layer's panel contents into a smaller layer's result.
+        // One Scratch instance threaded through very different layers,
+        // in both orders — buffer reuse must not leak a larger layer's
+        // staged input into a smaller layer's result. In either order a
+        // large padded layer is followed by a smaller odd-channel one,
+        // whose bordered input would show a stale border.
         let mut scratch = Scratch::new();
         let mut shapes = vec![
             (6usize, 6usize, ConvParams { in_ch: 4, out_ch: 8, k: 3, stride: 1, pad: 1, relu: true }),
             (3, 2, ConvParams { in_ch: 1, out_ch: 3, k: 3, stride: 1, pad: 2, relu: false }),
+            (9, 8, ConvParams { in_ch: 6, out_ch: 20, k: 5, stride: 1, pad: 2, relu: false }),
+            (4, 3, ConvParams { in_ch: 3, out_ch: 5, k: 3, stride: 2, pad: 1, relu: true }),
         ];
         if big_first {
             shapes.reverse();
@@ -276,7 +280,7 @@ proptest! {
             }
             let wq: Vec<i8> = (0..p.weight_count()).map(|i| i8_at(seed ^ 0x5, i)).collect();
             let bq: Vec<i32> = vec![11; p.out_ch];
-            let packed = PackedQ::pack(&wq, p.out_ch, p.k * p.k * p.in_ch);
+            let packed = PackedQ::pack(&wq, p.out_ch, p.k, p.k * p.in_ch);
             let mut acc = vec![0i32; oh * ow * p.out_ch];
             kernels::conv2d_q_into(&qin, &p, &packed, &bq, &mut scratch, &mut acc);
             prop_assert_eq!(reference::conv2d_q(&qin, &p, &wq, &bq), acc);
