@@ -1773,7 +1773,8 @@ mod tests {
 
     /// Runs each build of the integer GEMM the CPU supports over the conv
     /// `p` on an `ih × iw` input of codes `x(i)` with weights `w(i)`, and
-    /// checks the accumulators against the reference conv. Every output
+    /// checks the accumulators against the reference conv (and, for a
+    /// one-pixel 1×1 conv, the reference dense layer). Every output
     /// pixel goes to one call, so the AVX2 build runs all its 4-pixel
     /// tiles and leftovers. The source's trailing zero is poisoned: only
     /// an odd run's zero weight may meet it. Returns whether the last
@@ -1792,6 +1793,12 @@ mod tests {
         let wcodes: Vec<i8> = (0..p.weight_count()).map(w).collect();
         let bias_q: Vec<i32> = (0..p.out_ch).map(|oc| oc as i32 * 1013 - 7777).collect();
         let want = reference::conv2d_q(&input, p, &wcodes, &bias_q);
+        if (ih, iw) == (1, 1) && p.k == 1 && p.pad == 0 {
+            assert_eq!(
+                want,
+                reference::dense_q(&input, ic, p.out_ch, &wcodes, &bias_q)
+            );
+        }
         let packed = PackedQ::pack(&wcodes, p.out_ch, p.k, p.k * ic);
         let (oh, ow) = p.out_hw(ih, iw);
         let row_stride = (iw + 2 * p.pad) * ic;
