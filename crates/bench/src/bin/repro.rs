@@ -23,7 +23,11 @@
 //! An unknown flag or experiment name exits 2 with a usage line before
 //! anything runs.
 //!
-//! The shared sweep campaign runs under the crash-resilient supervisor:
+//! Figs. 3–6 and Table 2 read one sweep campaign, run once before them
+//! and handed to each in the one [`harness::Run`] value. A cell that
+//! the supervisor aborted is marked `ABORTED` in their rows and left out
+//! of their means; nothing re-measures it. The campaign runs under the
+//! crash-resilient supervisor:
 //! `--fault-profile none|light|heavy` injects transient PMBus faults
 //! (absorbed by the adapter's retry/PEC machinery, so output stays
 //! byte-identical per profile), `--max-attempts N` sets the per-cell
@@ -45,16 +49,18 @@
 //!
 //! SDC defense: `--defense off|detect|correct` arms ABFT checksums on
 //! the kernels and ECC SECDED scrubbing on the BRAM weight store (`off`
-//! keeps the execution path bit-identical to the undefended kernels),
-//! and `--governor` turns on the adaptive undervolt governor, which
-//! walks faulting cells down the mitigation ladder (frequency first,
-//! then voltage backoff) and reports them as degraded-but-clean instead
-//! of handing back corrupt payloads. Both are deterministic functions of
-//! (seed, plan), so defended campaigns remain jobs-invariant.
+//! keeps the execution path bit-identical to the undefended kernels); it
+//! is a deterministic function of (seed, plan), so defended campaigns
+//! remain jobs-invariant. `--governor` arms the adaptive undervolt
+//! governor in every cell's config, but its rescue acts only on
+//! measurement cells, and no `repro` experiment runs one. So the flag
+//! changes no measured number: only the settings header, the journal's
+//! plan fingerprint, and whether the defense counter table prints.
 
 use redvolt_bench::harness::{
-    self, CampaignOptions, Settings, CAMPAIGN_USAGE, SWEEP_CACHED_EXPERIMENTS,
+    self, CampaignOptions, Run, Settings, CAMPAIGN_EXPERIMENTS, CAMPAIGN_USAGE,
 };
+use redvolt_core::supervisor::run_supervised;
 use redvolt_core::telemetry::{bus_stats_table, defense_stats_table, CampaignTelemetry};
 use std::time::Instant;
 
@@ -93,28 +99,26 @@ fn main() {
         if settings.governor { "on" } else { "off" },
         if quick { "quick" } else { "full" }
     );
-    // Run the shared sweep grid once, in parallel, before any consumer.
-    // The supervisor isolates panics, retries crashed cells and, with
-    // --journal, records every completed cell write-ahead.
-    if wanted
+    // Run the sweep grid once, in parallel, before any experiment that
+    // reads it. The supervisor isolates panics, retries crashed cells and,
+    // with --journal, records every completed cell write-ahead.
+    let campaign = if wanted
         .iter()
-        .any(|w| SWEEP_CACHED_EXPERIMENTS.contains(&w.as_str()))
+        .any(|w| CAMPAIGN_EXPERIMENTS.contains(&w.as_str()))
     {
-        let journal = opts.journal_spec();
-        let progress = opts.progress_reporter(harness::sweep_plan(&settings).len());
-        let sup = match harness::prefetch_sweeps(
-            &settings,
+        let plan = harness::sweep_plan(&settings);
+        let progress = opts.progress_reporter(plan.len());
+        let sup = run_supervised(
+            &plan,
             opts.jobs,
             &opts.supervisor_config(),
-            journal.as_ref(),
+            opts.journal_spec().as_ref(),
             progress.as_ref(),
-        ) {
-            Ok(sup) => sup,
-            Err(e) => {
-                eprintln!("error: sweep campaign: {e}");
-                std::process::exit(2);
-            }
-        };
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("error: sweep campaign: {e}");
+            std::process::exit(2);
+        });
         if let Some(p) = &progress {
             p.finish();
         }
@@ -146,10 +150,15 @@ fn main() {
             );
             std::process::exit(3);
         }
-    }
+        Some(sup.report)
+    } else {
+        None
+    };
+    // Every experiment reads the campaign's sweeps from this one value.
+    let run = Run::new(settings, campaign.as_ref());
     for name in &wanted {
         let t0 = Instant::now();
-        let tables = harness::run_experiment(name, &settings)
+        let tables = harness::run_experiment(name, &run)
             .expect("select_experiments admits known names only");
         for table in tables {
             println!("{}", if csv { table.to_csv() } else { table.to_text() });

@@ -1,18 +1,23 @@
 //! Campaign drivers, one per table/figure of the paper.
+//!
+//! A reproduction is one [`Run`]: its [`Settings`], the sweeps of the one
+//! supervised [`sweep_plan`] campaign that Figs. 3–6 and Table 2 read, and
+//! the temperature study Figs. 9 and 10 share. `repro` runs the campaign,
+//! builds the run from its report and hands it to [`run_experiment`], so
+//! every table is a pure function of the settings and that campaign; the
+//! harness keeps no process-wide state.
 
 use crate::cli::CommandLine;
 use redvolt_core::bench_suite::{benchmark_index, BenchmarkId};
-use redvolt_core::executor::CampaignPlan;
+use redvolt_core::executor::{CampaignPlan, CampaignReport};
 use redvolt_core::experiment::{Accelerator, AcceleratorConfig};
 use redvolt_core::freqscale::{frequency_underscaling, FreqScaleConfig, FreqScaleRow};
 use redvolt_core::guardband::VoltageRegions;
 use redvolt_core::pruneexp::{pruning_study, PruneStudy};
 use redvolt_core::quantexp::{quantization_study, QuantStudy, FIG7_PRECISIONS};
 use redvolt_core::report::{fmt, norm, pct, Table};
-use redvolt_core::supervisor::{
-    run_supervised, JournalSpec, SupervisedReport, SupervisorConfig, SupervisorError,
-};
-use redvolt_core::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
+use redvolt_core::supervisor::{JournalSpec, SupervisorConfig};
+use redvolt_core::sweep::{SweepConfig, VoltageSweep};
 use redvolt_core::telemetry::CampaignTelemetry;
 use redvolt_core::tempexp::{temperature_study, TempStudy, SETPOINTS_C};
 use redvolt_core::{efficiency, experiment::Measurement};
@@ -21,7 +26,9 @@ use redvolt_nn::abft::DefenseMode;
 use redvolt_nn::models::ModelScale;
 use redvolt_num::stats;
 use redvolt_telemetry::progress::ProgressReporter;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Campaign settings shared by every reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +48,9 @@ pub struct Settings {
     /// SDC defense (`--defense off|detect|correct`): ABFT checksums on
     /// the kernels plus ECC SECDED on the BRAM weight store.
     pub defense: DefenseMode,
-    /// Adaptive undervolt governor (`--governor`): rescue faulting cells
-    /// along the mitigation ladder instead of reporting corrupt payloads.
+    /// Adaptive undervolt governor (`--governor`), armed in every cell's
+    /// config. Its rescue acts on measurement cells only, and the sweep
+    /// campaign has none, so no table here changes with it.
     pub governor: bool,
 }
 
@@ -105,37 +113,9 @@ fn bring_up(cfg: &AcceleratorConfig) -> Accelerator {
     Accelerator::bring_up(cfg).expect("workload preparation is infallible for built-in benchmarks")
 }
 
-/// Sweep-cache key: (benchmark index, board, images, reps, paper scale?,
-/// fault-profile rate bits, defense index, governor?). The fault profile
-/// changes how many bus transactions each measurement issues, and the
-/// defense/governor settings change both the measured payloads and the
-/// seed draws, so sweeps taken under different configurations must never
-/// satisfy each other's cache lookups.
-type SweepKey = (u8, u32, usize, usize, bool, (u64, u64, u64), u8, bool);
-type SweepCache = std::sync::Mutex<std::collections::HashMap<SweepKey, VoltageSweep>>;
-
-/// Deterministic sweeps are shared across figures (Figs. 3-6 all consume
-/// the same downward scans), keyed by (benchmark, board, settings).
-fn sweep_cache() -> &'static SweepCache {
-    static CACHE: std::sync::OnceLock<SweepCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()))
-}
-
-fn cache_key(s: &Settings, kind: BenchmarkId, board: u32) -> SweepKey {
-    (
-        benchmark_index(kind) as u8,
-        board,
-        s.images,
-        s.reps,
-        s.scale == ModelScale::Paper,
-        s.bus_faults.key_bits(),
-        s.defense as u8,
-        s.governor,
-    )
-}
-
-/// The sweep-grid campaign plan [`prefetch_sweeps`] executes — exposed so
-/// callers can size progress reporters before the run starts.
+/// The (benchmark × board) sweep grid that [`CAMPAIGN_EXPERIMENTS`] read:
+/// `repro` runs it once under the supervisor and hands its report to
+/// [`Run::new`].
 pub fn sweep_plan(s: &Settings) -> CampaignPlan {
     let base = s.config(BenchmarkId::VggNet, s.boards[0]);
     CampaignPlan::sweep_grid(
@@ -147,54 +127,80 @@ pub fn sweep_plan(s: &Settings) -> CampaignPlan {
     )
 }
 
-/// Runs the full (benchmark × board) sweep grid for `s` through the
-/// crash-resilient supervisor and seeds the shared sweep cache with the
-/// results, so every subsequent figure/table draws from the same sweeps.
-///
-/// Cells run under panic isolation and the watchdog and are retried per
-/// `config`; when `journal` is given, each completed cell is journaled
-/// write-ahead so an interrupted prefetch can `--resume`. The `progress`
-/// reporter (the `repro` binary's `--progress`) hears of cells in
-/// completion order; the returned report and the cache are unaffected by
-/// it. Aborted cells are skipped: their figures fall back to the lazy
-/// per-figure sweep.
-///
-/// Cell seeds derive from `(master seed 42, cell index)` — see
-/// `redvolt_core::executor` — so the cache contents (and therefore all
-/// downstream tables) are byte-identical for every `jobs` value. Run this
-/// *before* the figures (the `repro` binary does); mixing prefetched and
-/// lazily-computed sweeps in one process would select different seeds
-/// depending on call order.
-///
-/// # Errors
-///
-/// Fails only on journal I/O problems or a meta mismatch between the
-/// journal on disk and this plan (wrong seed or cell list).
-pub fn prefetch_sweeps(
-    s: &Settings,
-    jobs: usize,
-    config: &SupervisorConfig,
-    journal: Option<&JournalSpec>,
-    progress: Option<&ProgressReporter>,
-) -> Result<SupervisedReport, SupervisorError> {
-    let plan = sweep_plan(s);
-    let sup = run_supervised(&plan, jobs, config, journal, progress)?;
-    let mut cache = sweep_cache().lock().expect("cache lock");
-    for r in &sup.report.results {
-        if let Some(sweep) = r.outcome.as_sweep() {
-            cache.insert(
-                cache_key(s, r.spec.config.benchmark, r.spec.config.board_sample),
-                sweep.clone(),
-            );
-        }
-    }
-    drop(cache);
-    Ok(sup)
+/// The experiments that read the [`sweep_plan`] campaign through
+/// [`Run::sweep`]; `repro` runs the campaign when any of them is asked for.
+pub const CAMPAIGN_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "table2"];
+
+/// One reproduction run: its settings, the sweeps of its one supervised
+/// campaign and its temperature study. `repro` builds it once, after the
+/// campaign, and every experiment reads from it, so each table is a pure
+/// function of the settings and that campaign.
+#[derive(Debug)]
+pub struct Run {
+    /// The run's settings.
+    pub settings: Settings,
+    /// The campaign's completed sweeps by (benchmark index, board), or
+    /// `None` for a run without a campaign.
+    sweeps: Option<HashMap<(usize, u32), VoltageSweep>>,
+    /// Figs. 9 and 10's study, measured on first use.
+    temperature: OnceLock<TempStudy>,
 }
 
-/// The experiments [`prefetch_sweeps`] accelerates (they consume the
-/// shared sweep cache).
-pub const SWEEP_CACHED_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "table2"];
+impl Run {
+    /// A run over `campaign`, the finished [`sweep_plan`] of `settings`,
+    /// or without one when no experiment of [`CAMPAIGN_EXPERIMENTS`] is
+    /// run. Only the campaign's sweep outcomes are kept: a cell that
+    /// aborted has no sweep, and nothing re-measures it.
+    pub fn new(settings: Settings, campaign: Option<&CampaignReport>) -> Run {
+        let sweeps = campaign.map(|report| {
+            report
+                .results
+                .iter()
+                .filter_map(|r| {
+                    let cfg = &r.spec.config;
+                    let key = (benchmark_index(cfg.benchmark), cfg.board_sample);
+                    r.outcome.as_sweep().map(|sweep| (key, sweep.clone()))
+                })
+                .collect()
+        });
+        Run {
+            settings,
+            sweeps,
+            temperature: OnceLock::new(),
+        }
+    }
+
+    /// The campaign's sweep of `kind` on `board`, or `None` when that cell
+    /// aborted.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `experiment`, when the run has no campaign: the
+    /// experiment is missing from [`CAMPAIGN_EXPERIMENTS`].
+    pub fn sweep(&self, experiment: &str, kind: BenchmarkId, board: u32) -> Option<&VoltageSweep> {
+        let sweeps = self.sweeps.as_ref().unwrap_or_else(|| {
+            panic!(
+                "{experiment} reads the sweep campaign, but this run has none: \
+                 CAMPAIGN_EXPERIMENTS must list {experiment}"
+            )
+        });
+        sweeps.get(&(benchmark_index(kind), board))
+    }
+
+    /// Figs. 9 and 10's temperature study (GoogleNet, first board),
+    /// measured on first use and shared by both.
+    fn temperature(&self) -> &TempStudy {
+        self.temperature.get_or_init(|| {
+            let s = &self.settings;
+            temperature_study(
+                &s.config(BenchmarkId::GoogleNet, s.boards[0]),
+                &SETPOINTS_C,
+                &fig_sweep(s.images),
+            )
+            .expect("temperature study")
+        })
+    }
+}
 
 /// The campaign flags that take a value.
 const VALUE_FLAGS: [&str; 10] = [
@@ -252,7 +258,8 @@ pub struct CampaignOptions {
     pub progress: Option<u64>,
     /// SDC defense mode (`--defense off|detect|correct`).
     pub defense: DefenseMode,
-    /// Adaptive undervolt governor (`--governor`).
+    /// Adaptive undervolt governor (`--governor`); see
+    /// [`Settings::governor`].
     pub governor: bool,
 }
 
@@ -451,15 +458,25 @@ pub fn power_breakdown(s: &Settings) -> Table {
     t
 }
 
-/// Regions for one (benchmark, board), derived from the shared downward
-/// sweep by [`VoltageRegions::from_sweep`]'s rule: no observed fault and
-/// accuracy within 1 % of the nominal point.
-fn regions_for(s: &Settings, kind: BenchmarkId, board: u32) -> VoltageRegions {
-    VoltageRegions::from_sweep(&sweep_for(s, kind, board), 0.01).expect("non-empty sweep")
+/// The regions of one campaign sweep by [`VoltageRegions::from_sweep`]'s
+/// rule: no observed fault and accuracy within 1 % of the nominal point.
+fn regions(sweep: &VoltageSweep) -> VoltageRegions {
+    VoltageRegions::from_sweep(sweep, 0.01).expect("non-empty sweep")
 }
 
-/// **Figure 3** — voltage regions per benchmark and board.
-pub fn fig3(s: &Settings) -> Table {
+/// The row that stands for an aborted campaign cell: `lead`, `ABORTED`,
+/// then `-` up to `width` columns.
+fn aborted_row(lead: &[String], width: usize) -> Vec<String> {
+    let mut row = lead.to_vec();
+    row.push("ABORTED".to_string());
+    row.resize(width, "-".to_string());
+    row
+}
+
+/// **Figure 3** — voltage regions per benchmark and board. An aborted
+/// cell's row says so, and the means leave it out.
+pub fn fig3(run: &Run) -> Table {
+    let s = &run.settings;
     let mut t = Table::new(
         "Fig 3: Voltage regions (paper: Vmin=570, Vcrash=540, guardband 33%)",
         &[
@@ -476,12 +493,17 @@ pub fn fig3(s: &Settings) -> Table {
     let mut vcrashes = Vec::new();
     for kind in BenchmarkId::ALL {
         for &board in &s.boards {
-            let r = regions_for(s, kind, board);
+            let (name, board_col) = (kind.name().to_string(), board.to_string());
+            let Some(sweep) = run.sweep("fig3", kind, board) else {
+                t.row(&aborted_row(&[name, board_col], 7));
+                continue;
+            };
+            let r = regions(sweep);
             vmins.push(r.vmin_mv);
             vcrashes.push(r.vcrash_mv);
             t.row(&[
-                kind.name().to_string(),
-                board.to_string(),
+                name,
+                board_col,
                 fmt(r.vmin_mv, 0),
                 fmt(r.vcrash_mv, 0),
                 fmt(r.guardband_mv(), 0),
@@ -490,7 +512,7 @@ pub fn fig3(s: &Settings) -> Table {
             ]);
         }
     }
-    let mean = |v: &[f64]| stats::mean(v).expect("non-empty");
+    let mean = |v: &[f64]| stats::mean(v).unwrap_or(f64::NAN);
     t.row(&[
         "MEAN".to_string(),
         "-".to_string(),
@@ -503,28 +525,17 @@ pub fn fig3(s: &Settings) -> Table {
     t
 }
 
-fn sweep_for(s: &Settings, kind: BenchmarkId, board: u32) -> VoltageSweep {
-    let key = cache_key(s, kind, board);
-    if let Some(hit) = sweep_cache().lock().expect("cache lock").get(&key) {
-        return hit.clone();
-    }
-    let mut acc = bring_up(&s.config(kind, board));
-    let sweep = voltage_sweep(&mut acc, &fig_sweep(s.images)).expect("sweep");
-    sweep_cache()
-        .lock()
-        .expect("cache lock")
-        .insert(key, sweep.clone());
-    sweep
-}
-
 /// **Figure 4** — overall voltage behaviour (GoogleNet): power-efficiency
 /// and accuracy vs voltage, showing the three regions.
-pub fn fig4(s: &Settings) -> Table {
-    let sweep = sweep_for(s, BenchmarkId::GoogleNet, s.boards[0]);
+pub fn fig4(run: &Run) -> Table {
     let mut t = Table::new(
         "Fig 4: Overall voltage behaviour (GoogleNet, board 0)",
         &["VCCINT mV", "Power W", "GOPs/W gain", "Accuracy", "Region"],
     );
+    let Some(sweep) = run.sweep("fig4", BenchmarkId::GoogleNet, run.settings.boards[0]) else {
+        t.row(&aborted_row(&[], 5));
+        return t;
+    };
     let nominal = *sweep.nominal();
     for m in &sweep.points {
         let region = if m.injected_faults == 0 && m.accuracy >= nominal.accuracy - 0.01 {
@@ -557,8 +568,10 @@ pub fn fig4(s: &Settings) -> Table {
 }
 
 /// **Figure 5** — power-efficiency improvement per benchmark (averaged
-/// over the configured boards).
-pub fn fig5(s: &Settings) -> Table {
+/// over the configured boards). An aborted cell gets a row of its own
+/// after its benchmark's, and the means leave it out.
+pub fn fig5(run: &Run) -> Table {
+    let s = &run.settings;
     let mut t = Table::new(
         "Fig 5: GOPs/W gain vs Vnom (paper: 2.6x at Vmin, >3x at Vcrash)",
         &[
@@ -573,10 +586,13 @@ pub fn fig5(s: &Settings) -> Table {
         let mut at_vmin = Vec::new();
         let mut at_crash = Vec::new();
         let mut base_eff = Vec::new();
+        let mut aborted = Vec::new();
         for &board in &s.boards {
-            let sweep = sweep_for(s, kind, board);
-            let regions = VoltageRegions::from_sweep(&sweep, 0.01).expect("non-empty sweep");
-            if let Some(h) = efficiency::headline(&sweep, regions.vmin_mv) {
+            let Some(sweep) = run.sweep("fig5", kind, board) else {
+                aborted.push(aborted_row(&[format!("{}/b{board}", kind.name())], 5));
+                continue;
+            };
+            if let Some(h) = efficiency::headline(sweep, regions(sweep).vmin_mv) {
                 at_vmin.push(h.gain_at_vmin);
                 at_crash.push(h.gain_at_vcrash);
             }
@@ -584,27 +600,39 @@ pub fn fig5(s: &Settings) -> Table {
         }
         let mean = |v: &[f64]| stats::mean(v).unwrap_or(f64::NAN);
         let (gv, gc) = (mean(&at_vmin), mean(&at_crash));
-        t.row(&[
-            kind.name().to_string(),
-            fmt(mean(&base_eff), 1),
-            norm(gv),
-            norm(gc),
-            pct(gc / gv - 1.0),
-        ]);
+        if !base_eff.is_empty() {
+            t.row(&[
+                kind.name().to_string(),
+                fmt(mean(&base_eff), 1),
+                norm(gv),
+                norm(gc),
+                pct(gc / gv - 1.0),
+            ]);
+        }
+        for row in &aborted {
+            t.row(row);
+        }
     }
     t
 }
 
 /// **Figure 6** — accuracy vs voltage in the critical region, per
-/// benchmark and board.
-pub fn fig6(s: &Settings) -> Table {
+/// benchmark and board; an aborted cell has one row that says so.
+pub fn fig6(run: &Run) -> Table {
+    let s = &run.settings;
     let mut t = Table::new(
         "Fig 6: Accuracy vs voltage below the guardband (per board)",
         &["Model", "Board", "mV", "Accuracy", "Acc std", "Faults"],
     );
     for kind in BenchmarkId::ALL {
         for &board in &s.boards {
-            let sweep = sweep_for(s, kind, board);
+            let Some(sweep) = run.sweep("fig6", kind, board) else {
+                t.row(&aborted_row(
+                    &[kind.name().to_string(), board.to_string()],
+                    6,
+                ));
+                continue;
+            };
             for m in sweep.points.iter().filter(|m| m.vccint_mv <= 600.0) {
                 t.row(&[
                     kind.name().to_string(),
@@ -622,17 +650,28 @@ pub fn fig6(s: &Settings) -> Table {
 
 /// **Table 2** — frequency underscaling in the critical region. Each
 /// board's scan starts at its own measured Vmin (the paper reports the
-/// three-board average anchored at the mean Vmin of 570 mV).
-pub fn table2(s: &Settings) -> Table {
+/// three-board average anchored at the mean Vmin of 570 mV). A board
+/// whose VGGNet sweep aborted has no Vmin, so it is not scanned: the means
+/// leave it out and a trailing row names it.
+pub fn table2(run: &Run) -> Table {
+    let s = &run.settings;
     let mut per_board: Vec<Vec<FreqScaleRow>> = Vec::new();
+    let mut aborted = Vec::new();
     for &board in &s.boards {
-        let regions = regions_for(s, BenchmarkId::VggNet, board);
+        let Some(sweep) = run.sweep("table2", BenchmarkId::VggNet, board) else {
+            aborted.push(aborted_row(
+                &[format!("{}/b{board}", BenchmarkId::VggNet.name())],
+                6,
+            ));
+            continue;
+        };
+        let vmin_mv = regions(sweep).vmin_mv;
         let mut acc = bring_up(&s.config(BenchmarkId::VggNet, board));
         let rows = frequency_underscaling(
             &mut acc,
             &FreqScaleConfig {
-                start_mv: regions.vmin_mv,
-                stop_mv: regions.vmin_mv - 30.0,
+                start_mv: vmin_mv,
+                stop_mv: vmin_mv - 30.0,
                 images: s.images,
                 ..FreqScaleConfig::default()
             },
@@ -658,6 +697,9 @@ pub fn table2(s: &Settings) -> Table {
             norm(col(&|r| r.gops_per_w_norm)),
             norm(col(&|r| r.gops_per_j_norm)),
         ]);
+    }
+    for row in &aborted {
+        t.row(row);
     }
     t
 }
@@ -751,8 +793,8 @@ pub fn fig8(s: &Settings) -> (Table, Table) {
 }
 
 /// **Figure 9** — temperature effect on power (GoogleNet, board 0).
-pub fn fig9(s: &Settings) -> Table {
-    let study = temp_study(s);
+pub fn fig9(run: &Run) -> Table {
+    let study = run.temperature();
     let mut t = Table::new(
         "Fig 9: Power vs voltage at 34/43/52 C (GoogleNet)",
         &["mV", "P@34C", "P@43C", "P@52C", "rise 34->52"],
@@ -780,8 +822,8 @@ pub fn fig9(s: &Settings) -> Table {
 }
 
 /// **Figure 10** — temperature effect on reliability / ITD (GoogleNet).
-pub fn fig10(s: &Settings) -> Table {
-    let study = temp_study(s);
+pub fn fig10(run: &Run) -> Table {
+    let study = run.temperature();
     let mut t = Table::new(
         "Fig 10: Accuracy vs voltage at 34/43/52 C (GoogleNet)",
         &["mV", "Acc@34C", "Acc@43C", "Acc@52C"],
@@ -990,42 +1032,18 @@ pub fn bram(s: &Settings) -> Table {
     t
 }
 
-fn temp_study(s: &Settings) -> TempStudy {
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<Vec<(Settings, TempStudy)>>> =
-        std::sync::OnceLock::new();
-    let cache = CACHE.get_or_init(|| std::sync::Mutex::new(Vec::new()));
-    if let Some((_, hit)) = cache
-        .lock()
-        .expect("cache lock")
-        .iter()
-        .find(|(cfg, _)| cfg == s)
-    {
-        return hit.clone();
-    }
-    let study = temperature_study(
-        &s.config(BenchmarkId::GoogleNet, s.boards[0]),
-        &SETPOINTS_C,
-        &fig_sweep(s.images),
-    )
-    .expect("temperature study");
-    cache
-        .lock()
-        .expect("cache lock")
-        .push((s.clone(), study.clone()));
-    study
-}
-
-/// Runs a named experiment, returning its rendered tables, or `None` for
-/// a name outside [`ALL_EXPERIMENTS`].
-pub fn run_experiment(name: &str, s: &Settings) -> Option<Vec<Table>> {
+/// Runs a named experiment on `run`, returning its rendered tables, or
+/// `None` for a name outside [`ALL_EXPERIMENTS`].
+pub fn run_experiment(name: &str, run: &Run) -> Option<Vec<Table>> {
+    let s = &run.settings;
     let tables = match name {
         "table1" => vec![table1(s)],
         "power-breakdown" => vec![power_breakdown(s)],
-        "fig3" => vec![fig3(s)],
-        "fig4" => vec![fig4(s)],
-        "fig5" => vec![fig5(s)],
-        "fig6" => vec![fig6(s)],
-        "table2" => vec![table2(s)],
+        "fig3" => vec![fig3(run)],
+        "fig4" => vec![fig4(run)],
+        "fig5" => vec![fig5(run)],
+        "fig6" => vec![fig6(run)],
+        "table2" => vec![table2(run)],
         "fig7" => {
             let (a, b) = fig7(s);
             vec![a, b]
@@ -1034,8 +1052,8 @@ pub fn run_experiment(name: &str, s: &Settings) -> Option<Vec<Table>> {
             let (a, b) = fig8(s);
             vec![a, b]
         }
-        "fig9" => vec![fig9(s)],
-        "fig10" => vec![fig10(s)],
+        "fig9" => vec![fig9(run)],
+        "fig10" => vec![fig10(run)],
         "ablations" => vec![ablations(s)],
         "mitigation" => vec![mitigation(s)],
         "governor" => vec![governor(s)],
@@ -1088,6 +1106,21 @@ pub fn select_experiments(names: &[&str]) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redvolt_core::executor::CellOutcome;
+    use redvolt_core::supervisor::run_supervised;
+
+    /// `s`'s sweep campaign, supervised on `jobs` workers with no journal.
+    fn campaign(s: &Settings, jobs: usize) -> CampaignReport {
+        run_supervised(
+            &sweep_plan(s),
+            jobs,
+            &SupervisorConfig::default(),
+            None,
+            None,
+        )
+        .unwrap()
+        .report
+    }
 
     #[test]
     fn tiny_table1_has_five_rows() {
@@ -1097,30 +1130,162 @@ mod tests {
 
     #[test]
     fn tiny_fig4_covers_regions_and_crash() {
-        let t = fig4(&Settings::tiny());
-        let text = t.to_text();
+        let s = Settings::tiny();
+        let report = campaign(&s, 2);
+        let text = fig4(&Run::new(s, Some(&report))).to_text();
         assert!(text.contains("guardband"));
         assert!(text.contains("CRASH"));
     }
 
     #[test]
-    fn prefetch_is_jobs_invariant_and_fills_the_cache() {
+    fn run_sweeps_are_the_campaigns_sweep_outcomes_at_any_jobs() {
         let s = Settings::tiny();
-        let prefetch = |jobs| {
-            prefetch_sweeps(&s, jobs, &SupervisorConfig::default(), None, None)
-                .unwrap()
-                .report
-        };
-        let serial = prefetch(1);
-        let parallel = prefetch(4);
+        let serial = campaign(&s, 1);
+        let parallel = campaign(&s, 4);
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.results.len(), BenchmarkId::ALL.len());
-        let cache = sweep_cache().lock().expect("cache lock");
-        for kind in BenchmarkId::ALL {
+        for report in [&serial, &parallel] {
+            let run = Run::new(s.clone(), Some(report));
+            for r in &report.results {
+                let (kind, board) = (r.spec.config.benchmark, r.spec.config.board_sample);
+                let sweep = r.outcome.as_sweep().expect("every tiny cell completes");
+                assert_eq!(
+                    run.sweep("test", kind, board),
+                    Some(sweep),
+                    "{}",
+                    r.spec.label()
+                );
+            }
+            assert_eq!(
+                run.sweeps.as_ref().map(HashMap::len),
+                Some(report.results.len())
+            );
+        }
+    }
+
+    #[test]
+    fn an_aborted_cell_is_marked_and_left_out_of_means() {
+        let s = Settings {
+            boards: vec![0, 1],
+            ..Settings::tiny()
+        };
+        let report = campaign(&s, 2);
+        let render = |boards: &[u32], report: &CampaignReport| -> Vec<String> {
+            let settings = Settings {
+                boards: boards.to_vec(),
+                ..s.clone()
+            };
+            let run = Run::new(settings, Some(report));
+            CAMPAIGN_EXPERIMENTS
+                .iter()
+                .map(|name| run_experiment(name, &run).unwrap()[0].to_csv())
+                .collect()
+        };
+        let lines = |csv: &str| csv.lines().map(str::to_string).collect::<Vec<_>>();
+        let full = render(&[0, 1], &report);
+        for (kind, board) in [(BenchmarkId::GoogleNet, 0), (BenchmarkId::VggNet, 1)] {
+            let mut damaged = report.clone();
+            for r in &mut damaged.results {
+                if r.spec.config.benchmark == kind && r.spec.config.board_sample == board {
+                    r.outcome = CellOutcome::Aborted {
+                        cause: "panic: injected by the test".to_string(),
+                    };
+                }
+            }
+            let [fig3, fig4, fig5, fig6, table2] = &render(&[0, 1], &damaged)[..] else {
+                unreachable!("five campaign experiments")
+            };
+            // The other board alone: the means a board-averaged row keeps.
+            let other = render(&[1 - board], &report);
+            let (name, label) = (kind.name(), format!("{}/b{board}", kind.name()));
+            let cell = format!("{name},{board},");
+
+            // Fig 3 and Fig 6: the cell's rows become one marker row; every
+            // other cell's rows are unchanged.
+            for (got, want, width) in [(fig3, &full[0], 7), (fig6, &full[3], 6)] {
+                let keep = |csv: &str| {
+                    lines(csv)
+                        .into_iter()
+                        .filter(|l| !l.starts_with(&cell) && !l.starts_with("MEAN,"))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(keep(got), keep(want), "{label}");
+                let marker = format!("{cell}ABORTED{}", ",-".repeat(width - 3));
+                let marked: Vec<String> = lines(got)
+                    .into_iter()
+                    .filter(|l| l.starts_with(&cell))
+                    .collect();
+                assert_eq!(marked, [marker], "{label}");
+            }
+            // Fig 3's mean row averages the cells that completed.
+            let rows: Vec<Vec<f64>> = lines(fig3)[1..]
+                .iter()
+                .filter(|l| !l.starts_with(&cell) && !l.starts_with("MEAN,"))
+                .map(|l| {
+                    l.split(',')
+                        .skip(2)
+                        .take(2)
+                        .map(|v| v.parse().unwrap())
+                        .collect()
+                })
+                .collect();
+            let mean = |col: usize| {
+                let v: Vec<f64> = rows.iter().map(|r| r[col]).collect();
+                fmt(stats::mean(&v).unwrap(), 0)
+            };
+            let mean_row = lines(fig3).pop().unwrap();
             assert!(
-                cache.contains_key(&cache_key(&s, kind, 0)),
-                "{}",
-                kind.name()
+                mean_row.starts_with(&format!("MEAN,-,{},{},", mean(0), mean(1))),
+                "{label}: {mean_row}"
+            );
+
+            // Fig 4 reads GoogleNet on the first board only.
+            if label == "GoogleNet/b0" {
+                assert_eq!(lines(fig4)[1..], ["ABORTED,-,-,-,-"], "{label}");
+            } else {
+                assert_eq!(fig4, &full[1], "{label}");
+            }
+
+            // Fig 5: the cell's benchmark averages the other board only and
+            // is followed by the marker row; other benchmarks are unchanged.
+            let mut want = Vec::new();
+            for line in lines(&full[2]) {
+                if line.starts_with(&format!("{name},")) {
+                    let kept = lines(&other[2])
+                        .into_iter()
+                        .find(|l| l.starts_with(&format!("{name},")));
+                    want.extend(kept);
+                    want.push(format!("{label},ABORTED,-,-,-"));
+                } else {
+                    want.push(line);
+                }
+            }
+            assert_eq!(lines(fig5), want, "{label}");
+
+            // Table 2 scans VGGNet boards only; an aborted one is left out
+            // of every mean and named in a trailing row.
+            if kind == BenchmarkId::VggNet {
+                let mut want = lines(&other[4]);
+                want.push(format!("{label},ABORTED,-,-,-,-"));
+                assert_eq!(lines(table2), want, "{label}");
+            } else {
+                assert_eq!(table2, &full[4], "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_campaign_experiment_on_a_run_without_a_campaign_panics_naming_itself() {
+        let run = Run::new(Settings::tiny(), None);
+        for name in CAMPAIGN_EXPERIMENTS {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_experiment(name, &run)
+            }))
+            .expect_err(name);
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.starts_with(&format!("{name} reads the sweep campaign")),
+                "{msg}"
             );
         }
     }
@@ -1223,51 +1388,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_profile_partitions_the_sweep_cache() {
-        let clean = Settings::tiny();
-        let faulty = Settings {
-            bus_faults: BusFaultProfile::light(),
-            ..Settings::tiny()
-        };
-        assert_ne!(
-            cache_key(&clean, BenchmarkId::VggNet, 0),
-            cache_key(&faulty, BenchmarkId::VggNet, 0)
-        );
-    }
-
-    #[test]
-    fn defense_and_governor_partition_the_sweep_cache() {
-        let plain = Settings::tiny();
-        let defended = Settings {
-            defense: DefenseMode::Correct,
-            ..Settings::tiny()
-        };
-        let governed = Settings {
-            governor: true,
-            ..Settings::tiny()
-        };
-        let key = |s: &Settings| cache_key(s, BenchmarkId::VggNet, 0);
-        assert_ne!(key(&plain), key(&defended));
-        assert_ne!(key(&plain), key(&governed));
-        assert_ne!(key(&defended), key(&governed));
-    }
-
-    #[test]
-    fn halted_prefetch_resumes_to_straight_bytes_under_faults() {
+    fn halted_campaign_resumes_to_straight_bytes_under_faults() {
         let s = Settings {
             bus_faults: BusFaultProfile::light(),
             ..Settings::tiny()
         };
-        let straight = prefetch_sweeps(&s, 2, &SupervisorConfig::default(), None, None)
-            .unwrap()
-            .report
-            .to_csv();
+        let plan = sweep_plan(&s);
+        let straight = campaign(&s, 2).to_csv();
 
         let dir = std::env::temp_dir().join("redvolt-harness-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("prefetch-{}.journal", std::process::id()));
-        let halted = prefetch_sweeps(
-            &s,
+        let path = dir.join(format!("campaign-{}.journal", std::process::id()));
+        let halted = run_supervised(
+            &plan,
             2,
             &SupervisorConfig {
                 halt_after: Some(2),
@@ -1279,8 +1412,8 @@ mod tests {
         .unwrap();
         assert!(halted.interrupted);
 
-        let resumed = prefetch_sweeps(
-            &s,
+        let resumed = run_supervised(
+            &plan,
             2,
             &SupervisorConfig::default(),
             Some(&JournalSpec::new(&path, true)),
@@ -1295,12 +1428,13 @@ mod tests {
 
     #[test]
     fn experiment_names_resolve() {
+        let run = Run::new(Settings::tiny(), None);
         for name in ALL_EXPERIMENTS {
             // Only check dispatch for the cheap ones in tests.
             if matches!(name, "table1" | "power-breakdown") {
-                assert!(run_experiment(name, &Settings::tiny()).is_some());
+                assert!(run_experiment(name, &run).is_some());
             }
         }
-        assert!(run_experiment("nope", &Settings::tiny()).is_none());
+        assert!(run_experiment("nope", &run).is_none());
     }
 }
