@@ -134,12 +134,6 @@ pub struct SupervisedReport {
     pub resumed_cells: usize,
     /// Cells whose final outcome is [`CellOutcome::Aborted`].
     pub aborted_cells: usize,
-    /// Cells the adaptive governor settled at a degraded operating point
-    /// ([`CellOutcome::Degraded`]): the payload is clean, the commanded
-    /// point was not.
-    pub degraded_cells: usize,
-    /// Freshly executed cells that needed more than one attempt.
-    pub retried_cells: usize,
     /// Whether the run stopped early at [`SupervisorConfig::halt_after`].
     /// When true, the report covers only the journaled prefix.
     pub interrupted: bool,
@@ -456,13 +450,14 @@ pub fn run_supervised(
     for (&index, entry) in &journaled {
         // Telemetry scalars round-trip through the journal; spans do not
         // (the resume contract covers metrics, not span streams).
-        let (payload, telemetry) = split_telem(&entry.payload);
-        let outcome = decode_outcome(payload).ok_or_else(|| {
+        let malformed = || {
             SupervisorError::Journal(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("journal entry for cell {index} is malformed"),
             ))
-        })?;
+        };
+        let (payload, telemetry) = split_telem(&entry.payload).ok_or_else(malformed)?;
+        let outcome = decode_outcome(payload).ok_or_else(malformed)?;
         results.push(CellResult {
             index,
             spec: plan.cell(index),
@@ -470,7 +465,7 @@ pub fn run_supervised(
             elapsed: Duration::ZERO,
             worker: 0,
             attempts: entry.attempts,
-            telemetry: telemetry.unwrap_or_default(),
+            telemetry,
         });
     }
     results.extend(fresh);
@@ -480,11 +475,6 @@ pub fn run_supervised(
         .iter()
         .filter(|r| matches!(r.outcome, CellOutcome::Aborted { .. }))
         .count();
-    let degraded_cells = results
-        .iter()
-        .filter(|r| matches!(r.outcome, CellOutcome::Degraded { .. }))
-        .count();
-    let retried_cells = results.iter().filter(|r| r.attempts > 1).count();
     Ok(SupervisedReport {
         report: CampaignReport {
             jobs,
@@ -494,8 +484,6 @@ pub fn run_supervised(
         },
         resumed_cells,
         aborted_cells,
-        degraded_cells,
-        retried_cells,
         interrupted,
     })
 }

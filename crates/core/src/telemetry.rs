@@ -135,8 +135,7 @@ impl CellTelemetry {
     }
 
     /// Decodes [`CellTelemetry::encode_compact`]; `None` on any
-    /// malformed blob, including one with other than 20 fields (the
-    /// caller treats the cell as telemetry-less).
+    /// malformed blob, including one with other than 20 fields.
     pub fn decode_compact(blob: &str) -> Option<CellTelemetry> {
         let f: Vec<&str> = blob.split(',').collect();
         if f.len() != 20 {
@@ -170,17 +169,13 @@ impl CellTelemetry {
     }
 }
 
-/// Splits a journal payload into the outcome payload proper and the
-/// appended telemetry token, if one is present and well-formed. Journals
-/// written before the telemetry layer (or whose blob fails to decode)
-/// yield `None`, keeping resume backward-compatible.
-pub fn split_telem(payload: &str) -> (&str, Option<CellTelemetry>) {
-    if let Some((rest, blob)) = payload.rsplit_once(" telem=") {
-        if let Some(t) = CellTelemetry::decode_compact(blob) {
-            return (rest, Some(t));
-        }
-    }
-    (payload, None)
+/// Splits a journal payload into the outcome payload proper and its
+/// trailing telemetry token. Every journaled cell carries one, so a
+/// payload whose token is missing or fails to decode yields `None`: a
+/// resumed cell must report the telemetry of the run that measured it.
+pub fn split_telem(payload: &str) -> Option<(&str, CellTelemetry)> {
+    let (rest, blob) = payload.rsplit_once(" telem=")?;
+    Some((rest, CellTelemetry::decode_compact(blob)?))
 }
 
 /// The merged, deterministic telemetry of one finished campaign.
@@ -470,17 +465,12 @@ mod tests {
     fn split_telem_recovers_payload_and_blob() {
         let t = sample_telem();
         let payload = format!("measure 850.0,333.0 telem={}", t.encode_compact());
-        let (rest, decoded) = split_telem(&payload);
-        assert_eq!(rest, "measure 850.0,333.0");
-        assert_eq!(decoded, Some(t));
+        assert_eq!(split_telem(&payload), Some(("measure 850.0,333.0", t)));
 
-        // Pre-telemetry journals pass through untouched.
-        let legacy = "sweep - crashed_at=none";
-        assert_eq!(split_telem(legacy), (legacy, None));
-
-        // A malformed blob is not stripped (treated as outcome text).
-        let bad = "aborted something telem=notnumbers";
-        assert_eq!(split_telem(bad), (bad, None));
+        // An entry without its blob, or with one that does not decode,
+        // is malformed.
+        assert_eq!(split_telem("sweep - crashed_at=none"), None);
+        assert_eq!(split_telem("aborted something telem=notnumbers"), None);
     }
 
     #[test]
