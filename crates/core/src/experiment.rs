@@ -494,31 +494,24 @@ impl Accelerator {
         self.runtime.faults_observed()
     }
 
-    /// Cumulative SDC/ECC defense events since bring-up: BRAM words the
-    /// SECDED layer touched (corrected or uncorrectable) plus ABFT
-    /// checksum mismatches. The adaptive governor snapshots this before
-    /// and after each probe window — a non-zero delta means the current
-    /// operating point is stressing the defenses even when every event
-    /// was absorbed.
-    pub fn defense_events(&self) -> u64 {
-        let ecc = self.runtime.ecc_stats();
-        let abft = self.runtime.defense_stats();
-        ecc.corrected_words + ecc.uncorrectable_words + abft.mismatches
+    /// Cumulative SDC/ECC events since bring-up
+    /// ([`DpuRuntime::sdc_events`]).
+    pub fn sdc_events(&self) -> u64 {
+        self.runtime.sdc_events()
     }
 
-    /// [`Accelerator::measure`] plus the SDC/ECC events it produced:
-    /// faults delivered into the datapath plus the
-    /// [`Accelerator::defense_events`] delta, so absorbed corruptions
-    /// count too. The signal behind the adaptive governor's windows and
-    /// the serving fleet's Vmin calibration.
+    /// [`Accelerator::measure`] plus the SDC/ECC events it produced, the
+    /// [`Accelerator::sdc_events`] difference: the signal behind the
+    /// adaptive governor's windows and the serving fleet's Vmin
+    /// calibration.
     ///
     /// # Errors
     ///
     /// See [`Accelerator::measure`].
     pub fn measure_events(&mut self, images: usize) -> Result<(Measurement, u64), MeasureError> {
-        let before = self.defense_events();
+        let before = self.sdc_events();
         let m = self.measure(images)?;
-        Ok((m, m.injected_faults + (self.defense_events() - before)))
+        Ok((m, self.sdc_events() - before))
     }
 
     /// Drains this accelerator's telemetry: scalar counters/gauges plus
@@ -650,18 +643,19 @@ mod tests {
         let t = a.take_telemetry();
         assert!(t.abft_checks > 0, "defended runs must execute checks");
         assert_eq!(
-            a.defense_events(),
-            t.ecc_corrected + t.ecc_uncorrectable + t.abft_mismatches,
+            a.sdc_events(),
+            t.dpu_faults + t.ecc_corrected + t.ecc_uncorrectable + t.abft_mismatches,
             "governor signal must match the exported counters"
         );
 
-        // An undefended accelerator at the same point stays silent.
+        // An undefended accelerator at the same point counts only the
+        // faults it delivered.
         let mut off = acc();
         off.set_vccint_mv(550.0).unwrap();
         off.measure(8).unwrap();
         let t_off = off.take_telemetry();
         assert_eq!(t_off.abft_checks, 0);
-        assert_eq!(off.defense_events(), 0);
+        assert_eq!(off.sdc_events(), t_off.dpu_faults);
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub struct BoardHealth {
     pub crashed: bool,
     /// Power cycles so far.
     pub power_cycles: u64,
-    /// Cumulative SDC/ECC defense events (see
-    /// [`Accelerator::defense_events`]).
+    /// Cumulative defense events: the SDC/ECC events
+    /// ([`Accelerator::sdc_events`]) less the delivered datapath faults,
+    /// i.e. ECC corrected and uncorrectable words plus ABFT mismatches.
     pub defense_events: u64,
     /// Cumulative transient faults delivered into the datapath.
     pub dpu_faults: u64,
@@ -56,7 +57,7 @@ impl BoardHealth {
             power_w: snap.on_chip_power_w,
             crashed: snap.crashed,
             power_cycles: snap.power_cycles,
-            defense_events: acc.defense_events(),
+            defense_events: acc.sdc_events() - acc.faults_observed(),
             dpu_faults: acc.faults_observed(),
             cycles_run: acc.cycles_run(),
         }

@@ -467,6 +467,18 @@ impl DpuRuntime {
         self.faults_observed
     }
 
+    /// Cumulative SDC/ECC events across every batch this runtime has
+    /// executed: faults delivered into the datapath, ECC corrected and
+    /// uncorrectable words, and ABFT checksum mismatches. Absorbed
+    /// corruptions count too, so a before/after difference is the event
+    /// signal the adaptive governor and the serving fleet act on.
+    pub fn sdc_events(&self) -> u64 {
+        self.faults_observed
+            + self.ecc_total.corrected_words
+            + self.ecc_total.uncorrectable_words
+            + self.defense_total.mismatches
+    }
+
     /// Charges `cycles` against the budget, failing once it is exceeded.
     fn charge_cycles(&mut self, cycles: u64) -> Result<(), RunError> {
         self.cycles_run = self.cycles_run.saturating_add(cycles);

@@ -244,7 +244,7 @@ impl FleetBoard {
         let seed = derive_substream_seed(self.batch_seed, 1, self.batches);
         self.batches += 1;
         let defense = self.acc.config().defense;
-        let cycles_before = self.acc.cycles_run();
+        let (cycles_before, events_before) = (self.acc.cycles_run(), self.acc.sdc_events());
         let (runtime, workload) = self.acc.runtime_and_workload_mut();
         let result = runtime.run_batch(&workload.task, &images, seed, 0);
         match result {
@@ -257,10 +257,7 @@ impl FleetBoard {
                 if !images.is_empty() {
                     self.energy_per_inf_j = energy_j / images.len() as f64;
                 }
-                let events = r.injected_faults
-                    + r.ecc.corrected_words
-                    + r.ecc.uncorrectable_words
-                    + r.defense.mismatches;
+                let events = self.acc.sdc_events() - events_before;
                 self.events += events;
                 let flagged = match defense {
                     redvolt_nn::abft::DefenseMode::Off => false,
