@@ -147,8 +147,9 @@ impl ServeConfig {
             seed: self.seed,
             defense: self.defense,
             repetitions: 1,
-            // The serving governor owns mitigation; the per-measurement
-            // governor inside `Accelerator` stays off.
+            // The fleet's governor owns mitigation. This flag only arms
+            // the adaptive rescue of campaign measurement cells
+            // (`executor::execute_cell_with`), which serving never runs.
             governor: false,
             ..base
         }
