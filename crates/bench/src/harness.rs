@@ -127,8 +127,8 @@ pub fn sweep_plan(s: &Settings) -> CampaignPlan {
     )
 }
 
-/// The experiments that read the [`sweep_plan`] campaign through
-/// [`Run::sweep`]; `repro` runs the campaign when any of them is asked for.
+/// The experiments that read the [`sweep_plan`] campaign from the [`Run`];
+/// `repro` runs the campaign when any of them is asked for.
 pub const CAMPAIGN_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "table2"];
 
 /// One reproduction run: its settings, the sweeps of its one supervised
@@ -137,8 +137,8 @@ pub const CAMPAIGN_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "ta
 /// function of the settings and that campaign.
 #[derive(Debug)]
 pub struct Run {
-    /// The run's settings.
-    pub settings: Settings,
+    /// The run's settings; the temperature study is measured under them.
+    settings: Settings,
     /// The campaign's completed sweeps by (benchmark index, board), or
     /// `None` for a run without a campaign.
     sweeps: Option<HashMap<(usize, u32), VoltageSweep>>,
@@ -177,7 +177,7 @@ impl Run {
     ///
     /// Panics, naming `experiment`, when the run has no campaign: the
     /// experiment is missing from [`CAMPAIGN_EXPERIMENTS`].
-    pub fn sweep(&self, experiment: &str, kind: BenchmarkId, board: u32) -> Option<&VoltageSweep> {
+    fn sweep(&self, experiment: &str, kind: BenchmarkId, board: u32) -> Option<&VoltageSweep> {
         let sweeps = self.sweeps.as_ref().unwrap_or_else(|| {
             panic!(
                 "{experiment} reads the sweep campaign, but this run has none: \
@@ -473,6 +473,22 @@ fn aborted_row(lead: &[String], width: usize) -> Vec<String> {
     row
 }
 
+/// Appends an [`aborted_row`] for each board whose `kind` cell aborted, to
+/// a table that averages over boards and so has no row of that cell.
+fn mark_aborted_boards(
+    t: &mut Table,
+    run: &Run,
+    experiment: &str,
+    kind: BenchmarkId,
+    width: usize,
+) {
+    for &board in &run.settings.boards {
+        if run.sweep(experiment, kind, board).is_none() {
+            t.row(&aborted_row(&[format!("{}/b{board}", kind.name())], width));
+        }
+    }
+}
+
 /// **Figure 3** — voltage regions per benchmark and board. An aborted
 /// cell's row says so, and the means leave it out.
 pub fn fig3(run: &Run) -> Table {
@@ -586,12 +602,7 @@ pub fn fig5(run: &Run) -> Table {
         let mut at_vmin = Vec::new();
         let mut at_crash = Vec::new();
         let mut base_eff = Vec::new();
-        let mut aborted = Vec::new();
-        for &board in &s.boards {
-            let Some(sweep) = run.sweep("fig5", kind, board) else {
-                aborted.push(aborted_row(&[format!("{}/b{board}", kind.name())], 5));
-                continue;
-            };
+        for sweep in s.boards.iter().filter_map(|&b| run.sweep("fig5", kind, b)) {
             if let Some(h) = efficiency::headline(sweep, regions(sweep).vmin_mv) {
                 at_vmin.push(h.gain_at_vmin);
                 at_crash.push(h.gain_at_vcrash);
@@ -609,9 +620,7 @@ pub fn fig5(run: &Run) -> Table {
                 pct(gc / gv - 1.0),
             ]);
         }
-        for row in &aborted {
-            t.row(row);
-        }
+        mark_aborted_boards(&mut t, run, "fig5", kind, 5);
     }
     t
 }
@@ -627,10 +636,8 @@ pub fn fig6(run: &Run) -> Table {
     for kind in BenchmarkId::ALL {
         for &board in &s.boards {
             let Some(sweep) = run.sweep("fig6", kind, board) else {
-                t.row(&aborted_row(
-                    &[kind.name().to_string(), board.to_string()],
-                    6,
-                ));
+                let lead = [kind.name().to_string(), board.to_string()];
+                t.row(&aborted_row(&lead, 6));
                 continue;
             };
             for m in sweep.points.iter().filter(|m| m.vccint_mv <= 600.0) {
@@ -656,13 +663,8 @@ pub fn fig6(run: &Run) -> Table {
 pub fn table2(run: &Run) -> Table {
     let s = &run.settings;
     let mut per_board: Vec<Vec<FreqScaleRow>> = Vec::new();
-    let mut aborted = Vec::new();
     for &board in &s.boards {
         let Some(sweep) = run.sweep("table2", BenchmarkId::VggNet, board) else {
-            aborted.push(aborted_row(
-                &[format!("{}/b{board}", BenchmarkId::VggNet.name())],
-                6,
-            ));
             continue;
         };
         let vmin_mv = regions(sweep).vmin_mv;
@@ -698,9 +700,7 @@ pub fn table2(run: &Run) -> Table {
             norm(col(&|r| r.gops_per_j_norm)),
         ]);
     }
-    for row in &aborted {
-        t.row(row);
-    }
+    mark_aborted_boards(&mut t, run, "table2", BenchmarkId::VggNet, 6);
     t
 }
 

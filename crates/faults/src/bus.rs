@@ -95,16 +95,6 @@ impl BusFaultProfile {
             "custom"
         }
     }
-
-    /// The profile's identity as raw bit patterns — usable as a hash/cache
-    /// key where `f64` itself is not hashable.
-    pub fn key_bits(&self) -> (u64, u64, u64) {
-        (
-            self.nack_rate.to_bits(),
-            self.timeout_rate.to_bits(),
-            self.read_flip_rate.to_bits(),
-        )
-    }
 }
 
 impl Default for BusFaultProfile {
