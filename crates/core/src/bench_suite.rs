@@ -14,7 +14,8 @@ use redvolt_nn::prune;
 pub type BenchmarkId = ModelKind;
 
 /// Stable position of a benchmark in [`BenchmarkId::ALL`] — the canonical
-/// ordering campaign plans, sweep caches and cell labels all key on.
+/// ordering campaign plans, the harness's campaign sweeps and cell labels
+/// all key on.
 ///
 /// # Panics
 ///

@@ -222,8 +222,7 @@ impl CampaignPlan {
 
     /// The full (benchmark × board) sweep grid the paper's Figs. 3–6 scan,
     /// enumerated benchmark-major in [`BenchmarkId::ALL`] order then board
-    /// order — the canonical cell ordering the sweep cache and the figure
-    /// tables share.
+    /// order — the canonical cell ordering the figure tables share.
     pub fn sweep_grid(
         master_seed: u64,
         benchmarks: &[BenchmarkId],
