@@ -51,11 +51,8 @@
 //! the kernels and ECC SECDED scrubbing on the BRAM weight store (`off`
 //! keeps the execution path bit-identical to the undefended kernels); it
 //! is a deterministic function of (seed, plan), so defended campaigns
-//! remain jobs-invariant. `--governor` arms the adaptive undervolt
-//! governor in every cell's config, but its rescue acts only on
-//! measurement cells, and no `repro` experiment runs one. So the flag
-//! changes no measured number: only the settings header, the journal's
-//! plan fingerprint, and whether the defense counter table prints.
+//! remain jobs-invariant. The §9.ii governor has its own experiment,
+//! `governor`.
 
 use redvolt_bench::harness::{
     self, CampaignOptions, Run, Settings, CAMPAIGN_EXPERIMENTS, CAMPAIGN_USAGE,
@@ -81,7 +78,6 @@ fn main() {
     let settings = Settings {
         bus_faults: opts.fault_profile,
         defense: opts.defense,
-        governor: opts.governor,
         ..if quick {
             Settings::quick()
         } else {
@@ -90,13 +86,12 @@ fn main() {
     };
     println!(
         "# redvolt reproduction of DSN-2020 'Reduced-Voltage Operation in Modern FPGAs'\n\
-         # settings: boards={:?} images={} reps={} faults={} defense={} governor={} ({})\n",
+         # settings: boards={:?} images={} reps={} faults={} defense={} ({})\n",
         settings.boards,
         settings.images,
         settings.reps,
         settings.bus_faults.name(),
         settings.defense.name(),
-        if settings.governor { "on" } else { "off" },
         if quick { "quick" } else { "full" }
     );
     // Run the sweep grid once, in parallel, before any experiment that
@@ -134,7 +129,7 @@ fn main() {
         // straight and interrupted-then-resumed runs print the same bytes.
         let telem = CampaignTelemetry::collect(&sup.report);
         println!("{}", bus_stats_table(&sup.report).to_text());
-        if settings.defense.is_on() || settings.governor {
+        if settings.defense.is_on() {
             println!("{}", defense_stats_table(&sup.report).to_text());
         }
         println!("{}", telem.summary_table().to_text());

@@ -48,10 +48,6 @@ pub struct Settings {
     /// SDC defense (`--defense off|detect|correct`): ABFT checksums on
     /// the kernels plus ECC SECDED on the BRAM weight store.
     pub defense: DefenseMode,
-    /// Adaptive undervolt governor (`--governor`), armed in every cell's
-    /// config. Its rescue acts on measurement cells only, and the sweep
-    /// campaign has none, so no table here changes with it.
-    pub governor: bool,
 }
 
 impl Settings {
@@ -64,7 +60,6 @@ impl Settings {
             scale: ModelScale::Paper,
             bus_faults: BusFaultProfile::none(),
             defense: DefenseMode::Off,
-            governor: false,
         }
     }
 
@@ -77,7 +72,6 @@ impl Settings {
             scale: ModelScale::Paper,
             bus_faults: BusFaultProfile::none(),
             defense: DefenseMode::Off,
-            governor: false,
         }
     }
 
@@ -90,7 +84,6 @@ impl Settings {
             scale: ModelScale::Tiny,
             bus_faults: BusFaultProfile::none(),
             defense: DefenseMode::Off,
-            governor: false,
         }
     }
 
@@ -103,7 +96,6 @@ impl Settings {
             repetitions: self.reps,
             bus_faults: self.bus_faults,
             defense: self.defense,
-            governor: self.governor,
             ..AcceleratorConfig::default()
         }
     }
@@ -217,13 +209,13 @@ const VALUE_FLAGS: [&str; 10] = [
 ];
 
 /// The campaign flags that take none.
-const SWITCHES: [&str; 2] = ["--resume", "--governor"];
+const SWITCHES: [&str; 1] = ["--resume"];
 
 /// Usage text for the flags [`CampaignOptions::from_args`] reads.
 pub const CAMPAIGN_USAGE: &str = "[--jobs N] [--image-jobs N] [--journal PATH [--resume]] \
      [--max-attempts N] [--fault-profile none|light|heavy] [--halt-after-cells K] \
      [--metrics-out PATH] [--prom-out PATH] [--progress SECS] \
-     [--defense off|detect|correct] [--governor]";
+     [--defense off|detect|correct]";
 
 /// The `repro` binary's campaign options: parallelism, the write-ahead
 /// journal, the retry budget, the injected PMBus fault profile, the
@@ -258,9 +250,6 @@ pub struct CampaignOptions {
     pub progress: Option<u64>,
     /// SDC defense mode (`--defense off|detect|correct`).
     pub defense: DefenseMode,
-    /// Adaptive undervolt governor (`--governor`); see
-    /// [`Settings::governor`].
-    pub governor: bool,
 }
 
 impl Default for CampaignOptions {
@@ -277,7 +266,6 @@ impl Default for CampaignOptions {
             prom_out: None,
             progress: None,
             defense: DefenseMode::Off,
-            governor: false,
         }
     }
 }
@@ -324,7 +312,6 @@ impl CampaignOptions {
             defense: line
                 .read("--defense", "off, detect or correct", DefenseMode::parse)?
                 .unwrap_or(d.defense),
-            governor: line.has("--governor"),
         };
         if opts.resume && opts.journal.is_none() {
             return Err("--resume requires --journal PATH".to_string());
@@ -1306,7 +1293,6 @@ mod tests {
             "--halt-after-cells=3",
             "--defense",
             "correct",
-            "--governor",
         ]);
         let (opts, line) = CampaignOptions::from_args(&argv, &[]).unwrap();
         assert_eq!(line.positional(), ["fig6"]);
@@ -1325,7 +1311,6 @@ mod tests {
         assert_eq!(opts.supervisor_config().halt_after, Some(3));
         assert!(opts.journal_spec().is_some_and(|j| j.resume));
         assert_eq!(opts.defense, DefenseMode::Correct);
-        assert!(opts.governor);
 
         let argv = args(&["fig3", "--csv"]);
         let (defaults, line) = CampaignOptions::from_args(&argv, &["--csv"]).unwrap();
@@ -1335,7 +1320,6 @@ mod tests {
         assert_eq!(defaults.fault_profile, BusFaultProfile::none());
         assert!(defaults.journal.is_none() && !defaults.resume);
         assert_eq!(defaults.defense, DefenseMode::Off);
-        assert!(!defaults.governor);
 
         let rejects = |v: &[&str]| CampaignOptions::from_args(&args(v), &[]).is_err();
         assert!(rejects(&["--resume"]));
@@ -1361,6 +1345,7 @@ mod tests {
         assert!(repro(&["--quick", "--bogus", "power-breakdown"]).is_err());
         assert!(repro(&["--quik", "fig3"]).is_err());
         assert!(repro(&["--quick=yes", "fig3"]).is_err());
+        assert!(repro(&["--governor", "fig3"]).is_err());
         assert!(repro(&["--governor=on", "fig3"]).is_err());
         assert!(repro(&["--quick", "power-breakdown", "nosuch"]).is_err());
         assert!(repro(&["--quick", "Fig3"]).is_err());
@@ -1384,7 +1369,8 @@ mod tests {
         // With no switches of its own, a caller accepts the campaign flags only.
         assert!(CampaignOptions::from_args(&args(&["--bogus"]), &[]).is_err());
         assert!(CampaignOptions::from_args(&args(&["--quick"]), &[]).is_err());
-        assert!(CampaignOptions::from_args(&args(&["--jobs", "3", "--governor"]), &[]).is_ok());
+        let campaign_only = args(&["--jobs", "3", "--journal", "j.log", "--resume"]);
+        assert!(CampaignOptions::from_args(&campaign_only, &[]).is_ok());
     }
 
     #[test]

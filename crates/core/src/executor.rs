@@ -24,7 +24,7 @@
 
 use crate::bench_suite::{benchmark_index, BenchmarkId};
 use crate::experiment::{Accelerator, AcceleratorConfig, MeasureError, Measurement};
-use crate::governor::{run_adaptive_rescue, run_governor, GovernorTrace, RescueTrace};
+use crate::governor::{run_adaptive_rescue, RescueTrace};
 use crate::report::Table;
 use crate::sweep::{voltage_sweep, SweepConfig, VoltageSweep};
 use crate::telemetry::CellTelemetry;
@@ -38,18 +38,21 @@ use std::time::{Duration, Instant};
 pub enum CellAction {
     /// Run a downward voltage sweep.
     Sweep(SweepConfig),
-    /// Run the closed-loop voltage governor for a number of batches.
-    Governor {
-        /// Images per batch.
-        batch_images: usize,
-        /// Batches to run.
-        batches: u32,
-    },
     /// Take one averaged measurement, optionally at a commanded voltage
     /// (nominal when `None`).
     Measure {
         /// Voltage to command first, mV.
         vccint_mv: Option<f64>,
+        /// Evaluation images.
+        images: usize,
+    },
+    /// Command a voltage, then measure under the adaptive rescue
+    /// ([`run_adaptive_rescue`]): on SDC/ECC events the operating point
+    /// walks the paper's mitigation axes (frequency underscaling, then
+    /// voltage backoff) instead of yielding a corrupted payload.
+    Rescue {
+        /// Voltage to command first, mV.
+        vccint_mv: f64,
         /// Evaluation images.
         images: usize,
     },
@@ -84,13 +87,11 @@ impl CellSpec {
 pub enum CellOutcome {
     /// From [`CellAction::Sweep`].
     Sweep(VoltageSweep),
-    /// From [`CellAction::Governor`].
-    Governor(GovernorTrace),
-    /// From [`CellAction::Measure`].
+    /// From [`CellAction::Measure`], or from [`CellAction::Rescue`] when
+    /// the commanded point produced no SDC/ECC event.
     Measure(Measurement),
-    /// From [`CellAction::Measure`] under an armed adaptive governor
-    /// ([`AcceleratorConfig::governor`]): the commanded operating point
-    /// produced SDC/ECC events, so the governor walked it along the
+    /// From [`CellAction::Rescue`]: the commanded operating point
+    /// produced SDC/ECC events, so the rescue walked it along the
     /// mitigation ladder and reports a *clean* measurement at the
     /// degraded point together with the rescue trace — graceful
     /// degradation instead of a silently-corrupted payload.
@@ -132,7 +133,6 @@ impl CellOutcome {
                 }
                 rows
             }
-            CellOutcome::Governor(t) => t.csv_rows(),
             CellOutcome::Measure(m) => vec![m.csv_row()],
             CellOutcome::Degraded { measurement, trace } => {
                 let mut rows = trace.csv_rows();
@@ -383,29 +383,23 @@ pub(crate) fn execute_cell_with(
     }
     let outcome = match &spec.action {
         CellAction::Sweep(cfg) => voltage_sweep(&mut acc, cfg).map(CellOutcome::Sweep),
-        CellAction::Governor {
-            batch_images,
-            batches,
-        } => run_governor(&mut acc, *batch_images, *batches).map(CellOutcome::Governor),
         CellAction::Measure { vccint_mv, images } => {
             let set = match vccint_mv {
                 Some(mv) => acc.set_vccint_mv(*mv),
                 None => Ok(()),
             };
-            set.and_then(|()| {
-                if spec.config.governor {
-                    run_adaptive_rescue(&mut acc, *images).map(|(measurement, trace)| {
-                        if trace.intervened() {
-                            CellOutcome::Degraded { measurement, trace }
-                        } else {
-                            CellOutcome::Measure(measurement)
-                        }
-                    })
-                } else {
-                    acc.measure(*images).map(CellOutcome::Measure)
-                }
-            })
+            set.and_then(|()| acc.measure(*images).map(CellOutcome::Measure))
         }
+        CellAction::Rescue { vccint_mv, images } => acc
+            .set_vccint_mv(*vccint_mv)
+            .and_then(|()| run_adaptive_rescue(&mut acc, *images))
+            .map(|(measurement, trace)| {
+                if trace.intervened() {
+                    CellOutcome::Degraded { measurement, trace }
+                } else {
+                    CellOutcome::Measure(measurement)
+                }
+            }),
     };
     let telemetry = acc.take_telemetry();
     (outcome, telemetry)
@@ -606,35 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn governor_cells_run_in_parallel() {
-        let mut plan = CampaignPlan::new(11);
-        for board in [0u32, 1] {
-            plan.push(CellSpec {
-                config: AcceleratorConfig {
-                    board_sample: board,
-                    eval_images: 32,
-                    repetitions: 1,
-                    scale: ModelScale::Paper,
-                    ..AcceleratorConfig::tiny(BenchmarkId::GoogleNet)
-                },
-                action: CellAction::Governor {
-                    batch_images: 32,
-                    batches: 40,
-                },
-                force_temp_c: None,
-            });
-        }
-        let report = plan.run_sharded(2, 0).unwrap();
-        for r in &report.results {
-            match &r.outcome {
-                CellOutcome::Governor(t) => assert_eq!(t.steps.len(), 40),
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
-        assert_eq!(plan.run_sharded(1, 0).unwrap().to_csv(), report.to_csv());
-    }
-
-    #[test]
     fn timing_table_reports_every_cell() {
         let mut plan = CampaignPlan::new(5);
         for board in 0..2 {
@@ -721,11 +686,10 @@ mod tests {
                 repetitions: 1,
                 scale: ModelScale::Paper,
                 defense: DefenseMode::Correct,
-                governor: true,
                 ..AcceleratorConfig::tiny(BenchmarkId::VggNet)
             },
-            action: CellAction::Measure {
-                vccint_mv: Some(550.0),
+            action: CellAction::Rescue {
+                vccint_mv: 550.0,
                 images: 16,
             },
             force_temp_c: None,

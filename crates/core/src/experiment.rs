@@ -60,11 +60,6 @@ pub struct AcceleratorConfig {
     /// upsets plus ABFT checksums in the quantized executor. `Off`
     /// preserves the historical bit-identical undefended datapath.
     pub defense: DefenseMode,
-    /// Arm the adaptive undervolt governor: measurement cells probe the
-    /// operating point and, on SDC/ECC events, walk it along the paper's
-    /// mitigation axes (frequency underscaling, then voltage backoff)
-    /// instead of emitting corrupted payloads.
-    pub governor: bool,
 }
 
 impl Default for AcceleratorConfig {
@@ -80,7 +75,6 @@ impl Default for AcceleratorConfig {
             seed: 42,
             bus_faults: BusFaultProfile::none(),
             defense: DefenseMode::Off,
-            governor: false,
         }
     }
 }

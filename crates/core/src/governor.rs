@@ -1,9 +1,10 @@
-//! Dynamic voltage adjustment (§9 future work ii).
+//! Dynamic voltage adjustment (§9 future work ii): two closed-loop
+//! controllers.
 //!
-//! A closed-loop governor that discovers and tracks the minimum safe
-//! voltage at run time, instead of trusting a static calibration: after
-//! every batch it reads the fault-detection counters (Razor-style error
-//! flags — the same observability [`crate::mitigation`] relies on) and
+//! [`run_governor`] discovers and tracks the minimum safe voltage at run
+//! time, instead of trusting a static calibration: after every batch it
+//! reads the fault-detection counters (Razor-style error flags — the same
+//! observability [`crate::mitigation`] relies on) and
 //!
 //! * steps **down** 5 mV after two consecutive clean batches (never below
 //!   520 mV);
@@ -13,79 +14,15 @@
 //! Because the fault boundary follows the inverse thermal dependence, the
 //! governor automatically reaches deeper voltages on a hot board — the
 //! §7.3 observation turned into a controller.
+//!
+//! [`run_adaptive_rescue`] instead defends one commanded operating point,
+//! walking it along the mitigation ladder while SDC/ECC events arrive;
+//! campaign cells ask for it with
+//! [`CellAction::Rescue`](crate::executor::CellAction::Rescue).
 
 use crate::experiment::{Accelerator, MeasureError, Measurement};
 use crate::mitigation::{LadderMove, MitigationLadder};
 use redvolt_fpga::calib::VNOM_MV;
-
-/// A point-in-time health reading of one accelerator, for fleet-level
-/// consumers (the serving router scores boards with this). Everything
-/// here derives from commanded state and seeded simulation counters, so
-/// snapshots are pure functions of `(seed, config, history)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoardHealth {
-    /// Commanded `VCCINT`, mV.
-    pub vccint_mv: f64,
-    /// DPU clock, MHz.
-    pub f_mhz: f64,
-    /// Steady-state junction temperature, °C.
-    pub junction_c: f64,
-    /// Exact on-chip power at the present operating point, watts.
-    pub power_w: f64,
-    /// Whether the board is hung.
-    pub crashed: bool,
-    /// Power cycles so far.
-    pub power_cycles: u64,
-    /// Cumulative defense events: the SDC/ECC events
-    /// ([`Accelerator::sdc_events`]) less the delivered datapath faults,
-    /// i.e. ECC corrected and uncorrectable words plus ABFT mismatches.
-    pub defense_events: u64,
-    /// Cumulative transient faults delivered into the datapath.
-    pub dpu_faults: u64,
-    /// Cumulative simulated DPU cycles executed.
-    pub cycles_run: u64,
-}
-
-impl BoardHealth {
-    /// Snapshots an accelerator's health.
-    pub fn of(acc: &Accelerator) -> BoardHealth {
-        let snap = acc.board().snapshot();
-        BoardHealth {
-            vccint_mv: snap.vccint_mv,
-            f_mhz: acc.clock_mhz(),
-            junction_c: snap.junction_c,
-            power_w: snap.on_chip_power_w,
-            crashed: snap.crashed,
-            power_cycles: snap.power_cycles,
-            defense_events: acc.sdc_events() - acc.faults_observed(),
-            dpu_faults: acc.faults_observed(),
-            cycles_run: acc.cycles_run(),
-        }
-    }
-
-    /// The reading as typed attributes, for flight-recorder snapshots
-    /// and trace spans. Keys are stable export names.
-    pub fn attrs(&self) -> Vec<(String, redvolt_telemetry::AttrValue)> {
-        use redvolt_telemetry::AttrValue;
-        vec![
-            ("vccint_mv".to_string(), AttrValue::F64(self.vccint_mv)),
-            ("f_mhz".to_string(), AttrValue::F64(self.f_mhz)),
-            ("junction_c".to_string(), AttrValue::F64(self.junction_c)),
-            ("power_w".to_string(), AttrValue::F64(self.power_w)),
-            ("crashed".to_string(), AttrValue::Bool(self.crashed)),
-            (
-                "power_cycles".to_string(),
-                AttrValue::U64(self.power_cycles),
-            ),
-            (
-                "defense_events".to_string(),
-                AttrValue::U64(self.defense_events),
-            ),
-            ("dpu_faults".to_string(), AttrValue::U64(self.dpu_faults)),
-            ("cycles_run".to_string(), AttrValue::U64(self.cycles_run)),
-        ]
-    }
-}
 
 /// [`run_governor`]'s downward step after a clean streak, mV.
 const STEP_DOWN_MV: f64 = 5.0;
@@ -132,25 +69,6 @@ impl GovernorTrace {
     /// Number of crash/power-cycle events.
     pub fn crash_count(&self) -> usize {
         self.steps.iter().filter(|s| s.crashed).count()
-    }
-
-    /// Canonical CSV serialization of the trace (one row per batch, plus a
-    /// terminal `settled` row). Uses shortest round-trip float formatting,
-    /// like [`crate::experiment::Measurement::csv_row`], so byte equality
-    /// of two serialized traces means bit-identical results.
-    pub fn csv_rows(&self) -> Vec<String> {
-        let mut rows: Vec<String> = self
-            .steps
-            .iter()
-            .map(|s| {
-                format!(
-                    "{},{:?},{},{:?},{}",
-                    s.batch, s.vccint_mv, s.faults, s.power_w, s.crashed
-                )
-            })
-            .collect();
-        rows.push(format!("settled,{:?},,,", self.settled_mv));
-        rows
     }
 }
 
@@ -369,22 +287,6 @@ mod tests {
             ..AcceleratorConfig::tiny(BenchmarkId::GoogleNet)
         })
         .unwrap()
-    }
-
-    #[test]
-    fn board_health_snapshot_tracks_the_operating_point() {
-        let mut acc = accelerator();
-        acc.set_vccint_mv(600.0).unwrap();
-        acc.set_clock_mhz(283.0);
-        acc.measure(8).unwrap();
-        let h = BoardHealth::of(&acc);
-        // The PMBus VOUT command quantizes to the regulator's LSB, so the
-        // snapshot reads back near — not exactly at — the requested point.
-        assert!((h.vccint_mv - 600.0).abs() < 0.5, "vccint {}", h.vccint_mv);
-        assert_eq!(h.f_mhz, 283.0);
-        assert!(!h.crashed);
-        assert!(h.cycles_run > 0);
-        assert!(h.power_w > 0.0);
     }
 
     #[test]

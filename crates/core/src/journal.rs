@@ -26,7 +26,7 @@
 
 use crate::executor::{CampaignPlan, CellOutcome};
 use crate::experiment::Measurement;
-use crate::governor::{GovernorStep, GovernorTrace, RescueStep, RescueTrace};
+use crate::governor::{RescueStep, RescueTrace};
 use crate::sweep::VoltageSweep;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -239,27 +239,6 @@ pub fn encode_outcome(outcome: &CellOutcome) -> String {
             };
             format!("sweep {points} crashed_at={crashed}")
         }
-        CellOutcome::Governor(t) => {
-            let steps = if t.steps.is_empty() {
-                "-".to_string()
-            } else {
-                t.steps
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{},{:?},{},{:?},{}",
-                            s.batch,
-                            s.vccint_mv,
-                            s.faults,
-                            s.power_w,
-                            u8::from(s.crashed)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|")
-            };
-            format!("governor {steps} settled={:?}", t.settled_mv)
-        }
         CellOutcome::Degraded { measurement, trace } => {
             let steps = if trace.steps.is_empty() {
                 "-".to_string()
@@ -309,19 +288,6 @@ pub fn decode_outcome(payload: &str) -> Option<CellOutcome> {
                 points,
                 crashed_at_mv,
             }))
-        }
-        "governor" => {
-            let (steps_s, settled_s) = rest.rsplit_once(' ')?;
-            let settled_mv = settled_s.strip_prefix("settled=")?.parse().ok()?;
-            let steps = if steps_s == "-" {
-                Vec::new()
-            } else {
-                steps_s
-                    .split('|')
-                    .map(parse_governor_step)
-                    .collect::<Option<Vec<_>>>()?
-            };
-            Some(CellOutcome::Governor(GovernorTrace { steps, settled_mv }))
         }
         "degraded" => {
             let (rest, rescued_s) = rest.rsplit_once(' ')?;
@@ -383,24 +349,6 @@ fn parse_rescue_step(s: &str) -> Option<RescueStep> {
     })
 }
 
-fn parse_governor_step(s: &str) -> Option<GovernorStep> {
-    let f: Vec<&str> = s.split(',').collect();
-    if f.len() != 5 {
-        return None;
-    }
-    Some(GovernorStep {
-        batch: f[0].parse().ok()?,
-        vccint_mv: f[1].parse().ok()?,
-        faults: f[2].parse().ok()?,
-        power_w: f[3].parse().ok()?,
-        crashed: match f[4] {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,25 +381,6 @@ mod tests {
             CellOutcome::Sweep(VoltageSweep {
                 points: Vec::new(),
                 crashed_at_mv: None,
-            }),
-            CellOutcome::Governor(GovernorTrace {
-                steps: vec![
-                    GovernorStep {
-                        batch: 0,
-                        vccint_mv: 850.0,
-                        faults: 0,
-                        power_w: 12.5,
-                        crashed: false,
-                    },
-                    GovernorStep {
-                        batch: 1,
-                        vccint_mv: 545.5,
-                        faults: 3,
-                        power_w: 4.321,
-                        crashed: true,
-                    },
-                ],
-                settled_mv: 570.0,
             }),
             CellOutcome::Degraded {
                 measurement: sample_measurement(3.0),
@@ -494,25 +423,48 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_plans() {
-        let mk = |seed: u64, images: usize| {
+        let plan_of = |seed: u64, action: CellAction| {
             let mut plan = CampaignPlan::new(seed);
             plan.push(CellSpec {
                 config: AcceleratorConfig::tiny(BenchmarkId::VggNet),
-                action: CellAction::Measure {
-                    vccint_mv: None,
-                    images,
-                },
+                action,
                 force_temp_c: None,
             });
             plan
         };
+        let mk = |seed: u64, images: usize| {
+            plan_of(
+                seed,
+                CellAction::Measure {
+                    vccint_mv: None,
+                    images,
+                },
+            )
+        };
         assert_eq!(plan_fingerprint(&mk(1, 8)), plan_fingerprint(&mk(1, 8)));
         assert_ne!(plan_fingerprint(&mk(1, 8)), plan_fingerprint(&mk(2, 8)));
         assert_ne!(plan_fingerprint(&mk(1, 8)), plan_fingerprint(&mk(1, 9)));
+        // A rescued and a plain measurement of the same point can produce
+        // different outcomes, so neither may resume the other's journal.
+        let measure = plan_of(
+            1,
+            CellAction::Measure {
+                vccint_mv: Some(550.0),
+                images: 8,
+            },
+        );
+        let rescue = plan_of(
+            1,
+            CellAction::Rescue {
+                vccint_mv: 550.0,
+                images: 8,
+            },
+        );
+        assert_ne!(plan_fingerprint(&measure), plan_fingerprint(&rescue));
     }
 
     #[test]
-    fn fingerprint_partitions_defense_and_governor() {
+    fn fingerprint_partitions_every_config_field() {
         use redvolt_faults::bus::BusFaultProfile;
         use redvolt_nn::abft::DefenseMode;
         use redvolt_nn::models::ModelScale;
@@ -568,10 +520,6 @@ mod tests {
             },
             AcceleratorConfig {
                 defense: DefenseMode::Correct,
-                ..base
-            },
-            AcceleratorConfig {
-                governor: true,
                 ..base
             },
         ];

@@ -23,7 +23,8 @@
 //! * [`quantexp`] — undervolting × quantization (Fig. 7, §6.1).
 //! * [`mitigation`] — Razor-style detect-and-retry below the guardband
 //!   (the paper's §9 future-work item i).
-//! * [`governor`] — a closed-loop minimum-voltage tracker (§9 item ii).
+//! * [`governor`] — a closed-loop minimum-voltage tracker and the
+//!   adaptive rescue of one operating point (§9 item ii).
 //! * [`bramexp`] — the BRAM-rail separation study (§4.1 discussion).
 //! * [`pruneexp`] — undervolting × pruning (Fig. 8, §6.2).
 //! * [`tempexp`] — temperature effects (Figs. 9 & 10, §7).

@@ -456,6 +456,9 @@ pub fn run_supervised(
                 format!("journal entry for cell {index} is malformed"),
             ))
         };
+        if index >= plan.len() {
+            return Err(malformed());
+        }
         let (payload, telemetry) = split_telem(&entry.payload).ok_or_else(malformed)?;
         let outcome = decode_outcome(payload).ok_or_else(malformed)?;
         results.push(CellResult {

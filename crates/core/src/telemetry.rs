@@ -378,8 +378,8 @@ pub fn bus_stats_table(report: &CampaignReport) -> Table {
 }
 
 /// The SDC-defense summary the `repro` binary appends when a defense is
-/// armed: what ECC, ABFT and the scrubber absorbed, plus how many cells
-/// the governor settled at a degraded operating point. Integer-only and
+/// armed: what ECC, ABFT and the scrubber absorbed, plus how many rescue
+/// cells settled at a degraded operating point. Integer-only and
 /// journal-round-tripped, like [`bus_stats_table`].
 pub fn defense_stats_table(report: &CampaignReport) -> Table {
     let mut sum = CellTelemetry::default();

@@ -16,7 +16,6 @@
 
 use crate::event::Cycle;
 use redvolt_core::experiment::{Accelerator, AcceleratorConfig, MeasureError, Measurement};
-use redvolt_core::governor::BoardHealth;
 use redvolt_core::mitigation::{LadderMove, MitigationLadder};
 use redvolt_core::sweep::{descend, SweepConfig};
 use redvolt_dpu::runtime::RunError;
@@ -25,6 +24,7 @@ use redvolt_fpga::power::EnergyAccount;
 use redvolt_fpga::rails::RailId;
 use redvolt_nn::tensor::Tensor;
 use redvolt_num::rng::derive_substream_seed;
+use redvolt_telemetry::AttrValue;
 use std::ops::ControlFlow;
 
 /// Vmin-calibration settings.
@@ -162,9 +162,35 @@ impl FleetBoard {
         &self.acc
     }
 
-    /// Point-in-time health snapshot (router input).
-    pub fn health(&self) -> BoardHealth {
-        BoardHealth::of(&self.acc)
+    /// Point-in-time health reading as typed attributes, for the flight
+    /// recorder's board snapshots. Keys are stable export names; every
+    /// value derives from commanded state and seeded simulation counters,
+    /// so a snapshot is a pure function of `(seed, config, history)`.
+    /// `defense_events` is the SDC/ECC events less the delivered datapath
+    /// faults: ECC corrected and uncorrectable words plus ABFT mismatches.
+    pub(crate) fn health_attrs(&self) -> Vec<(String, AttrValue)> {
+        let snap = self.acc.board().snapshot();
+        let faults = self.acc.faults_observed();
+        vec![
+            ("vccint_mv".to_string(), AttrValue::F64(snap.vccint_mv)),
+            ("f_mhz".to_string(), AttrValue::F64(self.acc.clock_mhz())),
+            ("junction_c".to_string(), AttrValue::F64(snap.junction_c)),
+            ("power_w".to_string(), AttrValue::F64(snap.on_chip_power_w)),
+            ("crashed".to_string(), AttrValue::Bool(snap.crashed)),
+            (
+                "power_cycles".to_string(),
+                AttrValue::U64(snap.power_cycles),
+            ),
+            (
+                "defense_events".to_string(),
+                AttrValue::U64(self.acc.sdc_events() - faults),
+            ),
+            ("dpu_faults".to_string(), AttrValue::U64(faults)),
+            (
+                "cycles_run".to_string(),
+                AttrValue::U64(self.acc.cycles_run()),
+            ),
+        ]
     }
 
     /// Sets the DPU runtime's intra-batch image workers (bit-invariant
@@ -395,6 +421,42 @@ mod tests {
         assert!(exec.service_ref_cycles > 1000);
         assert!(exec.energy_j > 0.0);
         assert!((b.energy.total_j() - exec.energy_j).abs() < 1e-6);
+    }
+
+    #[test]
+    fn health_attrs_track_the_operating_point() {
+        let mut b = FleetBoard::bring_up(0, &config()).unwrap();
+        let acc = &mut b.acc;
+        acc.set_vccint_mv(600.0).unwrap();
+        acc.set_clock_mhz(283.0);
+        acc.measure(8).unwrap();
+        let attrs = b.health_attrs();
+        let keys: Vec<&str> = attrs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "vccint_mv",
+                "f_mhz",
+                "junction_c",
+                "power_w",
+                "crashed",
+                "power_cycles",
+                "defense_events",
+                "dpu_faults",
+                "cycles_run"
+            ]
+        );
+        let value = |key: &str| &attrs.iter().find(|(k, _)| k == key).unwrap().1;
+        // The PMBus VOUT command quantizes to the regulator's LSB, so the
+        // snapshot reads back near — not exactly at — the requested point.
+        let AttrValue::F64(vccint) = *value("vccint_mv") else {
+            panic!("vccint_mv is not an f64");
+        };
+        assert!((vccint - 600.0).abs() < 0.5, "vccint {vccint}");
+        assert_eq!(*value("f_mhz"), AttrValue::F64(283.0));
+        assert_eq!(*value("crashed"), AttrValue::Bool(false));
+        assert!(matches!(*value("cycles_run"), AttrValue::U64(c) if c > 0));
+        assert!(matches!(*value("power_w"), AttrValue::F64(p) if p > 0.0));
     }
 
     #[test]

@@ -147,10 +147,6 @@ impl ServeConfig {
             seed: self.seed,
             defense: self.defense,
             repetitions: 1,
-            // The fleet's governor owns mitigation. This flag only arms
-            // the adaptive rescue of campaign measurement cells
-            // (`executor::execute_cell_with`), which serving never runs.
-            governor: false,
             ..base
         }
     }
@@ -838,7 +834,7 @@ impl Sim<'_> {
     /// recorder, taken just before a post-mortem dump freezes the rings.
     fn snapshot_boards(&mut self, now: Cycle) {
         for b in &self.boards {
-            let mut attrs = b.fleet.health().attrs();
+            let mut attrs = b.fleet.health_attrs();
             attrs.push((
                 "queue_len".to_string(),
                 AttrValue::U64(b.queue.len() as u64),

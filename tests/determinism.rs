@@ -13,7 +13,7 @@ use redvolt_faults::bus::BusFaultProfile;
 use redvolt_nn::abft::DefenseMode;
 
 /// A small mixed-action plan covering every [`CellAction`] variant: a
-/// sweep grid over two benchmarks × two boards, plus a governor cell and
+/// sweep grid over two benchmarks × two boards, plus a rescue cell and
 /// two measurement cells.
 fn mixed_plan(master_seed: u64) -> CampaignPlan {
     let base = AcceleratorConfig {
@@ -36,9 +36,9 @@ fn mixed_plan(master_seed: u64) -> CampaignPlan {
     );
     plan.push(CellSpec {
         config: base,
-        action: CellAction::Governor {
-            batch_images: 8,
-            batches: 6,
+        action: CellAction::Rescue {
+            vccint_mv: 550.0,
+            images: 12,
         },
         force_temp_c: None,
     });
@@ -102,14 +102,29 @@ fn heavy_fault_plan(master_seed: u64) -> CampaignPlan {
     heavy_fault_plan_with(master_seed, DefenseMode::Off, false)
 }
 
-fn heavy_fault_plan_with(master_seed: u64, defense: DefenseMode, governor: bool) -> CampaignPlan {
+/// [`heavy_fault_plan`] under `defense`; with `rescue`, its two sub-Vmin
+/// measurement cells are [`CellAction::Rescue`] cells at the same plan
+/// indices, so they keep their derived seeds.
+fn heavy_fault_plan_with(master_seed: u64, defense: DefenseMode, rescue: bool) -> CampaignPlan {
     let base = AcceleratorConfig {
         eval_images: 12,
         repetitions: 2,
         bus_faults: BusFaultProfile::heavy(),
         defense,
-        governor,
         ..AcceleratorConfig::tiny(BenchmarkId::VggNet)
+    };
+    let measure = |vccint_mv: f64| {
+        if rescue {
+            CellAction::Rescue {
+                vccint_mv,
+                images: 12,
+            }
+        } else {
+            CellAction::Measure {
+                vccint_mv: Some(vccint_mv),
+                images: 12,
+            }
+        }
     };
     let sweep = SweepConfig {
         start_mv: 620.0,
@@ -126,18 +141,12 @@ fn heavy_fault_plan_with(master_seed: u64, defense: DefenseMode, governor: bool)
     );
     plan.push(CellSpec {
         config: base,
-        action: CellAction::Measure {
-            vccint_mv: Some(550.0),
-            images: 12,
-        },
+        action: measure(550.0),
         force_temp_c: None,
     });
     plan.push(CellSpec {
         config: AcceleratorConfig { bits: 6, ..base },
-        action: CellAction::Measure {
-            vccint_mv: Some(560.0),
-            images: 12,
-        },
+        action: measure(560.0),
         force_temp_c: Some(45.0),
     });
     plan
@@ -221,12 +230,13 @@ fn report_metadata_reflects_the_schedule_without_affecting_payload() {
     assert!(report.timing_table().to_text().contains("Seconds"));
 }
 
-/// The issue's acceptance criterion for the SDC defense: the same
-/// heavy-fault sub-Vmin campaign, run with `--defense correct
-/// --governor`, must finish with zero silently-corrupted measurement
-/// payloads — every measure cell either reports a clean point or comes
-/// back as [`CellOutcome::Degraded`] whose settled measurement is clean
-/// and whose rescue trace records the intervention. The defended payload
+/// The acceptance criterion for the SDC defense: the same heavy-fault
+/// sub-Vmin campaign, run under `DefenseMode::Correct` with its two
+/// measurement cells as [`CellAction::Rescue`] cells, must finish with
+/// zero silently-corrupted measurement payloads — every rescue cell
+/// either reports a clean point or comes back as
+/// [`CellOutcome::Degraded`] whose settled measurement is clean and whose
+/// rescue trace records the intervention. The defended payload
 /// stays a pure function of (seed, plan): byte-identical across job
 /// counts and pinned by its own golden (the undefended golden above is
 /// untouched, proving `--defense off` still reproduces the faulty
@@ -268,7 +278,7 @@ fn defended_campaign_degrades_instead_of_corrupting() {
     }
     assert!(
         degraded >= 1,
-        "the sub-Vmin measure cells must trip the governor"
+        "the sub-Vmin rescue cells must trip the rescue"
     );
 
     let csv = report.to_csv();
@@ -291,8 +301,8 @@ fn defended_campaign_degrades_instead_of_corrupting() {
 /// attempt)`, so the payload is byte-identical across the full
 /// `jobs × image_jobs` grid — including deep in the faulting regime
 /// (heavy PMBus faults, sub-Vmin DPU flips) and with the full defense
-/// stack armed (`--defense correct --governor`, whose ECC/ABFT/governor
-/// decisions all consume the same per-image streams).
+/// stack armed (`DefenseMode::Correct` and rescue cells, whose
+/// ECC/ABFT/rescue decisions all consume the same per-image streams).
 #[test]
 fn image_sharding_is_payload_invariant_under_heavy_faults() {
     for (tag, plan) in [

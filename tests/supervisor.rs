@@ -54,7 +54,8 @@ fn panicking_cell() -> CellSpec {
 }
 
 /// A six-cell mixed plan whose cells all carry a nonzero PMBus fault
-/// profile — sweeps, a governor run and plain measurements.
+/// profile — sweeps, a sub-Vmin rescue that degrades, and plain
+/// measurements.
 fn faulty_plan(master_seed: u64) -> CampaignPlan {
     let faulty = |benchmark, board| AcceleratorConfig {
         bus_faults: BusFaultProfile::light(),
@@ -76,9 +77,9 @@ fn faulty_plan(master_seed: u64) -> CampaignPlan {
     }
     plan.push(CellSpec {
         config: faulty(BenchmarkId::GoogleNet, 2),
-        action: CellAction::Governor {
-            batch_images: 8,
-            batches: 6,
+        action: CellAction::Rescue {
+            vccint_mv: 550.0,
+            images: 12,
         },
         force_temp_c: None,
     });
@@ -107,6 +108,21 @@ fn faulty_plan(master_seed: u64) -> CampaignPlan {
         force_temp_c: None,
     });
     plan
+}
+
+/// A sweep of every 5 mV step from 850 to 560 mV: long enough to outlive
+/// a small cycle budget or wall-clock cap.
+fn long_sweep_cell(config: AcceleratorConfig) -> CellSpec {
+    CellSpec {
+        config,
+        action: CellAction::Sweep(SweepConfig {
+            start_mv: 850.0,
+            stop_mv: 560.0,
+            step_mv: 5.0,
+            images: 12,
+        }),
+        force_temp_c: None,
+    }
 }
 
 fn temp_journal(tag: &str) -> PathBuf {
@@ -150,8 +166,14 @@ fn interrupted_plus_resume_merges_to_uninterrupted_bytes() {
     // The reference: one uninterrupted supervised run, no journal.
     let straight = run_supervised(&plan, 1, &SupervisorConfig::default(), None, None)
         .unwrap()
-        .report
-        .to_csv();
+        .report;
+    // The rescue cell degrades, so a degraded outcome goes through the
+    // journal: written before the halt at jobs 4, read back on resume.
+    assert!(matches!(
+        straight.results[2].outcome,
+        CellOutcome::Degraded { .. }
+    ));
+    let straight = straight.to_csv();
     assert!(!straight.is_empty());
 
     for (jobs, kill_at) in [(1usize, 2usize), (4, 3)] {
@@ -256,9 +278,15 @@ fn resume_rejects_an_entry_without_its_telemetry_blob() {
     let (payload, _) = entry
         .rsplit_once(" telem=")
         .expect("every written entry carries its telemetry blob");
-    // Hand-edited entries: the blob cut off, and a blob that does not
-    // decode. Resuming either would report all-zero telemetry for cell 0.
-    for damaged in [payload.to_string(), format!("{payload} telem=1,2,3")] {
+    let past_the_plan = format!("cell 2 {}", entry.strip_prefix("cell 0 ").unwrap());
+    // Hand-edited or corrupted entries: the blob cut off and a blob that
+    // does not decode (resuming either would report all-zero telemetry
+    // for cell 0), and a whole entry re-indexed past the plan's last cell.
+    for (damaged, cell) in [
+        (payload.to_string(), 0),
+        (format!("{payload} telem=1,2,3"), 0),
+        (past_the_plan, 2),
+    ] {
         std::fs::write(&path, format!("{header}\n{damaged}\n")).unwrap();
         let err = run_supervised(
             &plan,
@@ -270,7 +298,7 @@ fn resume_rejects_an_entry_without_its_telemetry_blob() {
         .unwrap_err();
         assert!(
             err.to_string()
-                .contains("journal entry for cell 0 is malformed"),
+                .contains(&format!("journal entry for cell {cell} is malformed")),
             "{err}"
         );
     }
@@ -313,17 +341,10 @@ fn crashing_cell_is_retried_to_exhaustion_with_attempts_recorded() {
 
 #[test]
 fn cycle_budget_reaps_runaway_cells_deterministically() {
-    // A governor run costs far more cycles than one tiny measurement; a
+    // A long sweep costs far more cycles than one tiny measurement; a
     // small budget kills the former and spares the latter.
     let mut plan = CampaignPlan::new(23);
-    plan.push(CellSpec {
-        config: tiny_config(BenchmarkId::VggNet, 0),
-        action: CellAction::Governor {
-            batch_images: 8,
-            batches: 50,
-        },
-        force_temp_c: None,
-    });
+    plan.push(long_sweep_cell(tiny_config(BenchmarkId::VggNet, 0)));
     plan.push(measure_cell(BenchmarkId::VggNet, 1, None));
 
     let config = SupervisorConfig {
@@ -348,22 +369,15 @@ fn cycle_budget_reaps_runaway_cells_deterministically() {
 
 #[test]
 fn wall_clock_watchdog_reaps_hung_cells() {
-    // A paper-scale governor cell takes seconds; a 10 ms cap fires first.
-    // The reaped attempt's thread is detached and finishes on its own.
+    // A paper-scale sweep takes seconds; a 10 ms cap fires first. The
+    // reaped attempt's thread is detached and finishes on its own.
     let mut plan = CampaignPlan::new(29);
-    plan.push(CellSpec {
-        config: AcceleratorConfig {
-            eval_images: 32,
-            repetitions: 1,
-            scale: redvolt::nn::models::ModelScale::Paper,
-            ..AcceleratorConfig::tiny(BenchmarkId::GoogleNet)
-        },
-        action: CellAction::Governor {
-            batch_images: 32,
-            batches: 40,
-        },
-        force_temp_c: None,
-    });
+    plan.push(long_sweep_cell(AcceleratorConfig {
+        eval_images: 32,
+        repetitions: 1,
+        scale: redvolt::nn::models::ModelScale::Paper,
+        ..AcceleratorConfig::tiny(BenchmarkId::GoogleNet)
+    }));
     let config = SupervisorConfig {
         max_attempts: 2,
         wall_cap: Duration::from_millis(10),

@@ -27,27 +27,24 @@ fn heavy_plan(master_seed: u64) -> CampaignPlan {
         bus_faults: BusFaultProfile::heavy(),
         ..AcceleratorConfig::tiny(benchmark)
     };
+    let sweep = CellAction::Sweep(SweepConfig {
+        start_mv: 620.0,
+        stop_mv: 580.0,
+        step_mv: 20.0,
+        images: 12,
+    });
     let mut plan = CampaignPlan::new(master_seed);
-    for board in [0u32, 1] {
+    for (benchmark, board) in [
+        (BenchmarkId::VggNet, 0u32),
+        (BenchmarkId::VggNet, 1),
+        (BenchmarkId::GoogleNet, 2),
+    ] {
         plan.push(CellSpec {
-            config: heavy(BenchmarkId::VggNet, board),
-            action: CellAction::Sweep(SweepConfig {
-                start_mv: 620.0,
-                stop_mv: 580.0,
-                step_mv: 20.0,
-                images: 12,
-            }),
+            config: heavy(benchmark, board),
+            action: sweep.clone(),
             force_temp_c: None,
         });
     }
-    plan.push(CellSpec {
-        config: heavy(BenchmarkId::GoogleNet, 2),
-        action: CellAction::Governor {
-            batch_images: 8,
-            batches: 4,
-        },
-        force_temp_c: None,
-    });
     plan.push(CellSpec {
         config: heavy(BenchmarkId::AlexNet, 0),
         action: CellAction::Measure {
