@@ -61,6 +61,7 @@ use redvolt_dpu::runtime::RunError;
 use redvolt_num::par;
 use redvolt_telemetry::progress::ProgressReporter;
 use redvolt_telemetry::SpanRing;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
@@ -338,6 +339,40 @@ fn supervise_cell(
     unreachable!("loop returns on every branch of the final attempt")
 }
 
+/// The results of the journaled cells, in plan order: each entry's index
+/// range, outcome and telemetry blob decoded. Telemetry scalars
+/// round-trip through the journal; spans do not (the resume contract
+/// covers metrics, not span streams).
+fn rehydrate(
+    plan: &CampaignPlan,
+    journaled: &BTreeMap<usize, JournalEntry>,
+) -> Result<Vec<CellResult>, SupervisorError> {
+    journaled
+        .iter()
+        .map(|(&index, entry)| {
+            let malformed = || {
+                SupervisorError::Journal(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("journal entry for cell {index} is malformed"),
+                ))
+            };
+            if index >= plan.len() {
+                return Err(malformed());
+            }
+            let (payload, telemetry) = split_telem(&entry.payload).ok_or_else(malformed)?;
+            Ok(CellResult {
+                index,
+                spec: plan.cell(index),
+                outcome: decode_outcome(payload).ok_or_else(malformed)?,
+                elapsed: Duration::ZERO,
+                worker: 0,
+                attempts: entry.attempts,
+                telemetry,
+            })
+        })
+        .collect()
+}
+
 /// Runs `plan` under supervision across `jobs` workers (0 = available
 /// parallelism), optionally journaling progress for resume.
 ///
@@ -353,8 +388,10 @@ fn supervise_cell(
 ///
 /// # Errors
 ///
-/// Only journal I/O fails the call; cell-level failures are recorded as
-/// [`CellOutcome::Aborted`] outcomes inside the report.
+/// Only the journal fails the call: I/O, or a resumed journal with a
+/// malformed entry, which is refused before any cell runs. Cell-level
+/// failures are recorded as [`CellOutcome::Aborted`] outcomes inside the
+/// report.
 pub fn run_supervised(
     plan: &CampaignPlan,
     jobs: usize,
@@ -365,28 +402,29 @@ pub fn run_supervised(
     let started = Instant::now();
     let meta = plan_meta(plan);
 
-    // Load the journaled prefix (resume) and open the writer.
-    let (journaled, writer) = match journal {
+    // Decode the journaled prefix (resume), refusing a malformed entry
+    // before any cell runs, then open the writer.
+    let (resumed, writer) = match journal {
         Some(spec) => {
-            let existing = if spec.resume {
-                read_journal(&spec.path, &meta)?
+            let resumed = if spec.resume {
+                rehydrate(plan, &read_journal(&spec.path, &meta)?)?
             } else {
-                Default::default()
+                Vec::new()
             };
             let writer = if spec.resume && spec.path.exists() {
                 JournalWriter::append_to(&spec.path)?
             } else {
                 JournalWriter::create(&spec.path, &meta)?
             };
-            (existing, Some(writer))
+            (resumed, Some(writer))
         }
-        None => (Default::default(), None),
+        None => (Vec::new(), None),
     };
 
     // Cells still to execute, in plan order; `halt_after` truncates the
     // schedule at a deterministic point regardless of worker count.
     let mut pending: Vec<usize> = (0..plan.len())
-        .filter(|i| !journaled.contains_key(i))
+        .filter(|i| resumed.binary_search_by_key(i, |r| r.index).is_err())
         .collect();
     let interrupted = match config.halt_after {
         Some(k) if pending.len() > k => {
@@ -445,32 +483,8 @@ pub fn run_supervised(
     }
 
     // Merge journaled + fresh results in plan order.
-    let resumed_cells = journaled.len();
-    let mut results: Vec<CellResult> = Vec::with_capacity(journaled.len() + fresh.len());
-    for (&index, entry) in &journaled {
-        // Telemetry scalars round-trip through the journal; spans do not
-        // (the resume contract covers metrics, not span streams).
-        let malformed = || {
-            SupervisorError::Journal(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("journal entry for cell {index} is malformed"),
-            ))
-        };
-        if index >= plan.len() {
-            return Err(malformed());
-        }
-        let (payload, telemetry) = split_telem(&entry.payload).ok_or_else(malformed)?;
-        let outcome = decode_outcome(payload).ok_or_else(malformed)?;
-        results.push(CellResult {
-            index,
-            spec: plan.cell(index),
-            outcome,
-            elapsed: Duration::ZERO,
-            worker: 0,
-            attempts: entry.attempts,
-            telemetry,
-        });
-    }
+    let resumed_cells = resumed.len();
+    let mut results = resumed;
     results.extend(fresh);
     results.sort_by_key(|r| r.index);
 

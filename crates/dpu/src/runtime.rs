@@ -21,13 +21,14 @@ use redvolt_fpga::ecc::Scrubber;
 use redvolt_fpga::power::LoadProfile;
 use redvolt_nn::abft::{DefenseMode, DefenseStats};
 use redvolt_nn::graph::{Graph, GraphError};
-use redvolt_nn::quant::{ExecScratch, NoFaults, QuantizedGraph};
-use redvolt_nn::tensor::Tensor;
+use redvolt_nn::quant::{CleanPrefix, ExecScratch, NoFaults, QuantizedGraph};
+use redvolt_nn::tensor::{QTensor, Tensor};
 use redvolt_num::par;
 use redvolt_num::rng::derive_substream_seed;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Derives the fault-stream seed for one execution of one image of a
 /// batch.
@@ -103,9 +104,11 @@ pub struct DpuTask {
     /// instruction mixes stress the DSP cascades slightly harder, giving
     /// the paper's "slight workload-to-workload variation" in Fig. 3.
     critical_path_factor: f64,
-    /// Clean predictions of the images this task has executed, reused by
-    /// every execution that draws no fault.
-    golden: GoldenMemo,
+    /// Clean runs of the images this task and its clones have executed:
+    /// an execution that draws no fault takes the prediction, a faulted
+    /// one resumes after its fault-free prefix. Shared by every clone,
+    /// since it belongs to the prepared model like the weights do.
+    golden: Arc<GoldenMemo>,
 }
 
 impl DpuTask {
@@ -141,7 +144,7 @@ impl DpuTask {
             nominal_gops,
             crash_slack_ratio: DENSE_CRASH_SLACK_RATIO,
             critical_path_factor: 1.0 + 0.006 * fc_share,
-            golden: GoldenMemo::default(),
+            golden: Arc::default(),
         })
     }
 
@@ -152,10 +155,11 @@ impl DpuTask {
     }
 
     /// The task's quantized model (e.g. for calibrated label generation).
-    /// Forgets the clean predictions remembered so far, since the caller
-    /// may change the model.
+    /// The caller may change the model, so this task leaves the clean
+    /// runs it shared with its clones and starts a memo of its own; the
+    /// clones keep theirs.
     pub fn model_mut(&mut self) -> &mut QuantizedGraph {
-        self.golden = GoldenMemo::default();
+        self.golden = Arc::default();
         &mut self.qgraph
     }
 
@@ -201,90 +205,153 @@ pub struct BatchResult {
     pub unresolved_images: u64,
 }
 
-/// Most distinct images a task remembers the clean prediction of; later
-/// images are recomputed, never evicted. Campaign cells and serving
-/// boards evaluate at most 100 distinct images.
+/// Most distinct images a prepared workload remembers the clean run of;
+/// later images are never remembered and nothing is evicted. Every
+/// campaign cell and serving board of a workload draws from its
+/// evaluation set, at most 100 images by default. An entry holds the
+/// image and every node's activation codes, 167 KB of codes for
+/// paper-scale ResNet50.
 const GOLDEN_MEMO_CAPACITY: usize = 256;
 
-/// Clean ([`NoFaults`]) predictions of the images a task has executed,
-/// keyed by each image's exact bits: a hash indexes the entries and bit
-/// equality decides a hit. Image-shard workers share one memo. A clone
-/// starts empty, so a prepared workload never hands its results to the
-/// next cell.
+/// Elements of an image, evenly spaced, that the memo's hash reads.
+const HASH_SAMPLES: usize = 64;
+
+/// One image's clean ([`NoFaults`], undefended) run on a task's model. A
+/// fault-free pass cannot mismatch, so every defense mode predicts the
+/// same.
+struct CleanRun {
+    image: Tensor,
+    prediction: usize,
+    /// Every node's activation, the source of a resumed execution's
+    /// prefix.
+    acts: Vec<QTensor>,
+}
+
+/// The clean runs of the images a prepared workload has executed, shared
+/// by every clone of its task and all their image-shard workers. An entry
+/// is found through a hash of a fixed sample of the image's elements and
+/// its dims; a full bit compare decides a hit, and images that share a
+/// sample hash are separate entries. The lock is held only to read or add
+/// an entry, never across a forward pass or a bit compare.
+///
+/// The counters are process state for tests: lookups that found the
+/// image, lookups that did not, and faulted executions resumed from a
+/// clean run. No export reads them.
 #[derive(Default)]
 struct GoldenMemo {
-    entries: Mutex<HashMap<u64, (Tensor, usize)>>,
+    entries: Mutex<MemoEntries>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    resumed: AtomicU64,
+}
+
+/// The memo's entries by sample hash, and how many there are in all.
+#[derive(Default)]
+struct MemoEntries {
+    by_hash: HashMap<u64, Vec<Arc<CleanRun>>>,
+    len: usize,
 }
 
 impl GoldenMemo {
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, (Tensor, usize)>> {
+    fn lock(&self) -> MutexGuard<'_, MemoEntries> {
         // Entries are inserted whole and no inference runs under the
         // lock, so even a poisoned map holds only complete entries.
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The `NoFaults` prediction of `image`: remembered, or computed
-    /// undefended on `scratch` and remembered while there is room (a
-    /// fault-free pass cannot mismatch, so every mode predicts the same).
-    fn clean_prediction(
+    /// The entry for `image` among those with sample hash `key`, comparing
+    /// from the `seen`-th on and advancing `seen` past every mismatch.
+    fn find(&self, key: u64, image: &Tensor, seen: &mut usize) -> Option<Arc<CleanRun>> {
+        loop {
+            let run = self.lock().by_hash.get(&key)?.get(*seen).cloned()?;
+            if same_bits(&run.image, image) {
+                return Some(run);
+            }
+            *seen += 1;
+        }
+    }
+
+    /// The clean run of `image`: remembered, or computed on `scratch` and
+    /// remembered. `None`, with nothing computed, when the memo is full
+    /// and lacks the image.
+    fn clean_run(
         &self,
         graph: &QuantizedGraph,
         image: &Tensor,
         scratch: &mut ExecScratch,
-    ) -> Result<usize, GraphError> {
-        let key = image_hash(image);
-        if let Some((seen, prediction)) = self.lock().get(&key) {
-            if same_bits(seen, image) {
-                return Ok(*prediction);
+    ) -> Result<Option<Arc<CleanRun>>, GraphError> {
+        let key = sample_hash(image);
+        let mut seen = 0;
+        if let Some(run) = self.find(key, image, &mut seen) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Some(run));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if self.lock().len >= GOLDEN_MEMO_CAPACITY {
+            return Ok(None);
+        }
+        let prediction = clean_prediction(graph, image, scratch)?;
+        let run = Arc::new(CleanRun {
+            image: image.clone(),
+            prediction,
+            acts: scratch.activations().to_vec(),
+        });
+        // Another worker may have added entries under this hash since the
+        // lookup; compare them outside the lock before adding this one.
+        loop {
+            if let Some(added) = self.find(key, image, &mut seen) {
+                return Ok(Some(added));
+            }
+            let mut entries = self.lock();
+            let MemoEntries { by_hash, len } = &mut *entries;
+            if by_hash.get(&key).map_or(0, Vec::len) == seen {
+                if *len < GOLDEN_MEMO_CAPACITY {
+                    by_hash.entry(key).or_default().push(Arc::clone(&run));
+                    *len += 1;
+                }
+                return Ok(Some(run));
             }
         }
-        let prediction = graph.predict_shared(
-            image,
-            &mut NoFaults,
-            DefenseMode::Off,
-            scratch,
-            &mut DefenseStats::default(),
-        )?;
-        let mut entries = self.lock();
-        if entries.len() < GOLDEN_MEMO_CAPACITY {
-            entries
-                .entry(key)
-                .or_insert_with(|| (image.clone(), prediction));
-        }
-        Ok(prediction)
-    }
-}
-
-impl Clone for GoldenMemo {
-    fn clone(&self) -> Self {
-        GoldenMemo::default()
     }
 }
 
 impl fmt::Debug for GoldenMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GoldenMemo")
-            .field("entries", &self.lock().len())
+            .field("entries", &self.lock().len)
             .finish()
     }
 }
 
-/// Hash of an image's shape and exact bits (indexes the memo only). The
-/// bits fold in eight independent lanes, so consecutive elements do not
-/// wait on each other's multiply; the lanes, the dims and the tail past
-/// the last whole chunk of eight fold into one value at the end.
-fn image_hash(image: &Tensor) -> u64 {
+/// The undefended [`NoFaults`] prediction of `image`, computed on
+/// `scratch`, which keeps every node's activation.
+fn clean_prediction(
+    graph: &QuantizedGraph,
+    image: &Tensor,
+    scratch: &mut ExecScratch,
+) -> Result<usize, GraphError> {
+    graph.predict_shared(
+        image,
+        CleanPrefix::default(),
+        &mut NoFaults,
+        DefenseMode::Off,
+        scratch,
+        &mut DefenseStats::default(),
+    )
+}
+
+/// Hash of an image's dims and the exact bits of [`HASH_SAMPLES`] of its
+/// elements, evenly spaced (all of a smaller image's). It only finds the
+/// memo entries to compare: images that differ elsewhere share it.
+fn sample_hash(image: &Tensor) -> u64 {
     let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    let chunks = image.data().chunks_exact(8);
-    let tail = chunks.remainder().iter().map(|v| u64::from(v.to_bits()));
-    let lanes = chunks.fold([0u64; 8], |mut lanes, chunk| {
-        for (h, v) in lanes.iter_mut().zip(chunk) {
-            *h = mix(*h, u64::from(v.to_bits()));
-        }
-        lanes
-    });
+    let data = image.data();
     let dims = [image.h(), image.w(), image.c()].map(|d| d as u64);
-    lanes.into_iter().chain(dims).chain(tail).fold(0, mix)
+    data.iter()
+        .step_by((data.len() / HASH_SAMPLES).max(1))
+        .map(|v| u64::from(v.to_bits()))
+        .chain(dims)
+        .fold(0, mix)
 }
 
 /// Whether two images have the same shape and the same bits. Compares
@@ -316,10 +383,15 @@ struct ImageRun {
 /// `max_retries` allows, the image re-executes on the next attempt's
 /// stream. Counters cover every attempt; the outcome is the last one's.
 ///
-/// An attempt whose fault stream draws nothing is a clean execution: it
-/// takes the memoized clean prediction and the ABFT checks a fault-free
-/// pass counts, and never runs the forward pass. Every attempt that
-/// draws any event, ECC-corrected ones included, executes in full.
+/// Each attempt first dry-runs its fault stream
+/// ([`QuantizedGraph::first_faulted_node`]) and takes the image's clean
+/// run from the task's memo. An attempt that draws nothing is a clean
+/// execution: it takes the clean prediction and the ABFT checks a
+/// fault-free pass counts, and runs no forward pass. An attempt that
+/// draws any event, ECC-corrected ones included, copies the activations
+/// before its first faulted node from the clean run and executes from
+/// that node on; from the input when the memo is full and lacks the
+/// image.
 #[allow(clippy::too_many_arguments)]
 fn run_one_image(
     task: &DpuTask,
@@ -335,24 +407,46 @@ fn run_one_image(
     let mut defense = DefenseStats::default();
     let (mut latent, mut injected) = (0, 0);
     let mut attempt = 0;
-    let graph = &task.qgraph;
+    let (graph, image, memo) = (&task.qgraph, &images[index], &*task.golden);
     loop {
         let stream = board_injector(board, image_stream_seed(seed, index as u64, attempt));
-        let (outcome, faulted) = if graph.draws_no_faults(&mut stream.clone()) {
-            let outcome = task.golden.clean_prediction(graph, &images[index], scratch);
-            if outcome.is_ok() {
-                defense.merge(&graph.fault_free_defense_stats(mode));
+        let first_faulted = graph.first_faulted_node(&mut stream.clone());
+        let clean = memo.clean_run(graph, image, scratch);
+        let (outcome, faulted) = match first_faulted {
+            None => {
+                let outcome = match clean {
+                    Ok(Some(run)) => Ok(run.prediction),
+                    Ok(None) => clean_prediction(graph, image, scratch),
+                    Err(e) => Err(e),
+                };
+                if outcome.is_ok() {
+                    defense.merge(&graph.fault_free_defense_stats(mode));
+                }
+                (outcome, false)
             }
-            (outcome, false)
-        } else {
-            let mut injector = EccInjector::new(stream, mode);
-            let outcome =
-                graph.predict_shared(&images[index], &mut injector, mode, scratch, &mut defense);
-            ecc.merge(&injector.stats());
-            latent += injector.take_latent();
-            let inner = injector.into_inner();
-            injected += inner.injected_count();
-            (outcome, inner.event_count() > 0)
+            Some(node) => {
+                // A clean run fails only on the image's shape, which the
+                // execution reports too.
+                let clean = clean.ok().flatten();
+                let prefix = match &clean {
+                    Some(run) => {
+                        memo.resumed.fetch_add(1, Ordering::Relaxed);
+                        CleanPrefix {
+                            node,
+                            acts: &run.acts,
+                        }
+                    }
+                    None => CleanPrefix::default(),
+                };
+                let mut injector = EccInjector::new(stream, mode);
+                let outcome =
+                    graph.predict_shared(image, prefix, &mut injector, mode, scratch, &mut defense);
+                ecc.merge(&injector.stats());
+                latent += injector.take_latent();
+                let inner = injector.into_inner();
+                injected += inner.injected_count();
+                (outcome, inner.event_count() > 0)
+            }
         };
         if !faulted || outcome.is_err() || attempt == max_retries {
             return ImageRun {
@@ -918,9 +1012,10 @@ mod tests {
         // any image-shard worker count reproduces the sequential batch —
         // predictions, Razor attempts, fault counts, ECC/ABFT events,
         // cycle meter and scrubber — with and without a retry budget. Each
-        // configuration runs twice on one task, its clean-prediction memo
+        // configuration runs twice on one task, its memo of clean runs
         // cold and then warm: at 600 mV every execution reuses a clean
-        // prediction, at 542 mV only those that draw no fault.
+        // prediction, at 542 mV those that draw a fault resume after
+        // their fault-free prefix.
         for mv in [0.600, 0.542] {
             for retries in [0u32, 6] {
                 let run = |jobs: usize| {
@@ -958,7 +1053,7 @@ mod tests {
     fn changing_the_model_forgets_remembered_predictions() {
         let (mut rt, mut task, images) = setup();
         let before = rt.run_batch(&task, &images, 1, 0).unwrap().predictions;
-        assert_eq!(task.golden.lock().len(), images.len());
+        assert_eq!(task.golden.lock().len, images.len());
         // Retrain the readout towards other labels through the task.
         let shuffled: Vec<usize> = before.iter().map(|p| (p + 1) % 10).collect();
         task.model_mut()
@@ -972,13 +1067,76 @@ mod tests {
         assert_eq!(after.predictions, expected);
     }
 
+    /// The memo's hit, miss and resumed-execution counters.
+    fn memo_counts(task: &DpuTask) -> [u64; 3] {
+        let memo = &task.golden;
+        [&memo.hits, &memo.misses, &memo.resumed].map(|c| c.load(Ordering::Relaxed))
+    }
+
     #[test]
-    fn a_cloned_task_starts_with_an_empty_memo() {
+    fn a_cloned_task_shares_the_memo() {
         let (mut rt, task, images) = setup();
+        let n = images.len() as u64;
         rt.run_batch(&task, &images, 1, 0).unwrap();
+        assert_eq!(memo_counts(&task), [0, n, 0], "one miss per distinct image");
         let clone = task.clone();
-        assert_eq!(task.golden.lock().len(), images.len());
-        assert_eq!(clone.golden.lock().len(), 0);
+        assert!(Arc::ptr_eq(&task.golden, &clone.golden));
+        rt.run_batch(&clone, &images, 1, 0).unwrap();
+        assert_eq!(memo_counts(&task), [n, n, 0], "the clone's batch only hits");
+        assert_eq!(task.golden.lock().len, images.len());
+    }
+
+    #[test]
+    fn changing_a_clones_model_leaves_the_original_memo_alone() {
+        let (mut rt, task, images) = setup();
+        let n = images.len() as u64;
+        rt.run_batch(&task, &images, 1, 0).unwrap();
+        let mut clone = task.clone();
+        clone.model_mut();
+        rt.run_batch(&clone, &images, 1, 0).unwrap();
+        assert_eq!(memo_counts(&clone), [0, n, 0], "a fresh memo");
+        assert_eq!(memo_counts(&task), [0, n, 0]);
+        assert_eq!(task.golden.lock().len, images.len());
+    }
+
+    #[test]
+    fn a_warm_batch_resumes_faulted_executions_from_the_clean_run() {
+        let (mut rt, task, images) = setup();
+        let mut host = PmbusAdapter::new();
+        host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
+        let cold = rt.run_batch(&task, &images, 1, 0).unwrap();
+        let [_, misses, resumed] = memo_counts(&task);
+        let warm = rt.run_batch(&task, &images, 1, 0).unwrap();
+        let [hits, warm_misses, warm_resumed] = memo_counts(&task);
+        assert_eq!(warm, cold);
+        assert_eq!((hits, warm_misses), (images.len() as u64, misses));
+        assert!(warm_resumed > resumed, "no execution resumed");
+        // Each image's full execution from the input, without the memo.
+        let mut scratch = ExecScratch::new();
+        let mut injected = 0;
+        let full: Vec<usize> = images
+            .iter()
+            .enumerate()
+            .map(|(i, image)| {
+                let stream = board_injector(rt.board(), image_stream_seed(1, i as u64, 0));
+                let mut injector = EccInjector::new(stream, DefenseMode::Off);
+                let prediction = task
+                    .qgraph
+                    .predict_shared(
+                        image,
+                        CleanPrefix::default(),
+                        &mut injector,
+                        DefenseMode::Off,
+                        &mut scratch,
+                        &mut DefenseStats::default(),
+                    )
+                    .unwrap();
+                injected += injector.into_inner().injected_count();
+                prediction
+            })
+            .collect();
+        assert_eq!(warm.predictions, full);
+        assert_eq!(warm.injected_faults, injected);
     }
 
     #[test]
@@ -997,13 +1155,15 @@ mod tests {
         assert!(!same_bits(&pos, &neg));
         assert!(!same_bits(&nan_a, &nan_b));
         assert!(same_bits(&nan_a, &nan_a.clone()));
+        // The hash samples no element 5, so all four share one hash.
+        assert!([&neg, &nan_a, &nan_b].map(sample_hash) == [sample_hash(&pos); 3]);
         let mut scratch = ExecScratch::new();
         for image in [&pos, &neg, &nan_a, &nan_b, &neg, &nan_a] {
             task.golden
-                .clean_prediction(&task.qgraph, image, &mut scratch)
+                .clean_run(&task.qgraph, image, &mut scratch)
                 .unwrap();
         }
-        assert_eq!(task.golden.lock().len(), 4, "one entry per bit pattern");
+        assert_eq!(task.golden.lock().len, 4, "one entry per bit pattern");
     }
 
     #[test]
@@ -1011,9 +1171,20 @@ mod tests {
         let (mut rt, mut task, _) = setup();
         let images = SyntheticDataset::new(32, 32, 3, 10, 7).images(GOLDEN_MEMO_CAPACITY + 8);
         let batch = rt.run_batch(&task, &images, 1, 0).unwrap();
-        assert_eq!(task.golden.lock().len(), GOLDEN_MEMO_CAPACITY);
+        assert_eq!(task.golden.lock().len, GOLDEN_MEMO_CAPACITY);
         let again = rt.run_batch(&task, &images, 1, 0).unwrap();
         assert_eq!(again.predictions, batch.predictions);
+        // The faulted executions of images past the bound run from the
+        // input: no clean run to resume from.
+        let mut host = PmbusAdapter::new();
+        host.set_vout(rt.board_mut(), 0x13, 0.542).unwrap();
+        let [_, _, resumed] = memo_counts(&task);
+        let past = rt
+            .run_batch(&task, &images[GOLDEN_MEMO_CAPACITY..], 1, 0)
+            .unwrap();
+        assert!(past.injected_faults > 0, "expected faults at 542 mV");
+        assert_eq!(memo_counts(&task)[2], resumed);
+        assert_eq!(task.golden.lock().len, GOLDEN_MEMO_CAPACITY);
         let mut model = task.model_mut().clone();
         let clean: Vec<usize> = images.iter().map(|i| model.predict(i).unwrap()).collect();
         assert_eq!(batch.predictions, clean);

@@ -1,17 +1,22 @@
-//! Pins `QuantizedGraph::draws_no_faults` to the executor.
+//! Pins `QuantizedGraph::first_faulted_node` to the executor.
 //!
 //! The runtime skips the forward pass of every execution whose fault
-//! stream draws nothing, so the dry run must say "nothing drawn" exactly
-//! when a seeded execution leaves its injector without a fault event, and
-//! such an execution must equal a clean one: same prediction, same final
-//! logits, and the ABFT counters of a fault-free pass under every defense
-//! mode. Covered: every model at tiny scale and INT8, INT4 and 0.5-pruned
-//! VGGNet, on three board samples in the 5 mV steps from 600 mV (inside
-//! the guardband) down to 540 mV (around Vcrash).
+//! stream draws nothing, and resumes every other one at the dry run's
+//! node from the image's clean run. So the dry run must say "nothing
+//! drawn" exactly when a seeded execution leaves its injector without a
+//! fault event, and such an execution must equal a clean one: same
+//! prediction, same final logits, and the ABFT counters of a fault-free
+//! pass under every defense mode. Otherwise its node must be the first
+//! whose plans draw, and the execution resumed there with the clean run's
+//! activations must equal the full one: prediction, logit bits, ABFT and
+//! ECC counters, injected flips and fault events. Covered: every model at
+//! tiny scale and INT8, INT4 and 0.5-pruned VGGNet, on three board
+//! samples in the 5 mV steps from 600 mV (inside the guardband) down to
+//! 540 mV (around Vcrash).
 
 use redvolt_dpu::runtime::{image_stream_seed, DpuRuntime, DpuTask};
 use redvolt_faults::board_injector;
-use redvolt_faults::ecc::EccInjector;
+use redvolt_faults::ecc::{EccInjector, EccStats};
 use redvolt_faults::model::PRUNED_CRASH_SLACK_RATIO;
 use redvolt_fpga::board::Zcu102Board;
 use redvolt_nn::abft::{DefenseMode, DefenseStats};
@@ -19,8 +24,10 @@ use redvolt_nn::dataset::SyntheticDataset;
 use redvolt_nn::graph::Graph;
 use redvolt_nn::models::{ModelKind, ModelScale};
 use redvolt_nn::prune::channel_prune;
-use redvolt_nn::quant::{ExecScratch, NoFaults, QuantizedGraph};
-use redvolt_nn::tensor::Tensor;
+use redvolt_nn::quant::{
+    BitFlip, CleanPrefix, ExecScratch, FaultInjector, FlipRun, NoFaults, QuantizedGraph,
+};
+use redvolt_nn::tensor::{QTensor, Tensor};
 use redvolt_pmbus::adapter::PmbusAdapter;
 
 const VCCINT: u8 = 0x13;
@@ -38,18 +45,68 @@ struct Execution {
 fn execute(
     graph: &QuantizedGraph,
     image: &Tensor,
-    injector: &mut dyn redvolt_nn::quant::FaultInjector,
+    prefix: CleanPrefix<'_>,
+    injector: &mut dyn FaultInjector,
     mode: DefenseMode,
     scratch: &mut ExecScratch,
 ) -> Execution {
     let mut defense = DefenseStats::default();
     let prediction = graph
-        .predict_shared(image, injector, mode, scratch, &mut defense)
+        .predict_shared(image, prefix, injector, mode, scratch, &mut defense)
         .unwrap();
     Execution {
         prediction,
         logit_bits: scratch.final_logits().iter().map(|v| v.to_bits()).collect(),
         defense,
+    }
+}
+
+/// An execution on a seeded board stream behind the ECC wrapper, with
+/// the wrapper's and the stream's counters: ECC events, injected flips
+/// and fault events.
+fn execute_seeded(
+    graph: &QuantizedGraph,
+    image: &Tensor,
+    prefix: CleanPrefix<'_>,
+    board: &Zcu102Board,
+    seed: u64,
+    mode: DefenseMode,
+    scratch: &mut ExecScratch,
+) -> (Execution, EccStats, u64, u64) {
+    let mut injector = EccInjector::new(board_injector(board, seed), mode);
+    let run = execute(graph, image, prefix, &mut injector, mode, scratch);
+    let ecc = injector.stats();
+    let inner = injector.into_inner();
+    (run, ecc, inner.injected_count(), inner.event_count())
+}
+
+/// Passes plans through, noting the layer of the first non-empty one.
+struct FirstDraw<I> {
+    inner: I,
+    layer: Option<String>,
+}
+
+impl<I> FirstDraw<I> {
+    fn note<T>(&mut self, layer: &str, plan: Vec<T>) -> Vec<T> {
+        if !plan.is_empty() && self.layer.is_none() {
+            self.layer = Some(layer.to_string());
+        }
+        plan
+    }
+}
+
+impl<I: FaultInjector> FaultInjector for FirstDraw<I> {
+    fn plan_weight_faults(&mut self, layer: &str, len: usize, bits: u32) -> Vec<BitFlip> {
+        let plan = self.inner.plan_weight_faults(layer, len, bits);
+        self.note(layer, plan)
+    }
+    fn plan_accumulator_faults(&mut self, layer: &str, len: usize, macs: usize) -> Vec<FlipRun> {
+        let plan = self.inner.plan_accumulator_faults(layer, len, macs);
+        self.note(layer, plan)
+    }
+    fn plan_activation_faults(&mut self, layer: &str, len: usize, bits: u32) -> Vec<BitFlip> {
+        let plan = self.inner.plan_activation_faults(layer, len, bits);
+        self.note(layer, plan)
     }
 }
 
@@ -82,14 +139,30 @@ fn dry_run_predicts_the_executor_and_clean_executions_match_no_faults() {
         let layers = graph.nodes().iter().filter(|n| n.op.has_weights()).count() as u64;
         let model = task.model_mut().clone();
         let mut scratch = ExecScratch::new();
-        // Clean reference per (mode, image).
+        let full = CleanPrefix::default();
+        // Clean reference per (mode, image), and each image's clean
+        // activations.
         let clean: Vec<Vec<Execution>> = modes
             .iter()
             .map(|&mode| {
                 images
                     .iter()
-                    .map(|image| execute(&model, image, &mut NoFaults, mode, &mut scratch))
+                    .map(|image| execute(&model, image, full, &mut NoFaults, mode, &mut scratch))
                     .collect()
+            })
+            .collect();
+        let clean_acts: Vec<Vec<QTensor>> = images
+            .iter()
+            .map(|image| {
+                execute(
+                    &model,
+                    image,
+                    full,
+                    &mut NoFaults,
+                    DefenseMode::Off,
+                    &mut scratch,
+                );
+                scratch.activations().to_vec()
             })
             .collect();
         for (mode, runs) in modes.iter().zip(&clean) {
@@ -120,21 +193,44 @@ fn dry_run_predicts_the_executor_and_clean_executions_match_no_faults() {
                     let image_index = stream as usize % IMAGES;
                     let image = &images[image_index];
                     let at = format!("{name} board {board} {mv} mV stream {stream}");
-                    let dry = model.draws_no_faults(&mut board_injector(rt.board(), seed));
-                    if dry {
-                        case_nothing += 1;
-                    } else {
-                        case_drew += 1;
+                    let dry = model.first_faulted_node(&mut board_injector(rt.board(), seed));
+                    let mut first_draw = FirstDraw {
+                        inner: board_injector(rt.board(), seed),
+                        layer: None,
+                    };
+                    execute(
+                        &model,
+                        image,
+                        full,
+                        &mut first_draw,
+                        DefenseMode::Off,
+                        &mut scratch,
+                    );
+                    let first_layer = dry.map(|node| graph.nodes()[node].name.clone());
+                    assert_eq!(first_layer, first_draw.layer, "{at}: first drawing layer");
+                    match dry {
+                        None => case_nothing += 1,
+                        Some(_) => case_drew += 1,
                     }
+                    let mut seeded = |prefix, mode| {
+                        execute_seeded(&model, image, prefix, rt.board(), seed, mode, &mut scratch)
+                    };
                     for (p, &mode) in modes.iter().enumerate() {
-                        let mut injector = EccInjector::new(board_injector(rt.board(), seed), mode);
-                        let run = execute(&model, image, &mut injector, mode, &mut scratch);
-                        let events = injector.into_inner().event_count();
-                        assert_eq!(dry, events == 0, "{at} {mode:?}: {events} events");
-                        if dry {
-                            assert_eq!(run, clean[p][image_index], "{at} {mode:?}");
-                            assert_eq!(run.defense, model.fault_free_defense_stats(mode), "{at}");
-                        }
+                        let full_run = seeded(full, mode);
+                        let events = full_run.3;
+                        assert_eq!(dry.is_none(), events == 0, "{at} {mode:?}: {events} events");
+                        let Some(node) = dry else {
+                            assert_eq!(full_run.0, clean[p][image_index], "{at} {mode:?}");
+                            let defense = model.fault_free_defense_stats(mode);
+                            assert_eq!(full_run.0.defense, defense, "{at}");
+                            continue;
+                        };
+                        let prefix = CleanPrefix {
+                            node,
+                            acts: &clean_acts[image_index],
+                        };
+                        let resumed = seeded(prefix, mode);
+                        assert_eq!(resumed, full_run, "{at} {mode:?}: resumed at node {node}");
                     }
                 }
             }

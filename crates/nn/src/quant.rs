@@ -238,6 +238,27 @@ impl ExecScratch {
     pub fn final_logits(&self) -> &[f32] {
         &self.final_float
     }
+
+    /// Every node's activation, indexed by node id, valid after a
+    /// shared-graph run (a [`NoFaults`] run's are a [`CleanPrefix`]'s
+    /// source).
+    pub fn activations(&self) -> &[QTensor] {
+        &self.acts
+    }
+}
+
+/// The fault-free prefix of an execution: every node before `node` takes
+/// its activation from `acts` instead of computing it. `acts` are the
+/// [`ExecScratch::activations`] of a [`NoFaults`] execution of the same
+/// image on the same graph, and no conv/dense layer before `node` may
+/// draw a fault (see [`QuantizedGraph::first_faulted_node`]). The default
+/// prefix is empty: the execution starts at the input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CleanPrefix<'a> {
+    /// The first node the execution computes.
+    pub node: usize,
+    /// The clean run's activations, at least `node` of them.
+    pub acts: &'a [QTensor],
 }
 
 impl QuantizedGraph {
@@ -688,7 +709,10 @@ impl QuantizedGraph {
 
     /// Predicted class with a fault injector under the ABFT defense
     /// `mode`, against an external arena, adding the execution's ABFT
-    /// events to `stats`.
+    /// events to `stats`. The nodes before `prefix.node` take their
+    /// activations from the clean run (see [`CleanPrefix`]); the result,
+    /// the injector's draws and `stats` are the full execution's either
+    /// way.
     ///
     /// Unlike [`QuantizedGraph::predict_with`] this takes `&self`: the
     /// graph is never mutated (transient weight faults run on a
@@ -704,16 +728,18 @@ impl QuantizedGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the graph output is empty.
+    /// Panics if the graph output is empty, or if a conv/dense layer
+    /// before `prefix.node` draws a fault.
     pub fn predict_shared(
         &self,
         image: &Tensor,
+        prefix: CleanPrefix<'_>,
         injector: &mut dyn FaultInjector,
         mode: DefenseMode,
         scratch: &mut ExecScratch,
         stats: &mut DefenseStats,
     ) -> Result<usize, GraphError> {
-        self.run_shared(image, injector, mode, scratch, stats)?;
+        self.run_shared(image, prefix, injector, mode, scratch, stats)?;
         let logits = &scratch.final_float;
         assert!(!logits.is_empty(), "argmax of empty tensor");
         let mut best = 0;
@@ -737,7 +763,14 @@ impl QuantizedGraph {
     ) -> Result<(), GraphError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut stats = DefenseStats::default();
-        let result = self.run_shared(image, injector, DefenseMode::Off, &mut scratch, &mut stats);
+        let result = self.run_shared(
+            image,
+            CleanPrefix::default(),
+            injector,
+            DefenseMode::Off,
+            &mut scratch,
+            &mut stats,
+        );
         self.scratch = scratch;
         result
     }
@@ -746,9 +779,18 @@ impl QuantizedGraph {
     /// node's activation and `scratch.final_float` the output node's
     /// float logits. No allocation once the arena is warm, and no graph
     /// mutation ever — weight faults stage through `scratch.wstage`.
+    ///
+    /// The nodes before `prefix.node` copy their activation from the
+    /// clean run. A conv/dense layer among them still requests its three
+    /// fault plans in order, so the injector's stream stays where a full
+    /// execution would leave it, and counts the two checks a fault-free
+    /// defended pass counts. Faults cannot reach a node before the first
+    /// one that draws, so the execution equals the full one. The output
+    /// node always computes, so a softmax output sets its float logits.
     fn run_shared(
         &self,
         image: &Tensor,
+        prefix: CleanPrefix<'_>,
         injector: &mut dyn FaultInjector,
         mode: DefenseMode,
         scratch: &mut ExecScratch,
@@ -782,12 +824,27 @@ impl QuantizedGraph {
             final_shape,
         } = scratch;
         acts.resize_with(nodes.len(), || QTensor::zeros(0, 0, 0, 1.0));
+        let resume = prefix.node.min(output_id);
+        for (id, (out, clean)) in acts.iter_mut().zip(&prefix.acts[..resume]).enumerate() {
+            out.reset(clean.h(), clean.w(), clean.c(), clean.scale);
+            out.codes.copy_from_slice(&clean.codes);
+            if let Some(sites) = self.fault_sites(&nodes[id]) {
+                assert!(
+                    plans_empty(injector, &sites, format.bits()),
+                    "layer {} draws a fault inside the clean prefix",
+                    sites.name
+                );
+                if mode.is_on() {
+                    stats.checks += 2;
+                }
+            }
+        }
         let mut softmax_output = false;
         // An index loop, not an iterator: `id` is also the split point of
         // the activation list (`split_at_mut` below), which an enumerated
         // mutable borrow of `nodes` could not express.
         #[allow(clippy::needless_range_loop)]
-        for id in 0..nodes.len() {
+        for id in resume..nodes.len() {
             // The graph is read-only here — transient weight faults stage
             // through `wstage` — and the activation list splits at `id`;
             // inputs always precede.
@@ -920,33 +977,26 @@ impl QuantizedGraph {
         Ok(())
     }
 
-    /// Replays the fault-plan requests of one execution against
-    /// `injector`, in the defended stage's order, without running a
-    /// kernel: weights, accumulators, then activations of each conv/dense
-    /// layer, at the sizes `run_shared` asks for. Returns `true` when
-    /// every plan comes back empty, and stops at the first non-empty one.
+    /// The dry run of one execution: replays its fault-plan requests
+    /// against `injector`, in the defended stage's order, without running
+    /// a kernel — weights, accumulators, then activations of each
+    /// conv/dense layer, at the sizes `run_shared` asks for. Returns the
+    /// first node whose plans draw, stopping at its first non-empty plan,
+    /// or `None` when every plan comes back empty.
     ///
     /// Until a plan is non-empty the requests depend only on the static
     /// layer shapes (a defended stage that sees no fault verifies once
-    /// and moves on), so `true` means an identically seeded execution
-    /// draws nothing either: its output is a [`NoFaults`] execution's and
-    /// its ABFT counters are [`QuantizedGraph::fault_free_defense_stats`].
-    pub fn draws_no_faults(&self, injector: &mut dyn FaultInjector) -> bool {
+    /// and moves on), so an identically seeded execution draws nothing
+    /// before that node either. With `None` its output is a [`NoFaults`]
+    /// execution's and its ABFT counters are
+    /// [`QuantizedGraph::fault_free_defense_stats`]; otherwise it can
+    /// resume at the returned node from a clean run ([`CleanPrefix`]).
+    pub fn first_faulted_node(&self, injector: &mut dyn FaultInjector) -> Option<usize> {
         let bits = self.format.bits();
-        self.nodes
-            .iter()
-            .filter_map(|node| self.fault_sites(node))
-            .all(|s| {
-                injector
-                    .plan_weight_faults(s.name, s.weights.len(), bits)
-                    .is_empty()
-                    && injector
-                        .plan_accumulator_faults(s.name, s.acc_len, s.weights.depth())
-                        .is_empty()
-                    && injector
-                        .plan_activation_faults(s.name, s.out_len, bits)
-                        .is_empty()
-            })
+        self.nodes.iter().enumerate().find_map(|(id, node)| {
+            let sites = self.fault_sites(node)?;
+            (!plans_empty(injector, &sites, bits)).then_some(id)
+        })
     }
 
     /// The ABFT counters of one execution that draws no fault under
@@ -992,9 +1042,24 @@ impl QuantizedGraph {
     }
 }
 
+/// Requests a conv/dense layer's weight, accumulator and activation plans
+/// from `injector`, in that order, stopping at the first non-empty one;
+/// `true` when all three come back empty.
+fn plans_empty(injector: &mut dyn FaultInjector, sites: &FaultSites<'_>, bits: u32) -> bool {
+    injector
+        .plan_weight_faults(sites.name, sites.weights.len(), bits)
+        .is_empty()
+        && injector
+            .plan_accumulator_faults(sites.name, sites.acc_len, sites.weights.depth())
+            .is_empty()
+        && injector
+            .plan_activation_faults(sites.name, sites.out_len, bits)
+            .is_empty()
+}
+
 /// Where one execution of a conv/dense layer can be faulted: the layer
 /// name and sizes its defended stage asks the injector about. `run_shared`
-/// and `draws_no_faults` both read them from `fault_sites`.
+/// and `first_faulted_node` both read them from `fault_sites`.
 struct FaultSites<'a> {
     name: &'a str,
     /// The weight codes one kernel pass fetches; fault plans index them
@@ -1618,9 +1683,99 @@ mod tests {
     ) -> (Vec<f32>, DefenseStats) {
         let mut scratch = ExecScratch::new();
         let mut stats = DefenseStats::default();
-        q.predict_shared(image, injector, mode, &mut scratch, &mut stats)
-            .unwrap();
+        q.predict_shared(
+            image,
+            CleanPrefix::default(),
+            injector,
+            mode,
+            &mut scratch,
+            &mut stats,
+        )
+        .unwrap();
         (scratch.final_logits().to_vec(), stats)
+    }
+
+    #[test]
+    fn a_resumed_execution_equals_the_full_one() {
+        // `fc` is node 3; `c1` (node 1) draws nothing, so the execution
+        // may resume at the max pool or at `fc` from the clean run.
+        let g = small_graph();
+        let imgs = calib_images();
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        let mut clean = ExecScratch::new();
+        q.predict_shared(
+            &imgs[0],
+            CleanPrefix::default(),
+            &mut NoFaults,
+            DefenseMode::Off,
+            &mut clean,
+            &mut DefenseStats::default(),
+        )
+        .unwrap();
+        let fault = || TransientAccFault {
+            layer: "fc",
+            remaining: 1,
+        };
+        assert_eq!(q.first_faulted_node(&mut fault()), Some(3));
+        assert_eq!(q.first_faulted_node(&mut NoFaults), None);
+        for mode in [DefenseMode::Off, DefenseMode::Detect, DefenseMode::Correct] {
+            let full = run(&q, &imgs[0], &mut fault(), mode);
+            for node in [0, 2, 3] {
+                let prefix = CleanPrefix {
+                    node,
+                    acts: clean.activations(),
+                };
+                let mut scratch = ExecScratch::new();
+                let mut stats = DefenseStats::default();
+                q.predict_shared(
+                    &imgs[0],
+                    prefix,
+                    &mut fault(),
+                    mode,
+                    &mut scratch,
+                    &mut stats,
+                )
+                .unwrap();
+                let resumed = (scratch.final_logits().to_vec(), stats);
+                assert_eq!(resumed, full, "{mode:?} from node {node}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "layer fc draws a fault inside the clean prefix")]
+    fn a_clean_prefix_past_the_first_fault_panics() {
+        let g = small_graph();
+        let imgs = calib_images();
+        let q = QuantizedGraph::quantize(&g, 8, &imgs).unwrap();
+        let mut clean = ExecScratch::new();
+        let mut stats = DefenseStats::default();
+        q.predict_shared(
+            &imgs[0],
+            CleanPrefix::default(),
+            &mut NoFaults,
+            DefenseMode::Off,
+            &mut clean,
+            &mut stats,
+        )
+        .unwrap();
+        let prefix = CleanPrefix {
+            node: 4,
+            acts: clean.activations(),
+        };
+        let mut fault = TransientAccFault {
+            layer: "fc",
+            remaining: 1,
+        };
+        q.predict_shared(
+            &imgs[0],
+            prefix,
+            &mut fault,
+            DefenseMode::Off,
+            &mut ExecScratch::new(),
+            &mut stats,
+        )
+        .unwrap();
     }
 
     #[test]

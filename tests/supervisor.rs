@@ -306,6 +306,56 @@ fn resume_rejects_an_entry_without_its_telemetry_blob() {
 }
 
 #[test]
+fn a_malformed_journal_is_refused_before_any_cell_runs() {
+    let mut plan = CampaignPlan::new(31);
+    for board in 0..3 {
+        plan.push(measure_cell(BenchmarkId::VggNet, board, None));
+    }
+    let path = temp_journal("refused-first");
+    let halted = run_supervised(
+        &plan,
+        2,
+        &SupervisorConfig {
+            halt_after: Some(2),
+            ..SupervisorConfig::default()
+        },
+        Some(&JournalSpec::new(&path, false)),
+        None,
+    )
+    .unwrap();
+    assert!(halted.interrupted);
+    // Cut the telemetry blob off cell 1's entry; cell 2 is still pending.
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let damaged: String = journal
+        .lines()
+        .map(|line| match line.strip_prefix("cell 1 ") {
+            Some(_) => line.rsplit_once(" telem=").unwrap().0,
+            None => line,
+        })
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    assert_ne!(damaged, journal);
+    std::fs::write(&path, &damaged).unwrap();
+    let err = run_supervised(
+        &plan,
+        2,
+        &SupervisorConfig::default(),
+        Some(&JournalSpec::new(&path, true)),
+        None,
+    )
+    .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("journal entry for cell 1 is malformed"),
+        "{err}"
+    );
+    // A cell is journaled before it counts as done, so unchanged bytes
+    // mean cell 2 never ran.
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn crashing_cell_is_retried_to_exhaustion_with_attempts_recorded() {
     // 530 mV is below Vcrash on every board: each attempt brings up a
     // fresh board (the power cycle), commands the voltage, hangs, and the
