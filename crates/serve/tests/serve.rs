@@ -4,9 +4,10 @@
 //! through the `serve` binary (`serve run` with default flags — see
 //! `.github/workflows/ci.yml`): a 3-board fleet served 10 mV below each
 //! board's calibrated Vmin with `--defense correct` and the governor on.
-//! Its report, JSONL telemetry and Prometheus exposition are pinned
-//! byte-for-byte under `tests/golden/serve_smoke.*`. Regenerate (only
-//! for changes that legitimately alter serving output) with
+//! Its report, JSONL telemetry, Prometheus exposition, Chrome trace and
+//! flight-recorder export are pinned byte-for-byte under
+//! `tests/golden/serve_smoke.*`. Regenerate (only for changes that
+//! legitimately alter serving output) with
 //! `REDVOLT_UPDATE_GOLDEN=1 cargo test -p redvolt-serve --test serve`.
 
 use proptest::prelude::*;
@@ -48,6 +49,7 @@ fn smoke_scenario_matches_the_golden_pins() {
     assert_matches_golden("serve_smoke.jsonl", &report.to_jsonl());
     assert_matches_golden("serve_smoke.prom", &report.to_prometheus());
     assert_matches_golden("serve_smoke.trace.json", &report.to_chrome_trace());
+    assert_matches_golden("serve_smoke.flight.jsonl", &report.to_flight_jsonl());
 }
 
 /// The smoke scenario has to demonstrate the whole point of the
