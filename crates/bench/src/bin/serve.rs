@@ -23,7 +23,6 @@
 use redvolt_bench::cli::CommandLine;
 use redvolt_nn::abft::DefenseMode;
 use redvolt_nn::models::ModelKind;
-use redvolt_serve::fleet::CalibConfig;
 use redvolt_serve::obs::{ObsServer, ObsSnapshot};
 use redvolt_serve::report::ServeReport;
 use redvolt_serve::router::RouterPolicy;
@@ -131,10 +130,7 @@ fn parse_args(args: &[String]) -> Result<Run, String> {
             .value("--batch-timeout")?
             .unwrap_or(d.batch_timeout_cycles),
         queue_depth: line.value("--queue-depth")?.unwrap_or(d.queue_depth),
-        calib: CalibConfig {
-            margin_mv: line.value("--margin-mv")?.unwrap_or(d.calib.margin_mv),
-            ..d.calib
-        },
+        margin_mv: line.value("--margin-mv")?.unwrap_or(d.margin_mv),
         retry_limit: line.value("--retry-limit")?.unwrap_or(d.retry_limit),
         slo_p99_cycles: line.value("--slo-p99")?.unwrap_or(d.slo_p99_cycles),
         burst_every: line.value("--burst-every")?.unwrap_or(d.burst_every),
@@ -249,10 +245,7 @@ mod tests {
             max_batch: 6,
             batch_timeout_cycles: 1000,
             queue_depth: 12,
-            calib: CalibConfig {
-                margin_mv: -20.0,
-                ..d.calib
-            },
+            margin_mv: -20.0,
             retry_limit: 3,
             slo_p99_cycles: 777,
             burst_every: 11,

@@ -662,7 +662,6 @@ pub fn table2(run: &Run) -> Table {
                 start_mv: vmin_mv,
                 stop_mv: vmin_mv - 30.0,
                 images: s.images,
-                ..FreqScaleConfig::default()
             },
         )
         .expect("table2 scan");

@@ -7,6 +7,13 @@
 use crate::experiment::{Accelerator, MeasureError, Measurement};
 use redvolt_fpga::calib::F_NOM_MHZ;
 
+/// Voltage step of the scan, mV (the paper's 5 mV).
+const V_STEP_MV: f64 = 5.0;
+/// Frequency step of the clock search, MHz (the paper's 25 MHz).
+const F_STEP_MHZ: f64 = 25.0;
+/// Accuracy loss tolerated before a clock is declared unsafe.
+const ACCURACY_TOLERANCE: f64 = 0.01;
+
 /// Search configuration for the Table-2 flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreqScaleConfig {
@@ -14,14 +21,8 @@ pub struct FreqScaleConfig {
     pub start_mv: f64,
     /// Lowest voltage of the scan (the paper's Vcrash = 540 mV).
     pub stop_mv: f64,
-    /// Voltage step (the paper uses 5 mV).
-    pub v_step_mv: f64,
-    /// Frequency step (the paper uses 25 MHz).
-    pub f_step_mhz: f64,
     /// Evaluation images per probe.
     pub images: usize,
-    /// Accuracy loss tolerated before a clock is declared unsafe.
-    pub accuracy_tolerance: f64,
 }
 
 impl Default for FreqScaleConfig {
@@ -29,10 +30,7 @@ impl Default for FreqScaleConfig {
         FreqScaleConfig {
             start_mv: 570.0,
             stop_mv: 540.0,
-            v_step_mv: 5.0,
-            f_step_mhz: 25.0,
             images: 100,
-            accuracy_tolerance: 0.01,
         }
     }
 }
@@ -90,7 +88,7 @@ pub fn frequency_underscaling(
             let fault_free =
                 |m: &Measurement| m.injected_faults == 0 && acc.board().slack_deficit() == 0.0;
             match result {
-                Ok(m) if fault_free(&m) && m.accuracy >= nominal_acc - cfg.accuracy_tolerance => {
+                Ok(m) if fault_free(&m) && m.accuracy >= nominal_acc - ACCURACY_TOLERANCE => {
                     let base = baseline.get_or_insert(m);
                     rows.push(FreqScaleRow {
                         vccint_mv: mv,
@@ -101,13 +99,13 @@ pub fn frequency_underscaling(
                         gops_per_j_norm: (m.gops / base.gops) * (m.gops_per_w / base.gops_per_w),
                     });
                     last_fmax = f;
-                    mv -= cfg.v_step_mv;
+                    mv -= V_STEP_MV;
                     continue 'voltages;
                 }
                 Ok(_) | Err(MeasureError::Crashed { .. }) => {
                     // Step down onto the round 25 MHz grid below 333.
-                    let grid = (f / cfg.f_step_mhz).ceil() * cfg.f_step_mhz;
-                    f = grid - cfg.f_step_mhz;
+                    let grid = (f / F_STEP_MHZ).ceil() * F_STEP_MHZ;
+                    f = grid - F_STEP_MHZ;
                 }
                 Err(e) => {
                     acc.power_cycle();

@@ -115,12 +115,6 @@ pub fn mitigation_study(
 /// the guardband, where fault rates vanish by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationLadder {
-    /// Clock decrement, MHz (the paper's 25 MHz reconfiguration grid).
-    pub f_step_mhz: f64,
-    /// Clock floor, MHz — below this the throughput band is violated.
-    pub f_floor_mhz: f64,
-    /// Voltage increment, mV, once the clock floor is reached.
-    pub v_step_mv: f64,
     /// Voltage ceiling, mV (Vmin plus margin): reaching it means the
     /// undervolting experiment has been fully backed out.
     pub v_ceiling_mv: f64,
@@ -128,9 +122,6 @@ pub struct MitigationLadder {
 impl Default for MitigationLadder {
     fn default() -> Self {
         MitigationLadder {
-            f_step_mhz: 25.0,
-            f_floor_mhz: 250.0,
-            v_step_mv: 10.0,
             v_ceiling_mv: 580.0,
         }
     }
@@ -148,15 +139,22 @@ pub enum LadderMove {
 }
 
 impl MitigationLadder {
+    /// Clock decrement, MHz (the paper's 25 MHz reconfiguration grid).
+    pub const F_STEP_MHZ: f64 = 25.0;
+    /// Clock floor, MHz — below this the throughput band is violated.
+    pub const F_FLOOR_MHZ: f64 = 250.0;
+    /// Voltage increment, mV, once the clock floor is reached.
+    pub const V_STEP_MV: f64 = 10.0;
+
     /// The move to try from the operating point `(f_mhz, vccint_mv)`.
     /// Pure and total, so the escalation path is a deterministic function
     /// of the starting point alone.
     pub fn next(&self, f_mhz: f64, vccint_mv: f64) -> LadderMove {
-        let f_next = f_mhz - self.f_step_mhz;
-        if f_next >= self.f_floor_mhz - 1e-9 {
+        let f_next = f_mhz - Self::F_STEP_MHZ;
+        if f_next >= Self::F_FLOOR_MHZ - 1e-9 {
             return LadderMove::Underscale(f_next);
         }
-        let v_next = vccint_mv + self.v_step_mv;
+        let v_next = vccint_mv + Self::V_STEP_MV;
         if v_next <= self.v_ceiling_mv + 1e-9 {
             return LadderMove::Backoff(v_next);
         }
@@ -185,9 +183,9 @@ impl MitigationLadder {
     /// underscaling steps plus voltage backoff steps. The serving
     /// router uses this as its "how degraded is this board" distance —
     /// zero means the governor never had to intervene.
-    pub fn rungs_walked(&self, base_f_mhz: f64, base_mv: f64, f_mhz: f64, vccint_mv: f64) -> u32 {
-        let f_steps = ((base_f_mhz - f_mhz).max(0.0) / self.f_step_mhz).round() as u32;
-        let v_steps = ((vccint_mv - base_mv).max(0.0) / self.v_step_mv).round() as u32;
+    pub fn rungs_walked(base_f_mhz: f64, base_mv: f64, f_mhz: f64, vccint_mv: f64) -> u32 {
+        let f_steps = ((base_f_mhz - f_mhz).max(0.0) / Self::F_STEP_MHZ).round() as u32;
+        let v_steps = ((vccint_mv - base_mv).max(0.0) / Self::V_STEP_MV).round() as u32;
         f_steps + v_steps
     }
 }
@@ -246,7 +244,7 @@ mod tests {
         let mut f = 333.0;
         let mut moves = 0;
         while let LadderMove::Underscale(next) = ladder.next(f, 545.0) {
-            assert!(next >= ladder.f_floor_mhz);
+            assert!(next >= MitigationLadder::F_FLOOR_MHZ);
             assert!(next < f);
             f = next;
             moves += 1;
@@ -260,11 +258,11 @@ mod tests {
 
     #[test]
     fn rungs_walked_counts_both_axes() {
-        let ladder = MitigationLadder::default();
-        assert_eq!(ladder.rungs_walked(333.0, 545.0, 333.0, 545.0), 0);
-        assert_eq!(ladder.rungs_walked(333.0, 545.0, 283.0, 545.0), 2);
-        assert_eq!(ladder.rungs_walked(333.0, 545.0, 258.0, 565.0), 5);
+        let walked = MitigationLadder::rungs_walked;
+        assert_eq!(walked(333.0, 545.0, 333.0, 545.0), 0);
+        assert_eq!(walked(333.0, 545.0, 283.0, 545.0), 2);
+        assert_eq!(walked(333.0, 545.0, 258.0, 565.0), 5);
         // Moves in the healthy direction never count as rungs.
-        assert_eq!(ladder.rungs_walked(333.0, 545.0, 333.0, 540.0), 0);
+        assert_eq!(walked(333.0, 545.0, 333.0, 540.0), 0);
     }
 }

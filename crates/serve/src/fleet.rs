@@ -27,33 +27,18 @@ use redvolt_num::rng::derive_substream_seed;
 use redvolt_telemetry::AttrValue;
 use std::ops::ControlFlow;
 
-/// Vmin-calibration settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibConfig {
-    /// First probed voltage, mV (just inside the guardband).
-    pub start_mv: f64,
-    /// Deepest probed voltage, mV.
-    pub floor_mv: f64,
-    /// Probe grid step, mV.
-    pub step_mv: f64,
-    /// Images per probe batch.
-    pub probe_images: usize,
-    /// Serving margin added to the calibrated Vmin, mV (negative =
-    /// deliberately serve below Vmin).
-    pub margin_mv: f64,
-}
+/// The calibration descent: first probed voltage (just inside the
+/// guardband), deepest probed voltage and grid step, mV, with the images
+/// of each probe batch.
+const CALIBRATION: SweepConfig = SweepConfig {
+    start_mv: 620.0,
+    stop_mv: 550.0,
+    step_mv: 10.0,
+    images: 8,
+};
 
-impl Default for CalibConfig {
-    fn default() -> Self {
-        CalibConfig {
-            start_mv: 620.0,
-            floor_mv: 550.0,
-            step_mv: 10.0,
-            probe_images: 8,
-            margin_mv: 0.0,
-        }
-    }
-}
+/// Fixed dispatch overhead added to each served batch, reference cycles.
+const BATCH_OVERHEAD_CYCLES: Cycle = 10_000;
 
 /// Outcome of one served batch.
 #[derive(Debug, Clone)]
@@ -199,39 +184,28 @@ impl FleetBoard {
         self.acc.runtime_and_workload_mut().0.set_image_jobs(jobs);
     }
 
-    /// Calibrates the board's Vmin and parks it at the serving point.
+    /// Calibrates the board's Vmin and parks it at the serving point,
+    /// `margin_mv` from Vmin (never below the deepest probed voltage).
     ///
     /// # Errors
     ///
     /// Propagates non-crash measurement errors (a crash during the
     /// descent ends it, and the descent power-cycles the board).
-    pub fn calibrate(
-        &mut self,
-        calib: &CalibConfig,
-        ops_per_image: u64,
-    ) -> Result<(), MeasureError> {
-        let schedule = SweepConfig {
-            start_mv: calib.start_mv,
-            stop_mv: calib.floor_mv,
-            step_mv: calib.step_mv,
-            images: calib.probe_images,
-        };
-        let (clean, _) = descend(&mut self.acc, &schedule, RailId::Vccint, |acc, mv| {
-            Ok(match acc.measure_events(calib.probe_images)? {
+    pub fn calibrate(&mut self, margin_mv: f64, ops_per_image: u64) -> Result<(), MeasureError> {
+        let (clean, _) = descend(&mut self.acc, &CALIBRATION, RailId::Vccint, |acc, mv| {
+            Ok(match acc.measure_events(CALIBRATION.images)? {
                 (_, 0) => ControlFlow::Continue(mv),
                 _ => ControlFlow::Break(()),
             })
         })?;
-        self.vmin_mv = clean.last().copied().unwrap_or(calib.start_mv);
-        self.base_mv = (self.vmin_mv + calib.margin_mv).max(calib.floor_mv);
+        self.vmin_mv = clean.last().copied().unwrap_or(CALIBRATION.start_mv);
+        self.base_mv = (self.vmin_mv + margin_mv).max(CALIBRATION.stop_mv);
         self.base_f_mhz = F_NOM_MHZ;
         // Keep voltage-backoff headroom above even a weak board's base.
-        let default_ladder = MitigationLadder::default();
         self.ladder = MitigationLadder {
-            v_ceiling_mv: default_ladder
+            v_ceiling_mv: MitigationLadder::default()
                 .v_ceiling_mv
-                .max(self.base_mv + 3.0 * default_ladder.v_step_mv),
-            ..default_ladder
+                .max(self.base_mv + 3.0 * MitigationLadder::V_STEP_MV),
         };
         // Park at the serving point (the descent returned the board
         // power-cycled); a board too weak for a sub-Vmin margin falls
@@ -241,7 +215,7 @@ impl FleetBoard {
             self.base_mv = self.vmin_mv;
             self.acc.set_vccint_mv(self.base_mv)?;
         }
-        let (m, _) = self.acc.measure_events(calib.probe_images)?;
+        let (m, _) = self.acc.measure_events(CALIBRATION.images)?;
         self.energy_per_inf_j = energy_per_inference_j(&m, ops_per_image);
         self.rungs = 0;
         Ok(())
@@ -255,11 +229,7 @@ impl FleetBoard {
     ///
     /// Propagates non-crash run errors (these indicate a bug, not an
     /// operating-point excursion).
-    pub fn run_serving_batch(
-        &mut self,
-        image_indices: &[usize],
-        overhead_cycles: Cycle,
-    ) -> Result<BatchExec, RunError> {
+    pub fn run_serving_batch(&mut self, image_indices: &[usize]) -> Result<BatchExec, RunError> {
         let images: Vec<Tensor> = {
             let eval = &self.acc.workload().eval;
             image_indices
@@ -278,7 +248,7 @@ impl FleetBoard {
                 let dpu_cycles = self.acc.cycles_run() - cycles_before;
                 let f_mhz = self.acc.clock_mhz();
                 let service =
-                    (dpu_cycles as f64 * F_NOM_MHZ / f_mhz).ceil() as Cycle + overhead_cycles;
+                    (dpu_cycles as f64 * F_NOM_MHZ / f_mhz).ceil() as Cycle + BATCH_OVERHEAD_CYCLES;
                 let energy_j = self.energy.charge(r.on_chip_power_w, dpu_cycles, f_mhz);
                 if !images.is_empty() {
                     self.energy_per_inf_j = energy_j / images.len() as f64;
@@ -342,13 +312,13 @@ impl FleetBoard {
     pub fn on_crash(&mut self) {
         self.crashes += 1;
         self.acc.power_cycle();
-        let rejoin = self.base_mv + self.ladder.v_step_mv;
+        let rejoin = self.base_mv + MitigationLadder::V_STEP_MV;
         let _ = self.acc.set_vccint_mv(rejoin);
         self.refresh_rungs();
     }
 
     fn refresh_rungs(&mut self) {
-        self.rungs = self.ladder.rungs_walked(
+        self.rungs = MitigationLadder::rungs_walked(
             self.base_f_mhz,
             self.base_mv,
             self.acc.clock_mhz(),
@@ -384,7 +354,7 @@ mod tests {
     fn calibration_finds_a_deep_clean_point() {
         let mut b = FleetBoard::bring_up(0, &config()).unwrap();
         let ops = b.accelerator().workload().dense_equivalent_ops;
-        b.calibrate(&CalibConfig::default(), ops).unwrap();
+        b.calibrate(0.0, ops).unwrap();
         assert!(b.vmin_mv <= 620.0 && b.vmin_mv >= 550.0, "{}", b.vmin_mv);
         assert_eq!(b.base_mv, b.vmin_mv, "zero margin serves at Vmin");
         assert!(b.energy_per_inf_j > 0.0);
@@ -393,11 +363,10 @@ mod tests {
 
     #[test]
     fn calibration_is_reproducible_and_corner_dependent() {
-        let calib = CalibConfig::default();
         let vmin = |index: usize| {
             let mut b = FleetBoard::bring_up(index, &config()).unwrap();
             let ops = b.accelerator().workload().dense_equivalent_ops;
-            b.calibrate(&calib, ops).unwrap();
+            b.calibrate(0.0, ops).unwrap();
             (b.vmin_mv, b.energy_per_inf_j)
         };
         assert_eq!(vmin(0), vmin(0), "same board, same calibration");
@@ -414,11 +383,11 @@ mod tests {
     fn serving_batch_returns_predictions_and_charges_energy() {
         let mut b = FleetBoard::bring_up(0, &config()).unwrap();
         let ops = b.accelerator().workload().dense_equivalent_ops;
-        b.calibrate(&CalibConfig::default(), ops).unwrap();
-        let exec = b.run_serving_batch(&[0, 1, 2, 3], 1000).unwrap();
+        b.calibrate(0.0, ops).unwrap();
+        let exec = b.run_serving_batch(&[0, 1, 2, 3]).unwrap();
         assert!(!exec.crashed);
         assert_eq!(exec.predictions.len(), 4);
-        assert!(exec.service_ref_cycles > 1000);
+        assert!(exec.service_ref_cycles > BATCH_OVERHEAD_CYCLES);
         assert!(exec.energy_j > 0.0);
         assert!((b.energy.total_j() - exec.energy_j).abs() < 1e-6);
     }
@@ -463,7 +432,7 @@ mod tests {
     fn escalation_underscales_then_backs_off() {
         let mut b = FleetBoard::bring_up(0, &config()).unwrap();
         let ops = b.accelerator().workload().dense_equivalent_ops;
-        b.calibrate(&CalibConfig::default(), ops).unwrap();
+        b.calibrate(0.0, ops).unwrap();
         assert_eq!(b.rungs, 0);
         b.escalate();
         assert_eq!(b.rungs, 1);

@@ -12,7 +12,10 @@
 //! time**: timestamps are cycles of the nominal DPU clock, arrivals come
 //! from seeded streams, and every observable output — the report, the
 //! JSONL metrics, the Prometheus export — is byte-identical across
-//! reruns and worker counts for a fixed `(seed, config)`.
+//! reruns and worker counts for a fixed `(seed, config)`. Virtual time
+//! saturates at `u64::MAX` instead of wrapping, and [`sim::run`] refuses
+//! an offered rate that is not a finite number above zero before any
+//! board is brought up.
 //!
 //! Module map:
 //!
@@ -22,10 +25,11 @@
 //!   energy accounting, ladder escalation and crash recovery.
 //! * [`router`] — admission control (shed/degrade) and the Vmin-aware
 //!   vs round-robin routing policies.
-//! * [`sim`] — the event loop tying it all together, threading a
+//! * [`sim`] — the event loop tying it all together, threading one
 //!   request-lifecycle trace (admission → queue → batch → execute →
-//!   complete/shed/degraded) and a bounded flight recorder through
-//!   every decision.
+//!   complete/shed/degraded) through every decision; on a board crash,
+//!   an audited SDC or a governor escalation the flight recorder freezes
+//!   the trace's most recent spans with per-board health snapshots.
 //! * [`report`] — text/JSONL/Prometheus/Chrome-trace/flight-recorder
 //!   renderings of a finished run.
 //! * [`obs`] — a std-only blocking HTTP endpoint serving the final

@@ -67,7 +67,8 @@ impl ServeReport {
         let mean = if lat.is_empty() {
             0.0
         } else {
-            lat.iter().sum::<u64>() as f64 / lat.len() as f64
+            // Latencies near a saturated clock would overflow a u64 sum.
+            lat.iter().map(|&l| u128::from(l)).sum::<u128>() as f64 / lat.len() as f64
         };
         let fleet_energy_j: f64 = outcome.boards.iter().map(|b| b.energy_j).sum();
         let completed = outcome.counters.completed;
@@ -119,7 +120,7 @@ impl ServeReport {
             cfg.max_batch,
             cfg.batch_timeout_cycles,
             cfg.queue_depth,
-            cfg.calib.margin_mv,
+            cfg.margin_mv,
             cfg.retry_limit,
         ));
         out.push('\n');

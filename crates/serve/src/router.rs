@@ -17,6 +17,9 @@
 //! and full they are admitted **degraded** (served, but not retried on a
 //! flagged SDC), and when every queue is full they are **shed**.
 
+/// Queue-fill fraction at and above which admits are degraded.
+const DEGRADE_WATERMARK: f64 = 0.75;
+
 /// Routing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
@@ -138,13 +141,14 @@ impl Router {
         }
     }
 
-    /// Runs admission control for one arrival. `degrade_watermark` is the
-    /// queue-fill fraction above which admits are degraded.
-    pub fn admit(&mut self, views: &[BoardView], degrade_watermark: f64) -> Admission {
+    /// Runs admission control for one arrival: a request routed to a
+    /// queue filled to the degrade watermark or past it is admitted
+    /// degraded.
+    pub fn admit(&mut self, views: &[BoardView]) -> Admission {
         match self.route(views, None) {
             Some(board) => {
                 let v = &views[board];
-                let degraded = (v.queue_len as f64) >= degrade_watermark * v.queue_depth as f64;
+                let degraded = (v.queue_len as f64) >= DEGRADE_WATERMARK * v.queue_depth as f64;
                 Admission::Accept { board, degraded }
             }
             None => Admission::Shed,
@@ -202,23 +206,23 @@ mod tests {
     fn admission_degrades_above_the_watermark_and_sheds_when_full() {
         let mut r = Router::new(RouterPolicy::VminAware);
         assert_eq!(
-            r.admit(&[view(2, 1e-3, 0)], 0.75),
+            r.admit(&[view(5, 1e-3, 0)]),
             Admission::Accept {
                 board: 0,
                 degraded: false
             }
         );
         assert_eq!(
-            r.admit(&[view(6, 1e-3, 0)], 0.75),
+            r.admit(&[view(6, 1e-3, 0)]),
             Admission::Accept {
                 board: 0,
                 degraded: true
             }
         );
         let mut full = view(8, 1e-3, 0);
-        assert_eq!(r.admit(&[full], 0.75), Admission::Shed);
+        assert_eq!(r.admit(&[full]), Admission::Shed);
         full.queue_len = 0;
         full.available = false;
-        assert_eq!(r.admit(&[full], 0.75), Admission::Shed);
+        assert_eq!(r.admit(&[full]), Admission::Shed);
     }
 }

@@ -22,14 +22,13 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::{Cycle, Event, EventQueue};
-use crate::fleet::{BatchExec, CalibConfig, FleetBoard};
+use crate::fleet::{BatchExec, FleetBoard};
 use crate::router::{Admission, BoardView, Router, RouterPolicy};
 use crate::traffic::{Request, TrafficConfig, TrafficGenerator};
 use redvolt_core::bench_suite::BenchmarkId;
 use redvolt_core::experiment::{Accelerator, AcceleratorConfig, MeasureError};
 use redvolt_dpu::runtime::RunError;
 use redvolt_nn::abft::DefenseMode;
-use redvolt_nn::models::ModelScale;
 use redvolt_nn::tensor::Tensor;
 use redvolt_num::rng::derive_stream_seed;
 use redvolt_telemetry::span::DEFAULT_SPAN_CAPACITY;
@@ -37,6 +36,9 @@ use redvolt_telemetry::{AttrValue, FlightRecorder, PostMortem, Snapshot, SpanRec
 
 /// Seed-stream label for the clean reference pass.
 const REFERENCE_STREAM: u64 = 0x5EF0;
+
+/// Power-cycle duration after a board hang, reference cycles.
+const REBOOT_CYCLES: Cycle = 30_000_000;
 
 /// Full serving-scenario configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,10 +51,8 @@ pub struct ServeConfig {
     pub requests: u64,
     /// Offered load, requests per simulated second.
     pub rps: f64,
-    /// Served model.
+    /// Served model (built at tiny scale).
     pub benchmark: BenchmarkId,
-    /// Model scale (tiny for tests/smoke, paper for campaigns).
-    pub scale: ModelScale,
     /// Shared evaluation-set size (requests draw uniformly from it).
     pub eval_images: usize,
     /// Dispatch a batch as soon as this many requests are queued.
@@ -61,14 +61,9 @@ pub struct ServeConfig {
     pub batch_timeout_cycles: Cycle,
     /// Per-board queue bound (admission control's hard limit).
     pub queue_depth: usize,
-    /// Queue-fill fraction above which admits are degraded.
-    pub degrade_watermark: f64,
-    /// Fixed dispatch overhead added to each batch, reference cycles.
-    pub batch_overhead_cycles: Cycle,
-    /// Power-cycle duration after a board hang, reference cycles.
-    pub reboot_cycles: Cycle,
-    /// Vmin-calibration settings (including the serving margin).
-    pub calib: CalibConfig,
+    /// Serving margin added to each board's calibrated Vmin, mV
+    /// (negative = deliberately serve below Vmin).
+    pub margin_mv: f64,
     /// Defense armed on every board.
     pub defense: DefenseMode,
     /// Whether the governor walks eventful boards down the ladder.
@@ -87,7 +82,8 @@ pub struct ServeConfig {
     /// 0 = the host's available parallelism).
     pub image_jobs: usize,
     /// Bound on retained lifecycle spans (oldest evicted first; evictions
-    /// are counted, never silent).
+    /// are counted, never silent). Flight-recorder dumps copy their spans
+    /// from this ring.
     pub trace_capacity: usize,
 }
 
@@ -99,15 +95,11 @@ impl Default for ServeConfig {
             requests: 120,
             rps: 40_000.0,
             benchmark: BenchmarkId::VggNet,
-            scale: ModelScale::Tiny,
             eval_images: 24,
             max_batch: 4,
             batch_timeout_cycles: 200_000,
             queue_depth: 8,
-            degrade_watermark: 0.75,
-            batch_overhead_cycles: 10_000,
-            reboot_cycles: 30_000_000,
-            calib: CalibConfig::default(),
+            margin_mv: 0.0,
             defense: DefenseMode::Correct,
             governor: true,
             router: RouterPolicy::VminAware,
@@ -126,28 +118,18 @@ impl ServeConfig {
     /// the defense, governor and retry paths all see real traffic.
     pub fn smoke() -> Self {
         ServeConfig {
-            calib: CalibConfig {
-                margin_mv: -10.0,
-                ..CalibConfig::default()
-            },
+            margin_mv: -10.0,
             ..ServeConfig::default()
         }
     }
 
     fn accelerator(&self) -> AcceleratorConfig {
-        let base = match self.scale {
-            ModelScale::Tiny => AcceleratorConfig::tiny(self.benchmark),
-            ModelScale::Paper => AcceleratorConfig {
-                benchmark: self.benchmark,
-                ..AcceleratorConfig::default()
-            },
-        };
         AcceleratorConfig {
             eval_images: self.eval_images,
             seed: self.seed,
             defense: self.defense,
             repetitions: 1,
-            ..base
+            ..AcceleratorConfig::tiny(self.benchmark)
         }
     }
 
@@ -363,6 +345,12 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     if cfg.boards == 0 {
         return Err(ServeError::Config("fleet needs at least one board".into()));
     }
+    if !(cfg.rps.is_finite() && cfg.rps > 0.0) {
+        return Err(ServeError::Config(format!(
+            "offered rate {:?} rps must be finite and above 0",
+            cfg.rps
+        )));
+    }
     if cfg.max_batch == 0 || cfg.queue_depth < cfg.max_batch {
         return Err(ServeError::Config(format!(
             "queue depth {} must hold at least one max batch {}",
@@ -380,7 +368,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     for index in 0..cfg.boards {
         let mut fleet = FleetBoard::bring_up(index, &acc_cfg)?;
         let ops = fleet.accelerator().workload().dense_equivalent_ops;
-        fleet.calibrate(&cfg.calib, ops)?;
+        fleet.calibrate(cfg.margin_mv, ops)?;
         fleet.set_image_jobs(cfg.image_jobs);
         boards.push(BoardState {
             fleet,
@@ -501,9 +489,12 @@ impl Sim<'_> {
                 }
                 Event::BoardUp { board } => {
                     self.boards[board].available = true;
-                    let up = self.trace.instant("board_up", None, now);
-                    self.trace.attr_done(up, "board", board as u64);
-                    self.mirror_last();
+                    self.trace.instant(
+                        "board_up",
+                        None,
+                        now,
+                        vec![("board".to_string(), AttrValue::U64(board as u64))],
+                    );
                     self.dispatch_if_ready(board, now, false)?;
                 }
             }
@@ -518,7 +509,7 @@ impl Sim<'_> {
             .map(|b| b.view(self.cfg.queue_depth))
             .collect();
         let span = self.req_span[req.id as usize];
-        match self.router.admit(&views, self.cfg.degrade_watermark) {
+        match self.router.admit(&views) {
             Admission::Accept { board, degraded } => {
                 req.degraded = degraded;
                 self.counters.admitted += 1;
@@ -526,15 +517,16 @@ impl Sim<'_> {
                     self.counters.degraded += 1;
                     self.trace.attr(span, "degraded", true);
                 }
-                let route = self.trace.instant("route", Some(span), now);
-                self.trace.attr_done(route, "board", board as u64);
-                self.trace
-                    .attr_done(route, "policy", self.router.policy().name());
-                if self.router.policy() == RouterPolicy::VminAware {
-                    self.trace
-                        .attr_done(route, "score", Router::score_of(&views[board]));
+                let policy = self.router.policy();
+                let mut attrs = vec![
+                    ("board".to_string(), AttrValue::U64(board as u64)),
+                    ("policy".to_string(), AttrValue::from(policy.name())),
+                ];
+                if policy == RouterPolicy::VminAware {
+                    let score = Router::score_of(&views[board]);
+                    attrs.push(("score".to_string(), AttrValue::F64(score)));
                 }
-                self.mirror_last();
+                self.trace.instant("route", Some(span), now, attrs);
                 self.enqueue(board, req, now);
                 self.dispatch_if_ready(board, now, false)?;
             }
@@ -542,7 +534,6 @@ impl Sim<'_> {
                 self.counters.shed += 1;
                 self.trace.attr(span, "outcome", "shed");
                 self.trace.end(span, now);
-                self.mirror_last();
             }
         }
         Ok(())
@@ -564,22 +555,22 @@ impl Sim<'_> {
             .collect();
         let span = self.req_span[req.id as usize];
         let target = self.router.route(&views, Some(from));
-        let hop = self.trace.instant("reroute", Some(span), now);
-        self.trace.attr_done(hop, "from", from as u64);
-        self.trace.attr_done(hop, "reason", reason);
-        self.trace.attr_done(hop, "found", target.is_some());
+        let mut attrs = vec![
+            ("from".to_string(), AttrValue::U64(from as u64)),
+            ("reason".to_string(), AttrValue::from(reason)),
+            ("found".to_string(), AttrValue::Bool(target.is_some())),
+        ];
+        if let Some(board) = target {
+            attrs.push(("board".to_string(), AttrValue::U64(board as u64)));
+        }
+        self.trace.instant("reroute", Some(span), now, attrs);
         match target {
             Some(board) => {
-                self.trace.attr_done(hop, "board", board as u64);
-                self.mirror_last();
                 self.enqueue(board, req, now);
                 self.dispatch_if_ready(board, now, false)?;
                 Ok(true)
             }
-            None => {
-                self.mirror_last();
-                Ok(false)
-            }
+            None => Ok(false),
         }
     }
 
@@ -614,7 +605,7 @@ impl Sim<'_> {
             if b.armed_epoch != Some(b.epoch) {
                 b.armed_epoch = Some(b.epoch);
                 self.events.push(
-                    now + self.cfg.batch_timeout_cycles,
+                    now.saturating_add(self.cfg.batch_timeout_cycles),
                     Event::BatchTimeout {
                         board,
                         epoch: b.epoch,
@@ -642,14 +633,11 @@ impl Sim<'_> {
         for req in &batch {
             let wait = std::mem::take(&mut self.queue_span[req.id as usize]);
             self.trace.end(wait, now);
-            self.mirror_last();
         }
         let indices: Vec<usize> = batch.iter().map(|r| r.image).collect();
-        let exec = self.boards[board]
-            .fleet
-            .run_serving_batch(&indices, self.cfg.batch_overhead_cycles)?;
+        let exec = self.boards[board].fleet.run_serving_batch(&indices)?;
 
-        let done_at = now + exec.service_ref_cycles;
+        let done_at = now.saturating_add(exec.service_ref_cycles);
         self.batch_spans.push(BatchSpan {
             board,
             start_cycle: now,
@@ -673,17 +661,19 @@ impl Sim<'_> {
                 ("crashed".to_string(), AttrValue::Bool(exec.crashed)),
             ],
         });
-        self.mirror_last();
 
         if exec.crashed {
             self.counters.crashes += 1;
             self.boards[board].fleet.on_crash();
             self.boards[board].available = false;
             self.events
-                .push(now + self.cfg.reboot_cycles, Event::BoardUp { board });
-            let crash = self.trace.instant("board_crash", Some(batch_id), now);
-            self.trace.attr_done(crash, "board", board as u64);
-            self.mirror_last();
+                .push(now.saturating_add(REBOOT_CYCLES), Event::BoardUp { board });
+            self.trace.instant(
+                "board_crash",
+                Some(batch_id),
+                now,
+                vec![("board".to_string(), AttrValue::U64(board as u64))],
+            );
             self.snapshot_boards(now);
             self.recorder.dump(
                 "board_crash",
@@ -692,6 +682,7 @@ impl Sim<'_> {
                     ("board".to_string(), AttrValue::U64(board as u64)),
                     ("batch_span".to_string(), AttrValue::U64(batch_id)),
                 ],
+                &self.trace,
             );
             for req in batch {
                 self.counters.requeued_on_crash += 1;
@@ -701,7 +692,6 @@ impl Sim<'_> {
                     let span = self.req_span[rid];
                     self.trace.attr(span, "outcome", "dropped");
                     self.trace.end(span, now);
-                    self.mirror_last();
                 }
             }
             return Ok(());
@@ -724,21 +714,23 @@ impl Sim<'_> {
                     ("board".to_string(), AttrValue::U64(board as u64)),
                 ],
             });
-            self.mirror_last();
         }
 
         if self.cfg.governor && exec.events > 0 {
             let esc = self.boards[board].fleet.escalate();
             self.counters.escalations += 1;
-            let rung = self
-                .trace
-                .instant("governor_escalate", Some(batch_id), done_at);
-            self.trace.attr_done(rung, "board", board as u64);
-            self.trace.attr_done(rung, "kind", esc.kind);
-            self.trace.attr_done(rung, "rungs", esc.rungs);
-            self.trace.attr_done(rung, "f_mhz", esc.f_mhz);
-            self.trace.attr_done(rung, "vccint_mv", esc.vccint_mv);
-            self.mirror_last();
+            self.trace.instant(
+                "governor_escalate",
+                Some(batch_id),
+                done_at,
+                vec![
+                    ("board".to_string(), AttrValue::U64(board as u64)),
+                    ("kind".to_string(), AttrValue::from(esc.kind)),
+                    ("rungs".to_string(), AttrValue::from(esc.rungs)),
+                    ("f_mhz".to_string(), AttrValue::F64(esc.f_mhz)),
+                    ("vccint_mv".to_string(), AttrValue::F64(esc.vccint_mv)),
+                ],
+            );
             self.snapshot_boards(done_at);
             self.recorder.dump(
                 "governor_escalation",
@@ -748,6 +740,7 @@ impl Sim<'_> {
                     ("kind".to_string(), AttrValue::Str(esc.kind.to_string())),
                     ("rungs".to_string(), AttrValue::U64(u64::from(esc.rungs))),
                 ],
+                &self.trace,
             );
         }
         self.boards[board].fleet.busy_cycles += exec.service_ref_cycles;
@@ -796,10 +789,15 @@ impl Sim<'_> {
             if !flagged {
                 self.counters.silently_corrupt += 1;
             }
-            let audit = self.trace.instant("sdc_audit", Some(span), now);
-            self.trace.attr_done(audit, "board", board as u64);
-            self.trace.attr_done(audit, "silent", !flagged);
-            self.mirror_last();
+            self.trace.instant(
+                "sdc_audit",
+                Some(span),
+                now,
+                vec![
+                    ("board".to_string(), AttrValue::U64(board as u64)),
+                    ("silent".to_string(), AttrValue::Bool(!flagged)),
+                ],
+            );
             self.snapshot_boards(now);
             self.recorder.dump(
                 "sdc_audit",
@@ -809,6 +807,7 @@ impl Sim<'_> {
                     ("request".to_string(), AttrValue::U64(req.id)),
                     ("silent".to_string(), AttrValue::Bool(!flagged)),
                 ],
+                &self.trace,
             );
         }
         self.trace.attr(span, "attempts", u64::from(req.attempts));
@@ -819,19 +818,11 @@ impl Sim<'_> {
             if corrupt { "corrupt" } else { "complete" },
         );
         self.trace.end(span, now);
-        self.mirror_last();
-    }
-
-    /// Clones the most recently completed trace span into the flight
-    /// recorder's bounded ring.
-    fn mirror_last(&mut self) {
-        if let Some(span) = self.trace.last() {
-            self.recorder.push(span.clone());
-        }
     }
 
     /// Streams a health snapshot of every board into the flight
-    /// recorder, taken just before a post-mortem dump freezes the rings.
+    /// recorder, taken just before a post-mortem dump freezes it with
+    /// the trace's most recent spans.
     fn snapshot_boards(&mut self, now: Cycle) {
         for b in &self.boards {
             let mut attrs = b.fleet.health_attrs();

@@ -108,7 +108,9 @@ impl Iterator for TrafficGenerator {
         if self.emitted >= self.cfg.requests {
             return None;
         }
-        self.clock += self.next_gap();
+        // Saturates: a vanishing rate must not wrap the arrival clock.
+        let gap = self.next_gap();
+        self.clock = self.clock.saturating_add(gap);
         let req = Request {
             id: self.emitted,
             arrival: self.clock,

@@ -11,10 +11,9 @@
 //! `REDVOLT_UPDATE_GOLDEN=1 cargo test -p redvolt-serve --test serve`.
 
 use proptest::prelude::*;
-use redvolt_serve::fleet::CalibConfig;
 use redvolt_serve::report::ServeReport;
 use redvolt_serve::router::RouterPolicy;
-use redvolt_serve::sim::{self, ServeConfig};
+use redvolt_serve::sim::{self, ServeConfig, ServeError};
 
 /// The CI smoke scenario — must match the flag defaults of `serve run`.
 fn smoke() -> ServeConfig {
@@ -134,7 +133,9 @@ fn every_request_gets_a_lifecycle_span_with_a_terminal_outcome() {
 
 /// Satellite: overflowing the bounded span ring is *counted*, never
 /// silent — `trace_dropped` lands in the text report, the JSONL metrics
-/// and the Prometheus exposition as `serve_spans_dropped_total`.
+/// and the Prometheus exposition as `serve_spans_dropped_total`. The
+/// flight recorder's dumps copy the trace, so none holds more spans than
+/// the ring kept.
 #[test]
 fn span_ring_overflow_is_surfaced_as_spans_dropped() {
     let cfg = ServeConfig {
@@ -155,6 +156,12 @@ fn span_ring_overflow_is_surfaced_as_spans_dropped() {
     assert!(report
         .to_text()
         .contains(&format!("spans-dropped {}", report.outcome.trace_dropped)));
+    let dumps = &report.outcome.postmortems;
+    assert!(!dumps.is_empty());
+    assert!(
+        dumps.iter().all(|d| d.spans.len() <= 16),
+        "a dump outgrew the trace"
+    );
     // The untruncated smoke run reports zero drops.
     let full = ServeReport::build(&smoke(), sim::run(&smoke()).unwrap());
     assert!(full.to_prometheus().contains("serve_spans_dropped_total 0"));
@@ -212,6 +219,42 @@ fn flight_recorder_dumps_on_governor_escalation() {
         .attrs
         .iter()
         .any(|(k, _)| k == "vccint_mv"));
+}
+
+/// An offered rate that is not a finite number above zero is refused
+/// before bring-up; it used to wrap the arrival clock.
+#[test]
+fn rates_that_are_not_finite_and_positive_are_config_errors() {
+    for rps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+        let out = sim::run(&ServeConfig { rps, ..smoke() });
+        assert!(
+            matches!(out, Err(ServeError::Config(_))),
+            "rps {rps}: {out:?}"
+        );
+    }
+}
+
+/// Virtual time saturates instead of wrapping: arrivals a vanishing rate
+/// spaces past `u64::MAX` and a batch timeout of `u64::MAX` both land at
+/// the end of time, every request is still accounted for, and no latency
+/// runs past the last event.
+#[test]
+fn a_vanishing_rate_and_an_endless_timeout_saturate_virtual_time() {
+    let cfg = ServeConfig {
+        requests: 50,
+        rps: 1e-300,
+        batch_timeout_cycles: u64::MAX,
+        ..smoke()
+    };
+    let out = sim::run(&cfg).unwrap();
+    let c = out.counters;
+    assert_eq!(c.offered, 50);
+    assert_eq!(c.completed + c.shed + c.dropped_on_crash, c.offered);
+    assert_eq!(out.latencies.len() as u64, c.completed);
+    assert_eq!(out.end_cycle, u64::MAX);
+    assert!(out.latencies.iter().all(|&l| l <= out.end_cycle));
+    let report = ServeReport::build(&cfg, out);
+    assert!(report.mean_cycles <= u64::MAX as f64);
 }
 
 #[test]
@@ -280,10 +323,7 @@ fn router_policy_changes_the_load_distribution() {
         boards,
         requests,
         rps: 30_000.0,
-        calib: CalibConfig {
-            margin_mv: -10.0,
-            ..CalibConfig::default()
-        },
+        margin_mv: -10.0,
         slo_p99_cycles: 60_000_000,
         ..ServeConfig::default()
     };

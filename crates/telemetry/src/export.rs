@@ -308,7 +308,7 @@ mod tests {
         ring.attr(id, "degraded", true);
         ring.attr(id, "policy", "vmin");
         ring.end(id, 7);
-        let line = span_to_json(ring.last().unwrap());
+        let line = span_to_json(ring.spans().last().unwrap());
         assert!(
             line.contains(
                 "\"attrs\":{\"board\":2,\"degraded\":true,\"policy\":\"vmin\",\"score\":1.5}"

@@ -30,8 +30,9 @@
 //! * [`export`] — JSONL event stream and Prometheus text exporters.
 //! * [`trace`] — Chrome trace-event (`trace.json`) exporter; fleet
 //!   timelines open directly in `chrome://tracing` / Perfetto.
-//! * [`recorder`] — bounded flight recorder freezing recent spans and
-//!   health snapshots into post-mortem blobs on notable triggers.
+//! * [`recorder`] — bounded flight recorder freezing the trace's most
+//!   recent spans and health snapshots into post-mortem blobs on notable
+//!   triggers.
 //! * [`progress`] — live campaign progress lines with a cycle-cost ETA.
 
 pub mod export;

@@ -4,29 +4,31 @@
 //! taken *around* an incident — what the board was doing in the seconds
 //! before a crash or an SDC matters more than the steady state. This
 //! module is that black box for the simulated stack: producers stream
-//! every completed span and periodic health [`Snapshot`]s into a bounded
-//! ring, and when something notable happens (a board crash, an audited
-//! SDC, a governor escalation) the recorder freezes the ring's contents
-//! into a [`PostMortem`] blob.
+//! periodic health [`Snapshot`]s into a bounded ring, and when something
+//! notable happens (a board crash, an audited SDC, a governor
+//! escalation) the recorder freezes the last [`SPAN_WINDOW`] completed
+//! spans of the trace ring it is handed, plus its snapshots, into a
+//! [`PostMortem`] blob. The trace is the one record of the spans: a dump
+//! copies what the trace holds, so a trace bounded below
+//! [`SPAN_WINDOW`] spans gives dumps of that many.
 //!
-//! Everything is bounded — recent spans, recent snapshots, and the dump
-//! list itself — so a pathological run cannot grow the recorder without
-//! limit; overflow is *counted*, never silent. All timestamps are
-//! virtual cycles, so recorder output obeys the crate's determinism
-//! contract: byte-identical across reruns and worker counts.
+//! Everything is bounded — recent snapshots and the dump list itself —
+//! so a pathological run cannot grow the recorder without limit;
+//! overflow is *counted*, never silent. All timestamps are virtual
+//! cycles, so recorder output obeys the crate's determinism contract:
+//! byte-identical across reruns and worker counts.
 
 use crate::export::{json_attrs, span_to_json};
-use crate::span::{AttrValue, SpanRecord};
+use crate::span::{AttrValue, SpanRecord, SpanRing};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Default bound on recent spans retained for a dump.
-pub const DEFAULT_SPAN_WINDOW: usize = 64;
-/// Default bound on recent health snapshots retained for a dump.
-pub const DEFAULT_SNAPSHOT_WINDOW: usize = 32;
-/// Default bound on post-mortem dumps kept (later triggers are counted
-/// but suppressed).
-pub const DEFAULT_MAX_DUMPS: usize = 32;
+/// Most recent completed trace spans a dump copies.
+pub const SPAN_WINDOW: usize = 64;
+/// Most recent health snapshots a dump copies.
+pub const SNAPSHOT_WINDOW: usize = 32;
+/// Post-mortem dumps kept (later triggers are counted but suppressed).
+pub const MAX_DUMPS: usize = 32;
 
 /// A point-in-time health reading of one tracked component (typically a
 /// board), attached to post-mortems for causal context.
@@ -59,74 +61,41 @@ pub struct PostMortem {
     pub snapshots: Vec<Snapshot>,
 }
 
-/// Bounded ring of recent activity plus the dumps frozen from it.
-#[derive(Debug)]
+/// Bounded ring of recent health snapshots plus the dumps frozen from it
+/// and the trace.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    spans: VecDeque<SpanRecord>,
     snapshots: VecDeque<Snapshot>,
     dumps: Vec<PostMortem>,
-    span_window: usize,
-    snapshot_window: usize,
-    max_dumps: usize,
     suppressed: u64,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FlightRecorder {
-    /// A recorder with the default windows.
+    /// An empty recorder.
     pub fn new() -> Self {
-        Self::with_windows(
-            DEFAULT_SPAN_WINDOW,
-            DEFAULT_SNAPSHOT_WINDOW,
-            DEFAULT_MAX_DUMPS,
-        )
-    }
-
-    /// A recorder bounded to `span_window` recent spans,
-    /// `snapshot_window` recent snapshots and `max_dumps` post-mortems.
-    pub fn with_windows(span_window: usize, snapshot_window: usize, max_dumps: usize) -> Self {
-        FlightRecorder {
-            spans: VecDeque::new(),
-            snapshots: VecDeque::new(),
-            dumps: Vec::new(),
-            span_window: span_window.max(1),
-            snapshot_window: snapshot_window.max(1),
-            max_dumps: max_dumps.max(1),
-            suppressed: 0,
-        }
-    }
-
-    /// Streams one completed span into the ring.
-    pub fn push(&mut self, span: SpanRecord) {
-        if self.spans.len() == self.span_window {
-            self.spans.pop_front();
-        }
-        self.spans.push_back(span);
+        Self::default()
     }
 
     /// Streams one health snapshot into the ring.
     pub fn snapshot(&mut self, snapshot: Snapshot) {
-        if self.snapshots.len() == self.snapshot_window {
+        if self.snapshots.len() == SNAPSHOT_WINDOW {
             self.snapshots.pop_front();
         }
         self.snapshots.push_back(snapshot);
     }
 
-    /// Freezes the current rings into a [`PostMortem`]. Returns the dump
-    /// sequence number, or `None` when the dump bound is reached (the
-    /// trigger is still counted in [`FlightRecorder::suppressed`]).
+    /// Freezes the last [`SPAN_WINDOW`] completed spans of `trace` and
+    /// the snapshot ring into a [`PostMortem`]. Returns the dump sequence
+    /// number, or `None` when the dump bound is reached (the trigger is
+    /// still counted in [`FlightRecorder::suppressed`]).
     pub fn dump(
         &mut self,
         trigger: &str,
         cycle: u64,
         attrs: Vec<(String, AttrValue)>,
+        trace: &SpanRing,
     ) -> Option<u64> {
-        if self.dumps.len() >= self.max_dumps {
+        if self.dumps.len() >= MAX_DUMPS {
             self.suppressed += 1;
             return None;
         }
@@ -136,7 +105,11 @@ impl FlightRecorder {
             trigger: trigger.to_string(),
             cycle,
             attrs,
-            spans: self.spans.iter().cloned().collect(),
+            spans: trace
+                .spans()
+                .skip(trace.len().saturating_sub(SPAN_WINDOW))
+                .cloned()
+                .collect(),
             snapshots: self.snapshots.iter().cloned().collect(),
         });
         Some(seq)
@@ -147,7 +120,7 @@ impl FlightRecorder {
         &self.dumps
     }
 
-    /// Drains the frozen dumps, leaving the rings intact.
+    /// Drains the frozen dumps, leaving the snapshot ring intact.
     pub fn take_dumps(&mut self) -> Vec<PostMortem> {
         std::mem::take(&mut self.dumps)
     }
@@ -200,50 +173,58 @@ pub fn export_flight_jsonl(dumps: &[PostMortem], suppressed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanRing;
 
-    fn span(id: u64, cycle: u64) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent: None,
-            name: "batch".to_string(),
-            start_cycle: cycle,
-            end_cycle: cycle + 10,
-            attrs: vec![("board".to_string(), AttrValue::U64(0))],
+    fn snapshot(cycle: u64) -> Snapshot {
+        Snapshot {
+            cycle,
+            source: "board0".to_string(),
+            attrs: vec![("rungs".to_string(), AttrValue::U64(cycle))],
         }
     }
 
     #[test]
-    fn windows_are_bounded_and_dumps_freeze_recent_history() {
-        let mut rec = FlightRecorder::with_windows(2, 1, 8);
-        for i in 0..5 {
-            rec.push(span(i + 1, i * 100));
+    fn dumps_copy_the_last_spans_of_the_trace_and_the_recent_snapshots() {
+        let mut trace = SpanRing::new();
+        for i in 0..70 {
+            let id = trace.begin("batch", None, i * 100);
+            trace.end(id, i * 100 + 10);
         }
-        rec.snapshot(Snapshot {
-            cycle: 390,
-            source: "board0".to_string(),
-            attrs: vec![("rungs".to_string(), AttrValue::U64(2))],
-        });
-        let seq = rec.dump("board_crash", 400, vec![]).unwrap();
+        let mut rec = FlightRecorder::new();
+        for i in 0..40 {
+            rec.snapshot(snapshot(i));
+        }
+        let seq = rec.dump("board_crash", 7_000, vec![], &trace).unwrap();
         assert_eq!(seq, 0);
         let dump = &rec.dumps()[0];
-        // Only the two most recent spans survive the window.
+        // Only the most recent spans and snapshots survive, oldest first.
         assert_eq!(
             dump.spans.iter().map(|s| s.id).collect::<Vec<_>>(),
-            vec![4, 5]
+            (7..=70).collect::<Vec<u64>>()
         );
-        assert_eq!(dump.snapshots.len(), 1);
-        assert_eq!(dump.snapshots[0].attrs[0].1, AttrValue::U64(2));
+        assert_eq!(
+            dump.snapshots.iter().map(|s| s.cycle).collect::<Vec<_>>(),
+            (8..40).collect::<Vec<u64>>()
+        );
+        // A trace holding fewer spans than the window gives all of them.
+        let mut short = SpanRing::with_capacity(16);
+        for span in trace.spans() {
+            short.record(span.clone());
+        }
+        rec.dump("sdc_audit", 7_000, vec![], &short);
+        assert_eq!(rec.dumps()[1].spans.len(), 16);
+        assert_eq!(rec.dumps()[1].spans[15].start_cycle, 6_900);
     }
 
     #[test]
     fn dump_bound_suppresses_but_counts() {
-        let mut rec = FlightRecorder::with_windows(4, 4, 2);
-        assert!(rec.dump("a", 1, vec![]).is_some());
-        assert!(rec.dump("b", 2, vec![]).is_some());
-        assert!(rec.dump("c", 3, vec![]).is_none());
-        assert!(rec.dump("d", 4, vec![]).is_none());
-        assert_eq!(rec.dumps().len(), 2);
+        let mut rec = FlightRecorder::new();
+        let trace = SpanRing::new();
+        for i in 0..MAX_DUMPS as u64 {
+            assert_eq!(rec.dump("a", i, vec![], &trace), Some(i));
+        }
+        assert!(rec.dump("b", 40, vec![], &trace).is_none());
+        assert!(rec.dump("c", 41, vec![], &trace).is_none());
+        assert_eq!(rec.dumps().len(), MAX_DUMPS);
         assert_eq!(rec.suppressed(), 2);
     }
 
@@ -255,7 +236,6 @@ mod tests {
         ring.end(id, 80);
 
         let mut rec = FlightRecorder::new();
-        rec.push(ring.last().unwrap().clone());
         rec.snapshot(Snapshot {
             cycle: 80,
             source: "board1".to_string(),
@@ -265,6 +245,7 @@ mod tests {
             "sdc_audit",
             90,
             vec![("silent".to_string(), AttrValue::Bool(false))],
+            &ring,
         );
         let out = export_flight_jsonl(rec.dumps(), rec.suppressed());
         assert_eq!(out, export_flight_jsonl(rec.dumps(), rec.suppressed()));

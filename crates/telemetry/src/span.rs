@@ -15,6 +15,12 @@
 //! The ring is bounded: once `capacity` spans are held, the oldest
 //! completed spans are evicted and counted in [`SpanRing::dropped`] —
 //! a multi-hour campaign cannot grow telemetry without bound.
+//!
+//! A completed span never changes: attributes attach to open spans, and
+//! an instant event takes all of its attributes when it is recorded. A
+//! reader of the ring — an exporter, or the flight recorder copying its
+//! most recent spans into a post-mortem — therefore sees each span as it
+//! was when it completed.
 
 use std::collections::VecDeque;
 
@@ -209,11 +215,16 @@ impl SpanRing {
         id
     }
 
-    /// Records an instant (zero-duration) event span under `parent`.
-    /// The event completes immediately; attach attributes via the
-    /// returned id *before* the next `end`-ordering-sensitive read, or
-    /// use [`SpanRing::attr_done`].
-    pub fn instant(&mut self, name: &str, parent: Option<u64>, cycle: u64) -> u64 {
+    /// Records an instant (zero-duration) event span with its `attrs`
+    /// under `parent`. The event completes at once, so it takes every
+    /// attribute here.
+    pub fn instant(
+        &mut self,
+        name: &str,
+        parent: Option<u64>,
+        cycle: u64,
+        attrs: Vec<(String, AttrValue)>,
+    ) -> u64 {
         self.next_id += 1;
         let id = self.next_id;
         self.push(SpanRecord {
@@ -222,7 +233,7 @@ impl SpanRing {
             name: name.to_string(),
             start_cycle: cycle,
             end_cycle: cycle,
-            attrs: Vec::new(),
+            attrs,
         });
         id
     }
@@ -230,15 +241,6 @@ impl SpanRing {
     /// Attaches an attribute to the open span `id` (no-op if closed).
     pub fn attr(&mut self, id: u64, key: &str, value: impl Into<AttrValue>) {
         if let Some(span) = self.open.iter_mut().find(|s| s.id == id) {
-            span.attrs.push((key.to_string(), value.into()));
-        }
-    }
-
-    /// Attaches an attribute to an already-completed span `id` (no-op if
-    /// the span was evicted). Used for instant events, which complete at
-    /// creation.
-    pub fn attr_done(&mut self, id: u64, key: &str, value: impl Into<AttrValue>) {
-        if let Some(span) = self.done.iter_mut().rev().find(|s| s.id == id) {
             span.attrs.push((key.to_string(), value.into()));
         }
     }
@@ -273,11 +275,6 @@ impl SpanRing {
     /// Completed spans, oldest first.
     pub fn spans(&self) -> impl Iterator<Item = &SpanRecord> {
         self.done.iter()
-    }
-
-    /// The most recently completed span, if any.
-    pub fn last(&self) -> Option<&SpanRecord> {
-        self.done.back()
     }
 
     /// Number of completed spans currently held.
@@ -441,7 +438,7 @@ mod tests {
         ring.attr(id, "degraded", false);
         ring.attr(id, "score", 1.5f64);
         ring.end(id, 5);
-        let span = ring.last().unwrap();
+        let span = ring.spans().last().unwrap();
         assert!(span.is_instant());
         assert_eq!(span.attr_u64("board"), Some(2));
         assert_eq!(span.attr("degraded"), Some(&AttrValue::Bool(false)));
@@ -455,11 +452,16 @@ mod tests {
         let mut ring = SpanRing::new();
         let outer = ring.begin("request", None, 0);
         let root = ring.begin_root("request", 3);
-        let hit = ring.instant("route", Some(root), 3);
-        ring.attr_done(hit, "board", 1u64);
+        let hit = ring.instant(
+            "route",
+            Some(root),
+            3,
+            vec![("board".to_string(), AttrValue::U64(1))],
+        );
         assert_eq!(ring.len(), 1, "instant completes immediately");
-        assert_eq!(ring.last().unwrap().parent, Some(root));
-        assert_eq!(ring.last().unwrap().attr_u64("board"), Some(1));
+        let route = ring.spans().last().unwrap();
+        assert_eq!((route.id, route.parent), (hit, Some(root)));
+        assert_eq!(route.attr_u64("board"), Some(1));
         ring.end(root, 9);
         ring.end(outer, 10);
         let spans: Vec<_> = ring.spans().cloned().collect();

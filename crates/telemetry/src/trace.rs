@@ -122,7 +122,7 @@ pub fn export_chrome_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanRing;
+    use crate::span::{AttrValue, SpanRing};
 
     #[test]
     fn cycle_mapping_is_exact_integer_math() {
@@ -142,8 +142,12 @@ mod tests {
     fn trace_has_metadata_then_events_and_valid_framing() {
         let mut ring = SpanRing::new();
         let req = ring.begin_root("request", 0);
-        let hit = ring.instant("route", Some(req), 0);
-        ring.attr_done(hit, "board", 1u64);
+        ring.instant(
+            "route",
+            Some(req),
+            0,
+            vec![("board".to_string(), AttrValue::U64(1))],
+        );
         ring.end(req, 666);
         let spans: Vec<SpanRecord> = ring.take();
 
